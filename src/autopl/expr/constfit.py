@@ -19,9 +19,10 @@ class FitResult:
     fittable: bool
 
 
-def _mse(tree: ExpressionTree, X: np.ndarray, y: np.ndarray) -> float:
-    pred = evaluate(tree, X)
-    if not np.all(np.isfinite(pred)):
+def _mse(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
+         constants: np.ndarray | None = None) -> float:
+    pred = evaluate(tree, X, constants)
+    if not np.isfinite(pred).all():
         return float("inf")
     # wild candidate constants overflow the square; that is just a bad
     # simplex vertex, not an error
@@ -46,7 +47,7 @@ def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
         return FitResult(tree, mse, np.isfinite(mse))
 
     def objective(c: np.ndarray) -> float:
-        return _mse(tree.with_constants(c), X, y)
+        return _mse(tree, X, y, c)
 
     best_c = np.asarray(tree.constants, dtype=float)
     best_mse = objective(best_c)

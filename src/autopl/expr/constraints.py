@@ -130,35 +130,32 @@ class PrefixState:
 
     def mask(self, cs: ConstraintSet, vocab: Vocabulary) -> np.ndarray:
         """Boolean validity of each vocabulary token at the next position."""
-        out = np.zeros(len(vocab), dtype=bool)
         if self.is_complete:
-            return out
+            return np.zeros(len(vocab), dtype=bool)
+        length_after = self.length + 1
+        slots_after = self.slots - 1 + vocab.arity_array
+        out = length_after + slots_after <= cs.max_length
+        if length_after < cs.min_length:
+            out &= slots_after != 0
+        for name, rule in cs.repeat_rules.items():
+            if rule.max_count is not None and name in vocab.index \
+                    and self.counts[name] + 1 > rule.max_count:
+                out[vocab.index[name]] = False
+        if cs.forbid_nested_trig and self.trig_depth > 0:
+            out &= ~vocab.is_trig
         parent = self.parent
-        frame = self._stack[-1] if self._stack else None
-        for i, t in enumerate(vocab.tokens):
-            length_after = self.length + 1
-            slots_after = self.slots - 1 + t.arity
-            if slots_after == 0 and length_after < cs.min_length:
-                continue
-            if length_after + slots_after > cs.max_length:
-                continue
-            rule = cs.repeat_rules.get(t.name)
-            if rule is not None and rule.max_count is not None \
-                    and self.counts[t.name] + 1 > rule.max_count:
-                continue
-            if cs.forbid_nested_trig and t.name in TRIG_NAMES and self.trig_depth > 0:
-                continue
-            if cs.forbid_inverse_unary_child and parent is not None \
-                    and parent.kind is TokenKind.UNARY \
-                    and INVERSE_UNARY.get(parent.name) == t.name:
-                continue
-            if cs.forbid_all_constant_children and t.is_constant_leaf \
-                    and parent is not None:
-                if parent.kind is TokenKind.UNARY:
-                    continue
-                if frame.children_done == parent.arity - 1 and frame.all_const:
-                    continue
-            out[i] = True
+        if parent is None:
+            return out
+        if parent.kind is TokenKind.UNARY:
+            inverse = INVERSE_UNARY.get(parent.name)
+            if cs.forbid_inverse_unary_child and inverse in vocab.index:
+                out[vocab.index[inverse]] = False
+            if cs.forbid_all_constant_children:
+                out &= ~vocab.is_constant_leaf
+        elif cs.forbid_all_constant_children:
+            frame = self._stack[-1]
+            if frame.children_done == parent.arity - 1 and frame.all_const:
+                out &= ~vocab.is_constant_leaf
         return out
 
 

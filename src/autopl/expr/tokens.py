@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class TokenKind(enum.Enum):
     BINARY = "binary"
@@ -91,6 +93,12 @@ class Vocabulary:
             raise ValueError("vocabulary token names must be unique")
         self.index: dict[str, int] = {t.name: i for i, t in enumerate(self.tokens)}
         self.arities: tuple[int, ...] = tuple(t.arity for t in self.tokens)
+        # per-token tables for vectorized constraint masks
+        self.arity_array = np.array(self.arities, dtype=int)
+        self.is_constant_leaf = np.array(
+            [t.is_constant_leaf for t in self.tokens], dtype=bool)
+        self.is_trig = np.array([t.name in TRIG_NAMES for t in self.tokens],
+                                dtype=bool)
 
     def __len__(self) -> int:
         return len(self.tokens)

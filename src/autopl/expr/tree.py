@@ -7,29 +7,35 @@ flow through as inf/nan for the caller to score.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from autopl.expr.tokens import BINARY_SYMBOLS, Token, TokenKind
 
-_UNARY_FNS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "log10": np.log10,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "square": lambda x: x * x,
-    "sqrt": np.sqrt,
+# source templates for the compiled evaluator; each operand is a local
+# name, so an operand used twice (square) is still computed once
+_UNARY_SRC = {
+    "log10": "_log10({})",
+    "exp": "_exp({})",
+    "sin": "_sin({})",
+    "cos": "_cos({})",
+    "square": "{0} * {0}",
+    "sqrt": "_sqrt({})",
 }
 
-_BINARY_FNS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+_BINARY_SRC = {
+    "add": "{} + {}",
+    "sub": "{} - {}",
+    "mul": "{} * {}",
+    "div": "{} / {}",
 }
+
+_NAMESPACE = {"_log10": np.log10, "_exp": np.exp, "_sin": np.sin,
+              "_cos": np.cos, "_sqrt": np.sqrt}
 
 
 def is_complete(tokens: Sequence[Token]) -> bool:
@@ -92,37 +98,88 @@ def _leaf_values(tree: ExpressionTree) -> list[float | None]:
     return values
 
 
-def evaluate(tree: ExpressionTree, X: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _compile(tokens: tuple[Token, ...]):
+    """Straight-line function f(X, c) for a prefix sequence.
+
+    The body holds one assignment per token, emitted right to left in the
+    order a stack machine would evaluate them, so results match operation
+    for operation.  Literals are bound once as float64 scalars; constant
+    slots read c, a float64 vector in prefix order.  Returns the function
+    and the (name, column) pairs of the variables it reads.
+    """
+    lines: list[str] = []
+    stack: list[str] = []
+    literals: list[np.float64] = []
+    variables: list[tuple[str, int]] = []
+    slot = sum(1 for t in tokens if t.kind is TokenKind.CONST)
+    for pos in range(len(tokens) - 1, -1, -1):
+        t = tokens[pos]
+        if t.kind is TokenKind.VARIABLE:
+            if t.var_index is None:
+                raise ValueError(f"variable {t.name!r} has no column index")
+            variables.append((t.name, int(t.var_index)))
+            rhs = f"X[:, {int(t.var_index)}]"
+        elif t.kind is TokenKind.LITERAL:
+            literals.append(np.float64(t.value))
+            rhs = f"_lit[{len(literals) - 1}]"
+        elif t.kind is TokenKind.CONST:
+            slot -= 1
+            rhs = f"c[{slot}]"
+        elif t.kind is TokenKind.UNARY:
+            rhs = _UNARY_SRC[t.name].format(stack.pop())
+        else:
+            a = stack.pop()
+            b = stack.pop()
+            rhs = _BINARY_SRC[t.name].format(a, b)
+        lines.append(f"    t{pos} = {rhs}\n")
+        stack.append(f"t{pos}")
+    source = "def f(X, c):\n" + "".join(lines) + "    return t0\n"
+    namespace = dict(_NAMESPACE, _lit=tuple(literals))
+    exec(source, namespace)
+    return namespace["f"], tuple(variables)
+
+
+# the last compiled sequence, matched by identity: a constant fit scores
+# one tree hundreds of times, and hashing its tokens for the cache costs
+# more than the identity check
+_last_compiled: tuple = ((), None)
+
+
+def _compiled(tokens: tuple[Token, ...]):
+    global _last_compiled
+    tokens_seen, entry = _last_compiled
+    if tokens_seen is not tokens:
+        entry = _compile(tokens)
+        _last_compiled = (tokens, entry)
+    return entry
+
+
+def evaluate(tree: ExpressionTree, X: np.ndarray,
+             constants: Sequence[float] | None = None) -> np.ndarray:
     """Evaluate over rows of X, returning one value per row.
 
-    Non-finite intermediate results propagate instead of raising.
+    ``constants`` stands in for the tree's own constant values, so a fit
+    can score candidate values without building a tree per candidate.
+    Each token sequence is compiled once and reused.  Non-finite
+    intermediate results propagate instead of raising.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d (rows, features)")
-    n = X.shape[0]
-    const_vals = _leaf_values(tree)
-    stack: list[np.ndarray] = []
+    c = np.asarray(tree.constants if constants is None else constants,
+                   dtype=float)
+    if c.shape != (tree.n_constants,):
+        raise ValueError(
+            f"expected {tree.n_constants} constants, got shape {c.shape}")
+    fn, variables = _compiled(tree.tokens)
+    for name, index in variables:
+        if index >= X.shape[1]:
+            raise ValueError(f"variable {name!r} outside feature matrix")
     with np.errstate(all="ignore"):
-        for pos in range(len(tree.tokens) - 1, -1, -1):
-            t = tree.tokens[pos]
-            if t.kind is TokenKind.VARIABLE:
-                if t.var_index is None or t.var_index >= X.shape[1]:
-                    raise ValueError(f"variable {t.name!r} outside feature matrix")
-                stack.append(X[:, t.var_index])
-            elif t.kind is TokenKind.LITERAL:
-                stack.append(np.float64(t.value))
-            elif t.kind is TokenKind.CONST:
-                stack.append(np.float64(const_vals[pos]))
-            elif t.kind is TokenKind.UNARY:
-                stack.append(_UNARY_FNS[t.name](stack.pop()))
-            else:
-                a = stack.pop()
-                b = stack.pop()
-                stack.append(_BINARY_FNS[t.name](a, b))
-    out = np.asarray(stack.pop(), dtype=float)
+        out = np.asarray(fn(X, c), dtype=float)
     if out.ndim == 0:
-        out = np.full(n, float(out))
+        out = np.full(X.shape[0], float(out))
     return out
 
 

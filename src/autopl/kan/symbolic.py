@@ -1,10 +1,26 @@
 """Symbolic read-out of trained spline edges.
 
 Each edge's sampled (input, output) curve is matched against a small
-library of shapes y = c * f(a*x + b) + d.  Candidates are scored by R2
-with a simplicity tie-break, the surviving affine parameters can be
-retrained end to end, and the whole symbolic network flattens into one
-expression tree with dataset normalization folded back in.
+library of shapes y = c * f(a*x + b) + d.  For every shape, algebra folds
+one of the inner parameters a, b into the outer c, d, which a closed-form
+least-squares fit solves, so each shape's starting point comes from a
+closed form or a 1-d search of at most 200 candidates:
+
+- identity: a linear fit;
+- square: a quadratic fit, backed by a search over the vertex;
+- cube: a search over the inflection point x = -b/a;
+- exp: c*exp(a*x + b) = c'*exp(a*x), a search over a;
+- sin and cos: c*sin(a*x + b) = c1*sin(a*x) + c2*cos(a*x), a search over a
+  with c1, c2 fitted for each a and converted back to a phase b;
+- log10, sqrt and reciprocal: the scale of a folds into c or d, leaving a
+  search over where the singularity sits, outside the input range on
+  either side, at distances spaced geometrically from the range.
+
+Each start is refined by nonlinear least squares on all four parameters
+with the analytic Jacobian.  Candidates are scored by R2 with a simplicity
+tie-break, the surviving affine parameters can be retrained end to end,
+and the whole symbolic network flattens into one expression tree with
+dataset normalization folded back in.
 """
 
 from __future__ import annotations
@@ -50,9 +66,15 @@ EDGE_FAMILIES: dict[str, SymbolicEdge] = {
 
 # how much R2 a more complex shape must gain to beat a simpler one
 _TIE_BREAK = 0.02
-# coarse grid: |a| up to 12 keeps the phase error of a trig candidate below
-# pi/2 across [-1, 1.05] at step 0.25, so refinement starts in the right basin
-_GRID = np.linspace(-12.0, 12.0, 97)
+# rates a searched by exp (both signs) and by sin and cos (a > 0 suffices,
+# the sign folds into b and c).  Edge inputs live in the clamp interval
+# [-1, 1.05]; |a| up to 12 at step 0.125 keeps a trig start's phase error
+# below 0.07 rad across it, and the steps include every a of a 97x97
+# (a, b) grid at step 0.25, so these starts are never worse than that grid's
+_GRID = np.linspace(0.125, 12.0, 96)
+# distances of a singularity, vertex or inflection point from the input
+# range, in units of the range's width
+_DISTANCES = np.geomspace(1e-3, 1e3, 80)
 
 
 @dataclass(frozen=True)
@@ -82,13 +104,58 @@ def _r2(pred: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ssr / sst
 
 
-def _grid_candidates(fam: SymbolicEdge, x: np.ndarray, y: np.ndarray):
-    """Best (a, b, c, d, r2) over a coarse affine grid, c/d by closed form."""
-    aa, bb = np.meshgrid(_GRID, _GRID, indexing="ij")
-    aa = aa.ravel()
-    bb = bb.ravel()
-    keep = np.abs(aa) > 1e-6
-    aa, bb = aa[keep], bb[keep]
+def _candidates(name: str, x: np.ndarray, y: np.ndarray):
+    """Inner parameters (a, b) worth scoring for one family; the outer c
+    and d of each are fitted in closed form afterwards."""
+    lo, hi = float(x.min()), float(x.max())
+    gap = (hi - lo or 1.0) * _DISTANCES
+    # vertex or inflection points p, as (a, b) = (1, -p)
+    points = np.concatenate([lo - gap, np.linspace(lo, hi, 40), hi + gap])
+    if name == "identity":
+        return np.array([1.0]), np.array([0.0])
+    if name == "square":
+        # c*(x - p)^2 + d with p the vertex of the least-squares parabola;
+        # a nearly straight response puts p so far out that (x - p)^2
+        # loses its x-dependence to rounding, so the vertex search backs it
+        design = np.column_stack([x * x, x, np.ones_like(x)])
+        (p2, p1, _), *_ = np.linalg.lstsq(design, y, rcond=None)
+        if p2 != 0.0:
+            points = np.append(points, -p1 / (2.0 * p2))
+        return np.ones_like(points), -points
+    if name == "cube":
+        return np.ones_like(points), -points
+    if name in ("log10", "sqrt", "reciprocal"):
+        # u = x - lo + gap or u = hi + gap - x stays positive on the range
+        return (np.repeat([1.0, -1.0], gap.size),
+                np.concatenate([gap - lo, gap + hi]))
+    if name == "exp":
+        a = np.concatenate([-_GRID[::-1], _GRID])
+        return a, np.zeros_like(a)
+    if name in ("sin", "cos"):
+        # least-squares c1*sin(a*x) + c2*cos(a*x) + d for every a, on
+        # centred columns; then c*sin(a*x + b) = c*cos(b)*sin(a*x) +
+        # c*sin(b)*cos(a*x) and c*cos(a*x + b) = c*cos(b)*cos(a*x) -
+        # c*sin(b)*sin(a*x) give the phase
+        ax = _GRID[:, None] * x[None, :]
+        s = np.sin(ax)
+        s -= s.mean(axis=1, keepdims=True)
+        co = np.cos(ax)
+        co -= co.mean(axis=1, keepdims=True)
+        yc = y - y.mean()
+        ss, cc = (s * s).sum(axis=1), (co * co).sum(axis=1)
+        sc, sy, cy = (s * co).sum(axis=1), s @ yc, co @ yc
+        with np.errstate(all="ignore"):
+            det = ss * cc - sc * sc
+            c1 = (cc * sy - sc * cy) / det
+            c2 = (ss * cy - sc * sy) / det
+        b = np.arctan2(c2, c1) if name == "sin" else np.arctan2(-c1, c2)
+        return _GRID, b
+    raise ValueError(f"no start search for family {name!r}")
+
+
+def _start(fam: SymbolicEdge, x: np.ndarray, y: np.ndarray):
+    """Best (a, b, c, d, r2) over the family's candidates, c/d by closed form."""
+    aa, bb = _candidates(fam.name, x, y)
     with np.errstate(all="ignore"):
         fu = fam.fn(aa[:, None] * x[None, :] + bb[:, None])
     valid = np.all(np.isfinite(fu), axis=1)
@@ -97,10 +164,11 @@ def _grid_candidates(fam: SymbolicEdge, x: np.ndarray, y: np.ndarray):
     fu = fu[valid]
     aa, bb = aa[valid], bb[valid]
     fm = fu.mean(axis=1)
-    ym = float(y.mean())
-    var_f = np.mean(fu * fu, axis=1) - fm * fm
-    cov = fu @ y / y.size - fm * ym
-    var_y = float(np.mean(y * y) - ym * ym)
+    fu -= fm[:, None]
+    yc = y - y.mean()
+    var_f = np.mean(fu * fu, axis=1)
+    cov = fu @ yc / y.size
+    var_y = float(np.mean(yc * yc))
     ok = var_f > 1e-14
     if not ok.any() or var_y <= 0.0:
         return None
@@ -110,7 +178,7 @@ def _grid_candidates(fam: SymbolicEdge, x: np.ndarray, y: np.ndarray):
     if not ok[i]:
         return None
     c = float(cov[i] / var_f[i])
-    d = float(ym - c * fm[i])
+    d = float(y.mean() - c * fm[i])
     return float(aa[i]), float(bb[i]), c, d, float(r2[i])
 
 
@@ -122,10 +190,21 @@ def _refine(fam: SymbolicEdge, x, y, start):
             pred = p[2] * fam.fn(p[0] * x + p[1]) + p[3]
         return np.where(np.isfinite(pred), pred - y, 1e6)
 
+    def jacobian(p):
+        # d/d(a, b, c, d) of c*f(a*x + b) + d; rows held at the penalty
+        # are constant
+        with np.errstate(all="ignore"):
+            u = p[0] * x + p[1]
+            fu = fam.fn(u)
+            slope = p[2] * fam.dfn(u)
+            jac = np.column_stack([slope * x, slope, fu, np.ones_like(x)])
+            jac[~np.isfinite(p[2] * fu + p[3])] = 0.0
+        return np.where(np.isfinite(jac), jac, 0.0)
+
     try:
         res = optimize.least_squares(residual, np.array([a0, b0, c0, d0]),
-                                     max_nfev=200)
-    except Exception:
+                                     jac=jacobian, max_nfev=200)
+    except (ValueError, np.linalg.LinAlgError):
         return None
     pred = res.x[2] * _safe_fn(fam, res.x[0] * x + res.x[1]) + res.x[3]
     if not np.all(np.isfinite(pred)):
@@ -162,7 +241,7 @@ def fit_edge(x: np.ndarray, y: np.ndarray,
         if name == "zero":
             continue
         fam = EDGE_FAMILIES[name]
-        start = _grid_candidates(fam, x, y)
+        start = _start(fam, x, y)
         if start is None:
             continue
         best = start
@@ -190,17 +269,7 @@ class SymbolicKan:
         self.masks = [np.asarray(m, dtype=bool) for m in masks]
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        h = np.asarray(X, dtype=float)
-        with np.errstate(all="ignore"):
-            for fits_l, mask in zip(self.fits, self.masks):
-                d_in, d_out = mask.shape
-                out = np.zeros((h.shape[0], d_out))
-                for j in range(d_out):
-                    for i in range(d_in):
-                        if mask[i, j]:
-                            out[:, j] += fits_l[i][j](h[:, i])
-                h = out
-        return h
+        return _forward_with_cache(self, X)[-1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = self.forward(X)
@@ -223,6 +292,12 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray,
     _, caches = net.forward(X, want_caches=True)
     if X.shape[0] > max_samples:
         pick = np.linspace(0, X.shape[0] - 1, max_samples).astype(int)
+        # keep every layer input's extreme rows: a shape fitted without
+        # them can put its singularity between the sampled inputs' range
+        # and the full one
+        ends = [arg(cache["X"], axis=0) for cache in caches
+                for arg in (np.argmin, np.argmax)]
+        pick = np.union1d(pick, np.concatenate(ends))
     else:
         pick = np.arange(X.shape[0])
     fits: list[list[list[EdgeFit]]] = []
@@ -266,6 +341,7 @@ def _unflatten(sym: SymbolicKan, theta: np.ndarray) -> None:
 
 
 def _forward_with_cache(sym: SymbolicKan, X: np.ndarray):
+    """Node values of every layer, the input first and the output last."""
     hs = [np.asarray(X, dtype=float)]
     with np.errstate(all="ignore"):
         for fits_l, mask in zip(sym.fits, sym.masks):

@@ -174,6 +174,70 @@ def test_incremental_state_matches_rebuilt_mask():
         assert CS.min_length <= len(prefix) <= CS.max_length
 
 
+def _reference_mask(st, cs, vocab):
+    # the five rules applied one candidate token at a time
+    from autopl.expr.tokens import INVERSE_UNARY, TRIG_NAMES, TokenKind
+
+    out = np.zeros(len(vocab), dtype=bool)
+    if st.is_complete:
+        return out
+    parent = st.parent
+    frame = st._stack[-1] if st._stack else None
+    for i, t in enumerate(vocab):
+        length_after = st.length + 1
+        slots_after = st.slots - 1 + t.arity
+        if slots_after == 0 and length_after < cs.min_length:
+            continue
+        if length_after + slots_after > cs.max_length:
+            continue
+        rule = cs.repeat_rules.get(t.name)
+        if rule is not None and rule.max_count is not None \
+                and st.counts[t.name] + 1 > rule.max_count:
+            continue
+        if cs.forbid_nested_trig and t.name in TRIG_NAMES and st.trig_depth > 0:
+            continue
+        if cs.forbid_inverse_unary_child and parent is not None \
+                and parent.kind is TokenKind.UNARY \
+                and INVERSE_UNARY.get(parent.name) == t.name:
+            continue
+        if cs.forbid_all_constant_children and t.is_constant_leaf \
+                and parent is not None:
+            if parent.kind is TokenKind.UNARY:
+                continue
+            if frame.children_done == parent.arity - 1 and frame.all_const:
+                continue
+        out[i] = True
+    return out
+
+
+@pytest.mark.parametrize("cs", [
+    CS,
+    ConstraintSet(min_length=1, max_length=12,
+                  repeat_rules={"exp": RepeatRule(max_count=1),
+                                "d": RepeatRule(min_count=1, max_count=2),
+                                "nope": RepeatRule(max_count=1)}),
+    ConstraintSet(min_length=6, max_length=20,
+                  forbid_all_constant_children=False,
+                  forbid_inverse_unary_child=False,
+                  forbid_nested_trig=False),
+])
+def test_mask_matches_rule_by_rule_reference(cs):
+    vocab = Vocabulary.default(["d", "f"], unary=("log10", "exp", "sin",
+                                                  "cos", "square", "sqrt"))
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        st = PrefixState()
+        while not st.is_complete:
+            mask = st.mask(cs, vocab)
+            assert np.array_equal(mask, _reference_mask(st, cs, vocab))
+            choices = np.flatnonzero(mask)
+            if choices.size == 0:
+                break
+            st.push(vocab[int(rng.choice(choices))])
+        assert np.array_equal(st.mask(cs, vocab),
+                              _reference_mask(st, cs, vocab))
+
+
 def test_constraint_set_validation():
     with pytest.raises(ValueError):
         ConstraintSet(min_length=0)

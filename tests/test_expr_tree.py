@@ -102,6 +102,74 @@ def test_evaluate_constant_only_tree_broadcasts():
     assert np.allclose(got, 5.0)
 
 
+def test_evaluate_constants_override():
+    X = np.array([[2.0, 0.0], [-1.0, 4.0]])
+    tree = ExpressionTree((ADD, MUL, C, X0, C), constants=(3.0, -5.0))
+    got = evaluate(tree, X, np.array([1.5, 2.0]))
+    assert np.array_equal(got, evaluate(tree.with_constants([1.5, 2.0]), X))
+    assert np.array_equal(evaluate(tree, X), [1.0, -8.0])
+    with pytest.raises(ValueError):
+        evaluate(tree, X, [1.0])
+
+
+def test_evaluate_rejects_missing_variable_column():
+    with pytest.raises(ValueError):
+        evaluate(ExpressionTree((ADD, X0, X1)), np.zeros((3, 1)))
+
+
+def _stack_evaluate(tree, X):
+    # reference: a plain stack machine over the prefix sequence
+    fns = {"log10": np.log10, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+           "square": lambda a: a * a, "sqrt": np.sqrt,
+           "add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide}
+    consts = iter(reversed(tree.constants))
+    stack = []
+    with np.errstate(all="ignore"):
+        for t in reversed(tree.tokens):
+            if t.arity == 2:
+                a = stack.pop()
+                stack.append(fns[t.name](a, stack.pop()))
+            elif t.arity == 1:
+                stack.append(fns[t.name](stack.pop()))
+            elif t.var_index is not None:
+                stack.append(X[:, t.var_index])
+            elif t.value is not None:
+                stack.append(np.float64(t.value))
+            else:
+                stack.append(np.float64(next(consts)))
+    return np.broadcast_to(stack.pop(), X.shape[:1])
+
+
+def test_evaluate_matches_stack_machine_bit_for_bit():
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-3.0, 3.0, (64, 2))
+    ops = [ADD, SUB, MUL, DIV, LOG, EXP, SIN, COS, SQ, Token.unary("sqrt")]
+    leaves = [X0, X1, C, Token.literal(3)]
+    for _ in range(200):
+        tokens, slots = [], 1
+        while slots:
+            if len(tokens) < 12 and rng.random() < 0.6:
+                t = ops[rng.integers(len(ops))]
+            else:
+                t = leaves[rng.integers(len(leaves))]
+            tokens.append(t)
+            slots += t.arity - 1
+        n_const = sum(t is C for t in tokens)
+        tree = ExpressionTree(tuple(tokens),
+                              tuple(rng.normal(0.0, 2.0, n_const)))
+        assert np.array_equal(evaluate(tree, X), _stack_evaluate(tree, X),
+                              equal_nan=True)
+
+
+def test_evaluate_deep_tree():
+    # nesting far beyond any parser limit on parenthesised source
+    depth = 2000
+    tree = ExpressionTree((ADD, X0) * depth + (X1,))
+    X = np.array([[0.5, 1.0]])
+    assert evaluate(tree, X)[0] == pytest.approx(depth * 0.5 + 1.0)
+
+
 def test_to_infix_formatting():
     assert to_infix(ExpressionTree((ADD, X0, X1))) == "(d + f)"
     assert to_infix(ExpressionTree((SQ, X0))) == "(d)^2"

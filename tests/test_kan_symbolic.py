@@ -28,6 +28,10 @@ def test_fit_edge_recovers_known_shapes():
         ("exp", lambda u: 0.8 * np.exp(1.7 * u + 0.1) - 2.0),
         ("sin", lambda u: 4.9 * np.sin(8.2 * u - 2.9) + 0.3),
         ("cos", lambda u: -1.3 * np.cos(5.04 * u - 0.5) + 4.9),
+        # inflection inside the range, singularities below and above it
+        ("cube", lambda u: 0.5 * (1.5 * u - 0.05) ** 3 + 1.0),
+        ("sqrt", lambda u: 3.0 * np.sqrt(2.0 * u + 2.05) - 1.0),
+        ("reciprocal", lambda u: 2.0 / (1.4 - 0.9 * u) + 0.2),
     ]
     for want, f in cases:
         y = f(x)
@@ -38,6 +42,51 @@ def test_fit_edge_recovers_known_shapes():
         assert fit.name in allowed, f"{want} -> {fit.name}"
         assert fit.r2 > 0.9999
         assert np.max(np.abs(fit(x) - y)) < 1e-6
+
+
+def _reference_grid_r2(fam, x, y):
+    """R2 of the best c*f(a*x + b) + d over a 97x97 (a, b) grid on
+    [-12, 12]^2, c and d by closed form."""
+    grid = np.linspace(-12.0, 12.0, 97)
+    aa, bb = np.meshgrid(grid, grid, indexing="ij")
+    keep = np.abs(aa.ravel()) > 1e-6
+    aa, bb = aa.ravel()[keep], bb.ravel()[keep]
+    with np.errstate(all="ignore"):
+        fu = fam.fn(aa[:, None] * x[None, :] + bb[:, None])
+    fu = fu[np.all(np.isfinite(fu), axis=1)]
+    fc = fu - fu.mean(axis=1, keepdims=True)
+    yc = y - y.mean()
+    var_f = np.mean(fc * fc, axis=1)
+    ok = var_f > 1e-14
+    cov = fc[ok] @ yc / y.size
+    return float(np.max(cov ** 2 / (var_f[ok] * np.mean(yc * yc))))
+
+
+def test_reduced_starts_reach_the_affine_grid():
+    # each reduced search covers the grid's (a, b) pairs up to a fold into
+    # c, d, so its start is never worse, on matching and mismatched shapes
+    from autopl.kan.symbolic import _start
+
+    rng = np.random.default_rng(11)
+    xs = [_curve(), np.sort(rng.uniform(-0.6, 0.9, 300))]
+    shapes = [
+        lambda u: -4.0 * u + 0.5,
+        lambda u: 2.0 * (1.5 * u - 0.2) ** 2 - 1.0,
+        lambda u: 0.8 * np.exp(1.7 * u + 0.1) - 2.0,
+        lambda u: 4.9 * np.sin(8.2 * u - 2.9) + 0.3,
+        lambda u: -1.3 * np.cos(5.04 * u - 0.5) + 4.9,
+        lambda u: 20.0 * np.log10(u + 1.1) + 3.0,
+        lambda u: np.tanh(3.0 * u) + 0.1 * u,
+        lambda u: np.sin(3.0 * u) * np.exp(-u) + 0.05 * np.cos(17.0 * u),
+    ]
+    for x in xs:
+        for shape in shapes:
+            y = shape(x)
+            for name in ("identity", "square", "exp", "sin", "cos"):
+                fam = EDGE_FAMILIES[name]
+                start = _start(fam, x, y)
+                assert start is not None
+                assert start[4] >= _reference_grid_r2(fam, x, y) - 1e-9, name
 
 
 def test_fit_edge_flat_curve_short_circuits_to_zero():
@@ -102,6 +151,28 @@ def test_auto_symbolic_recovers_library_edges():
     gap = np.abs(sym.predict(X) - net.predict(X))
     assert float(gap.mean()) < 0.05
     assert float(gap.max()) < 0.5
+
+
+def test_auto_symbolic_keeps_extreme_rows_in_range():
+    # the edge is log10(x + 0.95) over the bulk of the inputs; the one
+    # row below -0.95 is an extreme that evenly spaced picks skip, and a
+    # shape fitted without it is non-finite there
+    cfg = KanConfig(shape=(1, 1), grid_size=8, order=3, steps=1)
+    net = build_network(cfg)
+    layer = net.layers[0]
+    xs = np.linspace(-0.94, 1.05, 400)
+    coef, *_ = np.linalg.lstsq(layer.basis.design_matrix(xs),
+                               np.log10(xs + 0.95), rcond=None)
+    layer.w_base[:] = 0.0
+    layer.w_spline[:] = 1.0
+    layer.coeffs[0, 0, :] = coef
+    n, max_samples = 1000, 512
+    X = np.random.default_rng(12).uniform(-0.9, 1.05, size=(n, 1))
+    picked = set(np.linspace(0, n - 1, max_samples).astype(int))
+    skipped = next(i for i in range(n) if i not in picked)
+    X[skipped, 0] = -1.0
+    sym = auto_symbolic(net, X, max_samples=max_samples)
+    assert np.all(np.isfinite(sym.predict(X)))
 
 
 def test_auto_symbolic_pruned_edge_becomes_zero():
