@@ -4,7 +4,7 @@ Subcommands cover the full loop: synthetic/ingested dataset generation,
 spline-network training with symbolic read-out, policy-gradient symbolic
 regression, expression/checkpoint evaluation, analytical baselines, and
 report collation.  Every command writes a run manifest next to its
-outputs; --threads 1 (the default) is the bit-deterministic reference.
+outputs.
 """
 
 from __future__ import annotations
@@ -137,20 +137,6 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
         else:
             out[key] = default
     return out
-
-
-def _resolve_threads(args, file_cfg: dict) -> int:
-    if getattr(args, "threads", None) is not None:
-        return int(args.threads)
-    if "threads" in file_cfg:
-        return int(file_cfg["threads"])
-    env = os.environ.get("AUTOPL_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"AUTOPL_THREADS is not an integer: {env!r}")
-    return 1
 
 
 def _write_manifest(out_dir, command: str, config: dict, seed,
@@ -290,7 +276,6 @@ def cmd_train_kan(args) -> int:
                 "lamb": preset.get("lamb", 0.0), "seed": 0, "split": 0.8,
                 "prune": None, "no_symbolic": False}
     cfg = _resolve(args, file_cfg, defaults)
-    threads = _resolve_threads(args, file_cfg)
     if cfg["shape"] is None:
         raise UsageError("train-kan needs --model or --shape")
     shape = _parse_shape(cfg["shape"])
@@ -310,6 +295,8 @@ def cmd_train_kan(args) -> int:
         steps=int(cfg["steps"]), reg_lambda=float(cfg["lamb"]),
         seed=seeds[1]))
     result = kan.train(net, train_ds.X, train_ds.y)
+    if cfg["prune"] is not None:
+        net = kan.prune(net, train_ds.X, float(cfg["prune"]))
 
     out_dir = _prepare_out(args.out)
     ckpt = os.path.join(out_dir, "kan.npz")
@@ -320,9 +307,6 @@ def cmd_train_kan(args) -> int:
         with open(ckpt + ".norm.json", "w") as fh:
             json.dump(ds.norm, fh, sort_keys=True)
             fh.write("\n")
-
-    if cfg["prune"] is not None:
-        net = kan.prune(net, train_ds.X, float(cfg["prune"]))
 
     pred_spline = net.predict(test_ds.X)
     rows = [eh.single_row("kan-spline", {
@@ -366,7 +350,7 @@ def cmd_train_kan(args) -> int:
         outputs.append(ckpt + ".norm.json")
     if sym is not None:
         outputs.append(os.path.join(out_dir, "expression.json"))
-    snapshot = dict(cfg, shape=list(shape), threads=threads)
+    snapshot = dict(cfg, shape=list(shape))
     _write_manifest(out_dir, "train-kan", snapshot, cfg["seed"],
                     [args.data], outputs, started)
     print(eh.format_table(rows), end="")
@@ -384,7 +368,6 @@ def cmd_train_dsr(args) -> int:
     defaults = dict(_DSR_DEFAULTS, **preset)
     defaults.update({"policy": policy, "seed": 0, "split": 0.8})
     cfg = _resolve(args, file_cfg, defaults)
-    threads = _resolve_threads(args, file_cfg)
 
     ds = read_csv(args.data)
     seeds = _fan_out(int(cfg["seed"]), 2)
@@ -404,7 +387,7 @@ def cmd_train_dsr(args) -> int:
                        queue_k=int(cfg["queue_k"]),
                        sample_budget=int(cfg["samples"]),
                        seed=seeds[1])
-    result = dsr_train(tc, train_ds, cs, vocab=vocab, threads=threads)
+    result = dsr_train(tc, train_ds, cs, vocab=vocab)
 
     out_dir = _prepare_out(args.out)
     history_rows = [dict(r, best_expression_infix=r.get("best_expression", ""))
@@ -432,8 +415,7 @@ def cmd_train_dsr(args) -> int:
     with open(expr_json, "w") as fh:
         fh.write(tree_to_json(tree))
 
-    snapshot = dict(cfg, threads=threads)
-    _write_manifest(out_dir, "train-dsr", snapshot, cfg["seed"],
+    _write_manifest(out_dir, "train-dsr", cfg, cfg["seed"],
                     [args.data],
                     [history_csv, metrics_csv, scatter_csv, expr_txt,
                      expr_json], started)
@@ -568,7 +550,6 @@ def _add_common(sub, seed_default=None):
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--config", help="JSON config file (flat keys)")
     sub.add_argument("--seed", type=int, default=seed_default)
-    sub.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

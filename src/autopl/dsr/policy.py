@@ -161,7 +161,6 @@ def sample_batch(policy: PolicyNetwork, n: int, cs: ConstraintSet,
     """
     if n < 1:
         raise ValueError("need at least one sequence")
-    vocab = policy.vocab
     sequences: list[ExpressionTree] = []
     log_probs: list[float] = []
     entropies: list[float] = []
@@ -191,8 +190,6 @@ def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
     h = np.zeros((m, policy.hidden_size))
     logp = np.zeros(m)
     ent_sum = np.zeros(m)
-    steps = np.zeros(m, dtype=int)
-    tokens: list[list] = [[] for _ in range(m)]
     rec_idx: list[list[int]] = [[] for _ in range(m)]
     rec_mask: list[list[np.ndarray]] = [[] for _ in range(m)]
     rec_input: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -224,15 +221,12 @@ def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
         choice = (scaled[:, None] >= cum).sum(axis=1)
         for i in np.flatnonzero(active):
             a = int(choice[i])
-            tok = vocab[a]
             logp[i] += float(np.log(probs[i, a]))
             ent_sum[i] += float(_entropy_rows(probs[i]))
-            steps[i] += 1
-            tokens[i].append(tok)
             rec_idx[i].append(a)
             rec_mask[i].append(masks[i].copy())
             rec_input[i].append(x[i].copy())
-            states[i].push(tok)
+            states[i].push(vocab[a])
             if states[i].is_complete:
                 done[i] = True
 
@@ -241,8 +235,9 @@ def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
         rec = SequenceData(np.asarray(rec_idx[i], dtype=int),
                            np.asarray(rec_mask[i], dtype=bool),
                            np.asarray(rec_input[i]))
-        finished.append((ExpressionTree(tuple(tokens[i])), float(logp[i]),
-                         float(ent_sum[i] / steps[i]), rec))
+        finished.append((ExpressionTree(tuple(states[i].tokens)),
+                         float(logp[i]),
+                         float(ent_sum[i] / states[i].length), rec))
     return {"finished": finished, "dropped": int(dead.sum())}
 
 

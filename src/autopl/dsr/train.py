@@ -8,7 +8,6 @@ of the best sequences seen so far.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,8 +186,7 @@ class DsrResult:
 
 
 def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
-                 cache: dict, threads: int = 1,
-                 fit_iters: int = 100) -> list[ExpressionTree]:
+                 cache: dict, fit_iters: int = 100) -> list[ExpressionTree]:
     """Fill batch.rewards, fitting constants once per unique structure."""
     fitted: list[ExpressionTree | None] = [None] * batch.n
     todo: dict[tuple, list[int]] = {}
@@ -199,20 +197,10 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
             rewards[i], fitted[i] = cache[key]
         else:
             todo.setdefault(key, []).append(i)
-
-    def fit_one(seq: ExpressionTree) -> ExpressionTree:
-        if seq.n_constants == 0:
-            return seq
-        return optimize_constants(seq, ds.X, ds.y, max_iter=fit_iters).tree
-
-    groups = list(todo.items())
-    firsts = [batch.sequences[idxs[0]] for _, idxs in groups]
-    if threads > 1 and len(firsts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit_one, firsts))
-    else:
-        results = [fit_one(s) for s in firsts]
-    for (key, idxs), tree in zip(groups, results):
+    for key, idxs in todo.items():
+        tree = batch.sequences[idxs[0]]
+        if tree.n_constants:
+            tree = optimize_constants(tree, ds.X, ds.y, max_iter=fit_iters).tree
         r = reward(tree, ds, cs)
         cache[key] = (r, tree)
         for i in idxs:
@@ -223,7 +211,7 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
 
 
 def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
-          vocab: Vocabulary | None = None, threads: int = 1) -> DsrResult:
+          vocab: Vocabulary | None = None) -> DsrResult:
     """Sample/score/update until the budget runs out or the reward
     threshold is reached; deterministic for a given config seed."""
     if float(np.std(train_ds.y)) == 0.0:
@@ -247,7 +235,7 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
     while samples_used < config.sample_budget:
         want = min(config.batch_size, config.sample_budget - samples_used)
         batch = sample_batch(policy, want, cs, rng)
-        fitted = _score_batch(batch, train_ds, cs, cache, threads,
+        fitted = _score_batch(batch, train_ds, cs, cache,
                               config.const_fit_iters)
         samples_used += batch.n
         step += 1

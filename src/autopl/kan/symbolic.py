@@ -463,15 +463,15 @@ def retrain_affine(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
                             method="L-BFGS-B",
                             options={"maxiter": steps, "ftol": 1e-14})
     _unflatten(work, res.x)
-    if mse_of(work) < best_mse:
-        best = work.copy()
-        best_mse = mse_of(best)
+    work_mse = mse_of(work)
+    if work_mse < best_mse:
+        best, best_mse = work, work_mse
 
     polished = best.copy()
     _polish_last_layer(polished, X, y)
-    if mse_of(polished) < best_mse:
-        best = polished
-        best_mse = mse_of(best)
+    polished_mse = mse_of(polished)
+    if polished_mse < best_mse:
+        best, best_mse = polished, polished_mse
     return best, best_mse
 
 

@@ -102,15 +102,17 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
     _shift_output(net, -float(np.mean(net.predict(X))))
 
     history: list[dict] = []
+    last: dict[str, float] = {}
 
     def objective(theta: np.ndarray):
         net.set_params(theta)
-        loss, grad, _, _ = _loss_and_grad(net, X, z2d, cfg.reg_lambda)
+        loss, grad, last["mse"], last["reg"] = _loss_and_grad(
+            net, X, z2d, cfg.reg_lambda)
         return loss, grad
 
     def record(theta: np.ndarray):
-        net.set_params(theta)
-        _, _, mse, reg = _loss_and_grad(net, X, z2d, cfg.reg_lambda)
+        # L-BFGS-B ends each iteration on the point it evaluated last
+        mse, reg = last["mse"], last["reg"]
         history.append({"step": len(history) + 1, "mse": mse * sigma ** 2,
                         "reg": reg, "loss": mse + reg})
 

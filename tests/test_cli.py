@@ -6,13 +6,17 @@ import os
 import numpy as np
 import pytest
 
-from autopl.cli import infer_roles, main
+from autopl.cli import _fan_out, infer_roles, main
+from autopl.evalharness import r2
 from autopl.expr.tree import evaluate, tree_from_json
+from autopl.kan import load_kan
 from autopl.plmodels import (
     Dataset,
     IndoorParams,
     eval_indoor_empirical,
+    normalize_max,
     read_csv,
+    split,
     write_csv,
 )
 
@@ -114,6 +118,28 @@ def test_train_kan_pipeline(tmp_path):
     # history carries the optimizer trace
     hist = _read_metrics(out / "history.csv")
     assert hist and set(hist[0]) == {"step", "mse", "reg", "loss"}
+
+
+def test_train_kan_prune_checkpoint_matches_outputs(tmp_path):
+    data = _gen(tmp_path, "ci")
+    out = tmp_path / "kp"
+    rc = main(["train-kan", "--data", str(data), "--shape", "4,2,1",
+               "--grid", "5", "--steps", "25", "--prune", "0.1",
+               "--seed", "1", "--no-symbolic", "--out", str(out)])
+    assert rc == 0
+    net = load_kan(out / "kan.npz")
+    graph = _read_metrics(out / "graph.csv")
+    assert any(row["active"] == "0" for row in graph)
+    for row in graph:
+        mask = net.layers[int(row["layer"])].prune_mask
+        assert mask[int(row["in_node"]), int(row["out_node"])] == \
+            bool(int(row["active"]))
+    # the checkpoint reproduces the kan-spline row on the CLI's test split
+    ds = normalize_max(read_csv(data))
+    _, test_ds = split(ds, 0.8, _fan_out(1, 2)[0])
+    spline = _read_metrics(out / "metrics.csv")[0]
+    assert spline["method"] == "kan-spline"
+    assert float(spline["r2_mean"]) == r2(net.predict(test_ds.X), test_ds.y)
 
 
 def test_train_kan_no_symbolic(tmp_path):
@@ -302,14 +328,28 @@ def test_config_file_precedence(tmp_path):
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
+    # runs are single-threaded; the old AUTOPL_THREADS variable is inert
     data = _gen(tmp_path, "ci", count=60)
+    argv = ["train-dsr", "--data", str(data), "--samples", "100",
+            "--batch", "100", "--min-len", "3"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
     monkeypatch.setenv("AUTOPL_THREADS", "2")
     out = tmp_path / "t"
-    rc = main(["train-dsr", "--data", str(data), "--samples", "100",
-               "--batch", "100", "--min-len", "3", "--out", str(out)])
-    assert rc == 0
+    assert main(argv + ["--out", str(out)]) == 0
     manifest = json.load(open(out / "manifest.json"))
-    assert manifest["config"]["threads"] == 2
+    assert "threads" not in manifest["config"]
+    assert (out / "expression.json").read_bytes() == \
+        (tmp_path / "plain" / "expression.json").read_bytes()
+
+
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=40)
+    rc = main(["train-dsr", "--data", str(data), "--samples", "100",
+               "--batch", "100", "--min-len", "3", "--threads", "2",
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_infer_roles():

@@ -1,8 +1,11 @@
 """Spline-edge network: forward mechanics, gradients, training, pruning,
 checkpointing."""
 
+import importlib
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 from autopl.errors import CheckpointError, TrainingError
 from autopl.kan import (
@@ -14,7 +17,12 @@ from autopl.kan import (
     save_kan,
     train,
 )
-from autopl.kan.train import _loss_and_grad, grid_search
+from autopl.kan.train import (
+    _loss_and_grad,
+    _scale_output,
+    _shift_output,
+    grid_search,
+)
 
 
 def _toy_net(shape=(2, 3, 1), seed=0, steps=60, **kw):
@@ -101,6 +109,72 @@ def test_train_is_deterministic():
     a = train(_toy_net(), X, y).final_mse
     b = train(_toy_net(), X, y).final_mse
     assert a == b
+
+
+def _reference_train(net, X, y):
+    """train() with the history recomputed at every callback point."""
+    cfg = net.config
+    mu, sigma = float(np.mean(y)), float(np.std(y))
+    z2d = ((y - mu) / sigma)[:, None]
+    _scale_output(net, 1.0 / sigma)
+    _shift_output(net, -float(np.mean(net.predict(X))))
+    history = []
+
+    def objective(theta):
+        net.set_params(theta)
+        return _loss_and_grad(net, X, z2d, cfg.reg_lambda)[:2]
+
+    def record(theta):
+        net.set_params(theta)
+        _, _, mse, reg = _loss_and_grad(net, X, z2d, cfg.reg_lambda)
+        history.append({"step": len(history) + 1, "mse": mse * sigma ** 2,
+                        "reg": reg, "loss": mse + reg})
+
+    res = optimize.minimize(objective, net.get_params(), jac=True,
+                            method="L-BFGS-B", callback=record,
+                            options={"maxiter": cfg.steps, "maxcor": 20,
+                                     "ftol": 1e-14, "gtol": 1e-12})
+    net.set_params(res.x)
+    _scale_output(net, sigma)
+    _shift_output(net, mu)
+    final_mse = float(np.mean((net.predict(X) - y) ** 2))
+    history.append({"step": len(history) + 1, "mse": final_mse,
+                    "reg": float(res.fun) - final_mse / sigma ** 2,
+                    "loss": float(res.fun)})
+    return history
+
+
+@pytest.mark.parametrize("shape,seed,lamb", [((2, 3, 1), 0, 0.0),
+                                             ((2, 3, 1), 1, 0.002),
+                                             ((2, 2, 2, 1), 2, 0.01)])
+def test_train_history_matches_recompute_reference(shape, seed, lamb):
+    rng = np.random.default_rng(10 + seed)
+    X = rng.uniform(-1, 1, (150, 2))
+    y = 20.0 * np.log10(1.5 + X[:, 0]) + np.sin(3.0 * X[:, 1]) + 80.0
+    net = _toy_net(shape=shape, seed=seed, steps=80, reg_lambda=lamb)
+    ref = _toy_net(shape=shape, seed=seed, steps=80, reg_lambda=lamb)
+    res = train(net, X, y)
+    assert res.history == _reference_train(ref, X, y)
+    assert np.array_equal(net.get_params(), ref.get_params())
+
+
+def test_train_evaluates_loss_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _loss_and_grad(*args)
+
+    # the package's `train` attribute is the function, not the module
+    kan_train = importlib.import_module("autopl.kan.train")
+    monkeypatch.setattr(kan_train, "_loss_and_grad", counted)
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1, 1, (150, 2))
+    y = X[:, 0] ** 3 - np.cos(2.0 * X[:, 1])
+    res = train(_toy_net(steps=80, reg_lambda=0.001), X, y)
+    nit = len(res.history) - 1
+    assert nit >= 40
+    assert len(calls) < 2 * nit
 
 
 def test_train_continues_without_degrading():
