@@ -3,8 +3,8 @@
 Subcommands cover the full loop: synthetic/ingested dataset generation,
 spline-network training with symbolic read-out, policy-gradient symbolic
 regression, expression/checkpoint evaluation, analytical baselines, and
-report collation.  Every command writes a run manifest next to its
-outputs.
+report collation.  Every command writes a run manifest that lists the
+files it wrote.
 """
 
 from __future__ import annotations
@@ -127,6 +127,10 @@ def _load_config_file(path) -> dict:
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
     """Flag > config file > default, per key."""
+    unknown = sorted(set(file_cfg) - set(defaults))
+    if unknown:
+        raise UsageError(f"unknown config key(s) for {args.command}: "
+                         f"{', '.join(unknown)}")
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -139,26 +143,53 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
     return out
 
 
-def _write_manifest(out_dir, command: str, config: dict, seed,
-                    inputs: list, outputs: list, started: str) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "tool_version": __version__,
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "outputs": sorted(os.path.basename(str(p)) for p in outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+class _RunDir:
+    """One command's output directory and its manifest.
 
+    Every file the command writes is named through `path`, so the
+    manifest's `outputs` are exactly the files this run wrote.
+    """
 
-def _prepare_out(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    def __init__(self, args):
+        self.dir = args.out
+        self.command = args.command
+        self.started = _utc_now()
+        self.inputs: list = []
+        self.outputs: list[str] = []
+
+    def input(self, path) -> None:
+        self.inputs.append(path)
+
+    def path(self, name: str) -> str:
+        if not self.outputs:
+            os.makedirs(self.dir, exist_ok=True)
+        if name not in self.outputs:
+            self.outputs.append(name)
+        return os.path.join(self.dir, name)
+
+    def text(self, name: str, s: str) -> None:
+        with open(self.path(name), "w") as fh:
+            fh.write(s)
+
+    def finish(self, config: dict, seed, rows=None) -> None:
+        """Write metrics.csv for `rows`, then manifest.json; print `rows`."""
+        if rows is not None:
+            eh.write_table_csv(self.path("metrics.csv"), rows)
+        manifest = {
+            "command": self.command,
+            "config": config,
+            "seed": seed,
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "tool_version": __version__,
+            "started_utc": self.started,
+            "finished_utc": _utc_now(),
+            "outputs": sorted(self.outputs),
+        }
+        with open(os.path.join(self.dir, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        if rows is not None:
+            print(eh.format_table(rows), end="")
 
 
 def _write_history_csv(path, rows, columns) -> None:
@@ -169,8 +200,12 @@ def _write_history_csv(path, rows, columns) -> None:
             writer.writerow(row)
 
 
-def _original_units(ds):
-    """Per-feature ranges and medians with any normalization folded back."""
+def _validity_flag(tree, ds) -> str:
+    """Validity verdict over the feature ranges and medians, with any
+    normalization folded back."""
+    roles = infer_roles(ds.feature_names)
+    if not roles:
+        return ""
     div = ds.norm or {}
     ranges = {}
     medians = {}
@@ -178,37 +213,26 @@ def _original_units(ds):
         col = ds.X[:, i] * float(div.get(name, 1.0))
         ranges[name] = (float(col.min()), float(col.max()))
         medians[name] = float(np.median(col))
-    return ranges, medians
-
-
-def _validity_flag(tree, ds) -> str:
-    roles = infer_roles(ds.feature_names)
-    if not roles:
-        return ""
-    ranges, medians = _original_units(ds)
-    report = eh.check_validity(tree, roles, ranges, medians=medians)
-    return report.verdict
+    return eh.check_validity(tree, roles, ranges, medians=medians).verdict
 
 
 # gen-data -------------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
-    started = _utc_now()
+    run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     cfg = _resolve(args, file_cfg, {"model": None, "input": None,
                                     "target": "pl_db", "count": 1000,
                                     "seed": 0, "normalize": False})
     if (cfg["model"] is None) == (cfg["input"] is None):
         raise UsageError("gen-data needs exactly one of --model or --input")
-    out_dir = _prepare_out(args.out)
-    inputs = []
     if cfg["model"] is not None:
         ds = generate_synthetic(SyntheticSpec(model_kind=cfg["model"],
                                               count=int(cfg["count"]),
                                               seed=int(cfg["seed"])))
     else:
-        inputs.append(cfg["input"])
+        run.input(cfg["input"])
         with open(cfg["input"], newline="") as fh:
             header = next(csv.reader(fh), None)
         if not header:
@@ -221,13 +245,10 @@ def cmd_gen_data(args) -> int:
         print(f"ingested {report.kept_rows}/{report.total_rows} rows")
     if cfg["normalize"]:
         ds = normalize_max(ds)
-    out_csv = os.path.join(out_dir, "dataset.csv")
-    write_csv(ds, out_csv)
-    outputs = [out_csv]
-    if ds.norm is not None:
-        outputs.append(out_csv + ".norm.json")
-    _write_manifest(out_dir, "gen-data", cfg, cfg["seed"], inputs, outputs,
-                    started)
+    out_csv = run.path("dataset.csv")
+    for written in write_csv(ds, out_csv):
+        run.path(os.path.basename(written))
+    run.finish(cfg, cfg["seed"])
     print(f"wrote {out_csv} ({ds.n_rows} rows, {len(ds.feature_names)} features)")
     return 0
 
@@ -268,7 +289,7 @@ def _write_graph_csv(path, net, importance, sym=None) -> None:
 
 
 def cmd_train_kan(args) -> int:
-    started = _utc_now()
+    run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     preset = KAN_PRESETS.get(args.model, {}) if args.model else {}
     defaults = {"shape": preset.get("shape"), "grid": preset.get("grid", 5),
@@ -280,6 +301,7 @@ def cmd_train_kan(args) -> int:
         raise UsageError("train-kan needs --model or --shape")
     shape = _parse_shape(cfg["shape"])
 
+    run.input(args.data)
     ds = read_csv(args.data)
     if shape[0] != len(ds.feature_names):
         raise DataError(f"shape expects {shape[0]} features, dataset has "
@@ -298,21 +320,15 @@ def cmd_train_kan(args) -> int:
     if cfg["prune"] is not None:
         net = kan.prune(net, train_ds.X, float(cfg["prune"]))
 
-    out_dir = _prepare_out(args.out)
-    ckpt = os.path.join(out_dir, "kan.npz")
-    kan.save_kan(net, ckpt)
+    kan.save_kan(net, run.path("kan.npz"))
     # record the input scaling the net was trained under, so eval can
     # feed it raw-unit datasets later
-    if ds.norm is not None:
-        with open(ckpt + ".norm.json", "w") as fh:
-            json.dump(ds.norm, fh, sort_keys=True)
-            fh.write("\n")
+    run.text("kan.npz.norm.json", json.dumps(ds.norm, sort_keys=True) + "\n")
 
     pred_spline = net.predict(test_ds.X)
-    rows = [eh.single_row("kan-spline", {
-        m: fn(pred_spline, test_ds.y) for m, fn in eh.METRICS.items()})]
+    rows = [eh.single_row("kan-spline", eh.score(pred_spline, test_ds.y))]
     scatter = [(test_ds.y, pred_spline)]
-    expressions = []
+    expressions = ""
     importance = kan.edge_importance(net, train_ds.X)
     sym = None
 
@@ -323,37 +339,18 @@ def cmd_train_kan(args) -> int:
         pred_sym = sym.predict(test_ds.X)
         infix = to_infix(tree)
         rows.append(eh.single_row(
-            "kan-symbolic",
-            {m: fn(pred_sym, test_ds.y) for m, fn in eh.METRICS.items()},
+            "kan-symbolic", eh.score(pred_sym, test_ds.y),
             expression=infix, valid=_validity_flag(tree, ds)))
         scatter.append((test_ds.y, pred_sym))
-        expressions.append(infix)
-        with open(os.path.join(out_dir, "expression.json"), "w") as fh:
-            fh.write(tree_to_json(tree))
+        expressions = infix + "\n"
+        run.text("expression.json", tree_to_json(tree))
 
-    metrics_csv = os.path.join(out_dir, "metrics.csv")
-    eh.write_table_csv(metrics_csv, rows)
-    history_csv = os.path.join(out_dir, "history.csv")
-    _write_history_csv(history_csv, result.history,
+    _write_history_csv(run.path("history.csv"), result.history,
                        ["step", "mse", "reg", "loss"])
-    graph_csv = os.path.join(out_dir, "graph.csv")
-    _write_graph_csv(graph_csv, net, importance, sym)
-    scatter_csv = os.path.join(out_dir, "scatter.csv")
-    eh.write_scatter_csv(scatter_csv, scatter)
-    expr_txt = os.path.join(out_dir, "expressions.txt")
-    with open(expr_txt, "w") as fh:
-        fh.write("\n".join(expressions) + ("\n" if expressions else ""))
-
-    outputs = [ckpt, metrics_csv, history_csv, graph_csv, scatter_csv,
-               expr_txt]
-    if ds.norm is not None:
-        outputs.append(ckpt + ".norm.json")
-    if sym is not None:
-        outputs.append(os.path.join(out_dir, "expression.json"))
-    snapshot = dict(cfg, shape=list(shape))
-    _write_manifest(out_dir, "train-kan", snapshot, cfg["seed"],
-                    [args.data], outputs, started)
-    print(eh.format_table(rows), end="")
+    _write_graph_csv(run.path("graph.csv"), net, importance, sym)
+    eh.write_scatter_csv(run.path("scatter.csv"), scatter)
+    run.text("expressions.txt", expressions)
+    run.finish(dict(cfg, shape=list(shape)), cfg["seed"], rows)
     return 0
 
 
@@ -361,7 +358,7 @@ def cmd_train_kan(args) -> int:
 
 
 def cmd_train_dsr(args) -> int:
-    started = _utc_now()
+    run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     policy = args.policy or file_cfg.get("policy") or _DSR_DEFAULTS["policy"]
     preset = DSR_PRESETS.get((args.model, policy), {}) if args.model else {}
@@ -369,6 +366,7 @@ def cmd_train_dsr(args) -> int:
     defaults.update({"policy": policy, "seed": 0, "split": 0.8})
     cfg = _resolve(args, file_cfg, defaults)
 
+    run.input(args.data)
     ds = read_csv(args.data)
     seeds = _fan_out(int(cfg["seed"]), 2)
     train_ds, test_ds = split(ds, float(cfg["split"]), seeds[0])
@@ -389,39 +387,23 @@ def cmd_train_dsr(args) -> int:
                        seed=seeds[1])
     result = dsr_train(tc, train_ds, cs, vocab=vocab)
 
-    out_dir = _prepare_out(args.out)
     history_rows = [dict(r, best_expression_infix=r.get("best_expression", ""))
                     for r in result.history]
-    history_csv = os.path.join(out_dir, "history.csv")
-    _write_history_csv(history_csv, history_rows,
+    _write_history_csv(run.path("history.csv"), history_rows,
                        ["step", "best_reward", "mean_reward",
                         "best_expression_infix"])
 
     tree = result.best_tree
     infix = to_infix(tree)
     pred = evaluate(tree, test_ds.X)
-    rows = [eh.single_row(
-        f"dsr-{cfg['policy']}",
-        {m: fn(pred, test_ds.y) for m, fn in eh.METRICS.items()},
-        expression=infix, valid=_validity_flag(tree, ds))]
-    metrics_csv = os.path.join(out_dir, "metrics.csv")
-    eh.write_table_csv(metrics_csv, rows)
-    scatter_csv = os.path.join(out_dir, "scatter.csv")
-    eh.write_scatter_csv(scatter_csv, [(test_ds.y, pred)])
-    expr_txt = os.path.join(out_dir, "expressions.txt")
-    with open(expr_txt, "w") as fh:
-        fh.write(infix + "\n")
-    expr_json = os.path.join(out_dir, "expression.json")
-    with open(expr_json, "w") as fh:
-        fh.write(tree_to_json(tree))
-
-    _write_manifest(out_dir, "train-dsr", cfg, cfg["seed"],
-                    [args.data],
-                    [history_csv, metrics_csv, scatter_csv, expr_txt,
-                     expr_json], started)
+    rows = [eh.single_row(f"dsr-{cfg['policy']}", eh.score(pred, test_ds.y),
+                          expression=infix, valid=_validity_flag(tree, ds))]
+    eh.write_scatter_csv(run.path("scatter.csv"), [(test_ds.y, pred)])
+    run.text("expressions.txt", infix + "\n")
+    run.text("expression.json", tree_to_json(tree))
     print(f"best reward {result.best_reward:.4f} after "
           f"{result.samples_used} samples")
-    print(eh.format_table(rows), end="")
+    run.finish(cfg, cfg["seed"], rows)
     return 0
 
 
@@ -429,29 +411,35 @@ def cmd_train_dsr(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    started = _utc_now()
+    run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     cfg = _resolve(args, file_cfg, {"runs": 1, "split": 0.8, "seed": 0,
                                     "with_baselines": None})
     if (args.expr_json is None) == (args.checkpoint is None):
         raise UsageError("eval needs exactly one of --expr-json or --checkpoint")
 
+    run.input(args.data)
     ds = read_csv(args.data)
     baseline_ds = ds
-    inputs = [args.data]
     tree = None
     if args.expr_json is not None:
-        inputs.append(args.expr_json)
+        run.input(args.expr_json)
         if not os.path.exists(args.expr_json):
             raise DataError(f"expression file not found: {args.expr_json}")
         with open(args.expr_json) as fh:
             tree = tree_from_json(fh.read())
+        # variables are stored by column index; the name must match too
+        for t in tree.tokens:
+            i = t.var_index
+            if i is not None and ds.feature_names[i:i + 1] != (t.name,):
+                raise DataError(f"expression variable {t.name!r} is not column "
+                                f"{i} of {', '.join(ds.feature_names)}")
         label = "expression"
 
         def predictor(X):
             return evaluate(tree, X)
     else:
-        inputs.append(args.checkpoint)
+        run.input(args.checkpoint)
         net = kan.load_kan(args.checkpoint)
         label = "checkpoint"
         sidecar = str(args.checkpoint) + ".norm.json"
@@ -464,7 +452,7 @@ def cmd_eval(args) -> int:
                 back = np.array([cur.get(n, 1.0) for n in ds.feature_names])
                 div = np.array([saved.get(n, 1.0) for n in ds.feature_names])
                 ds = replace(ds, X=ds.X * back / div, norm=dict(saved))
-            inputs.append(sidecar)
+            run.input(sidecar)
         predictor = net.predict
 
     runs = int(cfg["runs"])
@@ -480,9 +468,8 @@ def cmd_eval(args) -> int:
         scatter = list(report.predictions)
     else:
         pred = predictor(ds.X)
-        rows = [eh.single_row(
-            label, {m: fn(pred, ds.y) for m, fn in eh.METRICS.items()},
-            expression=expression, valid=valid)]
+        rows = [eh.single_row(label, eh.score(pred, ds.y),
+                              expression=expression, valid=valid)]
         scatter = [(ds.y, pred)]
     if valid:
         print(f"{label}: {valid}")
@@ -491,14 +478,8 @@ def cmd_eval(args) -> int:
         for base in eh.baseline_table(baseline_ds, cfg["with_baselines"]):
             rows.append(eh.single_row(base["method"], base))
 
-    out_dir = _prepare_out(args.out)
-    metrics_csv = os.path.join(out_dir, "metrics.csv")
-    eh.write_table_csv(metrics_csv, rows)
-    scatter_csv = os.path.join(out_dir, "scatter.csv")
-    eh.write_scatter_csv(scatter_csv, scatter)
-    _write_manifest(out_dir, "eval", dict(cfg), cfg["seed"], inputs,
-                    [metrics_csv, scatter_csv], started)
-    print(eh.format_table(rows), end="")
+    eh.write_scatter_csv(run.path("scatter.csv"), scatter)
+    run.finish(cfg, cfg["seed"], rows)
     return 0
 
 
@@ -506,40 +487,30 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    started = _utc_now()
+    run = _RunDir(args)
+    run.input(args.data)
     ds = read_csv(args.data)
     rows = [eh.single_row(r["method"], r)
             for r in eh.baseline_table(ds, args.which)]
-    out_dir = _prepare_out(args.out)
-    metrics_csv = os.path.join(out_dir, "metrics.csv")
-    eh.write_table_csv(metrics_csv, rows)
-    _write_manifest(out_dir, "baseline", {"which": args.which}, None,
-                    [args.data], [metrics_csv], started)
-    print(eh.format_table(rows), end="")
+    run.finish({"which": args.which}, None, rows)
     return 0
 
 
 def cmd_report(args) -> int:
-    started = _utc_now()
+    run = _RunDir(args)
     rows = []
-    inputs = []
     for run_dir in args.runs:
         path = os.path.join(run_dir, "metrics.csv")
         if not os.path.exists(path):
             raise DataError(f"no metrics.csv under {run_dir}")
-        inputs.append(path)
+        run.input(path)
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 for key in row:
                     if key.endswith("_mean") or key.endswith("_std"):
                         row[key] = float(row[key])
                 rows.append(row)
-    out_dir = _prepare_out(args.out)
-    metrics_csv = os.path.join(out_dir, "metrics.csv")
-    eh.write_table_csv(metrics_csv, rows)
-    _write_manifest(out_dir, "report", {"runs": list(args.runs)}, None,
-                    inputs, [metrics_csv], started)
-    print(eh.format_table(rows), end="")
+    run.finish({"runs": list(args.runs)}, None, rows)
     return 0
 
 
@@ -630,16 +601,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DomainError, DataError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,7 +71,6 @@ class _QueueEntry:
     order: int
     key: tuple
     data: SequenceData
-    infix: str
 
 
 class MaxRewardPriorityQueue:
@@ -96,7 +95,7 @@ class MaxRewardPriorityQueue:
     def max_reward(self) -> float:
         return max(e.reward for e in self._entries) if self._entries else float("-inf")
 
-    def add(self, r: float, key: tuple, data: SequenceData, infix: str = "") -> bool:
+    def add(self, r: float, key: tuple, data: SequenceData) -> bool:
         """Insert unless a duplicate or below the full queue's minimum."""
         if key in self._keys:
             return False
@@ -106,7 +105,7 @@ class MaxRewardPriorityQueue:
                 return False
             self._entries.remove(worst)
             self._keys.discard(worst.key)
-        self._entries.append(_QueueEntry(float(r), self._counter, key, data, infix))
+        self._entries.append(_QueueEntry(float(r), self._counter, key, data))
         self._keys.add(key)
         self._counter += 1
         return True
@@ -117,7 +116,7 @@ class MaxRewardPriorityQueue:
             raise ValueError("batch rewards are unset")
         n_in = 0
         for seq, r, data in zip(batch.sequences, batch.rewards, batch.data):
-            n_in += self.add(float(r), seq.key(), data, to_infix(seq))
+            n_in += self.add(float(r), seq.key(), data)
         return n_in
 
     def items(self) -> list[_QueueEntry]:

@@ -65,6 +65,11 @@ def r2(pred, y) -> float:
 METRICS: dict[str, Callable] = {"mae": mae, "mse": mse, "mape": mape, "r2": r2}
 
 
+def score(pred, y) -> dict[str, float]:
+    """Every metric in METRICS for one prediction."""
+    return {m: fn(pred, y) for m, fn in METRICS.items()}
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo cross-validation
 
@@ -108,7 +113,7 @@ def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]
             train_ds, test_ds = split(ds, train_fraction, base_seed + i)
             predictor = fit(train_ds)
             pred = np.asarray(predictor(test_ds.X), dtype=float)
-            row = {m: fn(pred, test_ds.y) for m, fn in METRICS.items()}
+            row = score(pred, test_ds.y)
         except Exception:
             failures.append(i)
             continue

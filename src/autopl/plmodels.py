@@ -227,20 +227,12 @@ class Dataset:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
     def column(self, name: str) -> np.ndarray:
         try:
             i = self.feature_names.index(name)
         except ValueError:
             raise DataError(f"no feature named {name!r}") from None
         return self.X[:, i]
-
-    def medians(self) -> dict[str, float]:
-        return {n: float(np.median(self.X[:, i]))
-                for i, n in enumerate(self.feature_names)}
 
     def subset(self, idx) -> "Dataset":
         return replace(self, X=self.X[idx], y=self.y[idx])
@@ -434,17 +426,23 @@ def load_empirical_csv(path, roles: Mapping[str, str]) -> tuple[Dataset, LoadRep
     return ds, report
 
 
-def write_csv(ds: Dataset, path) -> None:
-    """Write features plus a final pl_db target column, round-trip exact."""
+def write_csv(ds: Dataset, path) -> list[str]:
+    """Write features plus a final pl_db target column, round-trip exact.
+
+    Returns the paths written: the CSV and, for a normalized dataset, its
+    norm sidecar.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + ["pl_db"])
         for i in range(ds.n_rows):
             writer.writerow(["%.17g" % v for v in ds.X[i]] + ["%.17g" % ds.y[i]])
-    if ds.norm is not None:
-        sidecar = str(path) + ".norm.json"
-        with open(sidecar, "w") as fh:
-            json.dump(dict(ds.norm), fh, indent=1, sort_keys=True)
+    if ds.norm is None:
+        return [str(path)]
+    sidecar = str(path) + ".norm.json"
+    with open(sidecar, "w") as fh:
+        json.dump(dict(ds.norm), fh, indent=1, sort_keys=True)
+    return [str(path), sidecar]
 
 
 def read_csv(path) -> Dataset:

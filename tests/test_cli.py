@@ -8,7 +8,13 @@ import pytest
 
 from autopl.cli import _fan_out, infer_roles, main
 from autopl.evalharness import r2
-from autopl.expr.tree import evaluate, tree_from_json
+from autopl.expr.tokens import Token
+from autopl.expr.tree import (
+    ExpressionTree,
+    evaluate,
+    tree_from_json,
+    tree_to_json,
+)
 from autopl.kan import load_kan
 from autopl.plmodels import (
     Dataset,
@@ -280,6 +286,30 @@ def test_eval_checkpoint_raw_units(tmp_path):
     assert r2 > 0.5
 
 
+def test_eval_expression_rejects_reordered_columns(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=60)
+    ds = read_csv(data)
+    names = ds.feature_names
+    i, j = names.index("d_m"), names.index("f_hz")
+    expr = tmp_path / "expr.json"
+    expr.write_text(tree_to_json(ExpressionTree((
+        Token.binary("add"), Token.variable("d_m", i),
+        Token.variable("f_hz", j)))))
+    argv = ["eval", "--expr-json", str(expr)]
+    assert main(argv + ["--data", str(data),
+                        "--out", str(tmp_path / "ok")]) == 0
+    order = list(range(len(names)))
+    order[i], order[j] = j, i
+    swapped = tmp_path / "swapped.csv"
+    write_csv(Dataset(tuple(names[k] for k in order), ds.X[:, order], ds.y,
+                      "test"), swapped)
+    capsys.readouterr()
+    rc = main(argv + ["--data", str(swapped), "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "'d_m'" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_eval_usage(tmp_path):
     data = _gen(tmp_path, "ci", count=40)
     assert main(["eval", "--data", str(data),
@@ -327,6 +357,19 @@ def test_config_file_precedence(tmp_path):
     assert read_csv(out2 / "dataset.csv").n_rows == 70
 
 
+def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=40)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"samples": 100, "sampels": 5,
+                                    "threads": 2}))
+    rc = main(["train-dsr", "--data", str(data), "--batch", "100",
+               "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "sampels" in err and "threads" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     # runs are single-threaded; the old AUTOPL_THREADS variable is inert
     data = _gen(tmp_path, "ci", count=60)
@@ -369,3 +412,48 @@ def test_manifest_is_single_and_complete(tmp_path):
         assert key in m
     assert m["tool_version"]
     assert m["outputs"] == ["dataset.csv"]
+
+
+def test_manifest_lists_exactly_the_run_files(tmp_path):
+    def check(out, inputs):
+        m = json.load(open(out / "manifest.json"))
+        assert set(os.listdir(out)) - {"manifest.json"} == set(m["outputs"])
+        assert set(m["inputs"]) == {str(p) for p in inputs}
+
+    norm = tmp_path / "norm"
+    assert main(["gen-data", "--model", "ci", "--count", "60", "--seed", "3",
+                 "--normalize", "--out", str(norm)]) == 0
+    check(norm, [])
+    data = _gen(tmp_path, "ci", count=60)
+    for name, extra in (("kan", []), ("kan_ns", ["--no-symbolic"])):
+        assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
+                     "--grid", "5", "--steps", "5", "--out",
+                     str(tmp_path / name)] + extra) == 0
+        check(tmp_path / name, [data])
+    dsr = tmp_path / "dsr"
+    assert main(["train-dsr", "--data", str(data), "--samples", "100",
+                 "--batch", "100", "--min-len", "3", "--out", str(dsr)]) == 0
+    check(dsr, [data])
+    expr = dsr / "expression.json"
+    assert main(["eval", "--data", str(data), "--expr-json", str(expr),
+                 "--out", str(tmp_path / "ev")]) == 0
+    check(tmp_path / "ev", [data, expr])
+    ckpt = tmp_path / "kan_ns" / "kan.npz"
+    assert main(["eval", "--data", str(norm / "dataset.csv"),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "ec")]) == 0
+    check(tmp_path / "ec", [norm / "dataset.csv", ckpt, f"{ckpt}.norm.json"])
+
+    rng = np.random.default_rng(1)
+    X = np.column_stack([rng.uniform(1.0, 50.0, 30),
+                         rng.integers(0, 6, 30), rng.integers(0, 3, 30)])
+    indoor = tmp_path / "indoor.csv"
+    write_csv(Dataset(("d_m", "n_w", "n_f"), X, eval_indoor_empirical(
+        IndoorParams(X[:, 0], X[:, 1], X[:, 2])), "test"), indoor)
+    base = tmp_path / "base"
+    assert main(["baseline", "--data", str(indoor), "--which", "indoor",
+                 "--out", str(base)]) == 0
+    check(base, [indoor])
+    rep = tmp_path / "rep"
+    assert main(["report", "--runs", str(base), str(dsr),
+                 "--out", str(rep)]) == 0
+    check(rep, [base / "metrics.csv", dsr / "metrics.csv"])
