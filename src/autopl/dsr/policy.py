@@ -219,10 +219,11 @@ def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
         u = rng.random(m)
         scaled = u * cum[:, -1]
         choice = (scaled[:, None] >= cum).sum(axis=1)
-        for i in np.flatnonzero(active):
+        rows = np.flatnonzero(active)
+        logp[rows] += np.log(probs[rows, choice[rows]])
+        ent_sum[rows] += _entropy_rows(probs[rows])
+        for i in rows:
             a = int(choice[i])
-            logp[i] += float(np.log(probs[i, a]))
-            ent_sum[i] += float(_entropy_rows(probs[i]))
             rec_idx[i].append(a)
             rec_mask[i].append(masks[i].copy())
             rec_input[i].append(x[i].copy())

@@ -74,6 +74,12 @@ def score(pred, y) -> dict[str, float]:
 # Monte-Carlo cross-validation
 
 
+# what a fit or a prediction may raise on bad data or numeric trouble;
+# the package's own error types derive from ValueError and RuntimeError
+_RUN_ERRORS = (ValueError, ArithmeticError, RuntimeError,
+               np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class MetricStats:
     mean: float
@@ -89,6 +95,7 @@ class MetricsReport:
     r2: MetricStats
     n_runs: int
     failures: tuple[int, ...] = ()
+    failure_reasons: tuple[str, ...] = ()
     predictions: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def stats(self, name: str) -> MetricStats:
@@ -102,11 +109,15 @@ def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]
     """Repeated-shuffle evaluation: run i splits with seed base_seed + i,
     fits on the train side, and scores the returned predictor on the test
     side.  Aggregates use the population std over successful runs.
+
+    A run that raises one of _RUN_ERRORS is recorded in ``failures`` with
+    its reason; any other exception is a programming error and propagates.
     """
     if runs < 1:
         raise DataError("runs must be at least 1")
     per: dict[str, list[float]] = {m: [] for m in METRICS}
     failures: list[int] = []
+    reasons: list[str] = []
     predictions: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(runs):
         try:
@@ -114,8 +125,9 @@ def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]
             predictor = fit(train_ds)
             pred = np.asarray(predictor(test_ds.X), dtype=float)
             row = score(pred, test_ds.y)
-        except Exception:
+        except _RUN_ERRORS as exc:
             failures.append(i)
+            reasons.append(f"{type(exc).__name__}: {exc}")
             continue
         for m, v in row.items():
             per[m].append(v)
@@ -123,11 +135,13 @@ def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]
             predictions.append((test_ds.y.copy(), pred.copy()))
     if len(failures) * 2 >= runs:
         raise TrainingError(
-            f"{len(failures)} of {runs} evaluation runs failed")
+            f"{len(failures)} of {runs} evaluation runs failed; "
+            f"run {failures[0]}: {reasons[0]}")
     stats = {m: MetricStats(float(np.mean(vs)), float(np.std(vs)), tuple(vs))
              for m, vs in per.items()}
     return MetricsReport(stats["mae"], stats["mse"], stats["mape"],
                          stats["r2"], n_runs=runs, failures=tuple(failures),
+                         failure_reasons=tuple(reasons),
                          predictions=tuple(predictions))
 
 

@@ -6,6 +6,7 @@ from autopl.expr.tree import (
     ExpressionTree,
     evaluate,
     is_complete,
+    prepare,
     structural_scan,
     to_infix,
     tree_from_json,
@@ -32,6 +33,7 @@ __all__ = [
     "evaluate",
     "is_complete",
     "optimize_constants",
+    "prepare",
     "repeat_penalty",
     "structural_scan",
     "to_infix",

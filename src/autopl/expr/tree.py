@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -100,21 +100,27 @@ def _leaf_values(tree: ExpressionTree) -> list[float | None]:
 
 @functools.lru_cache(maxsize=64)
 def _compile(tokens: tuple[Token, ...]):
-    """Straight-line function f(X, c) for a prefix sequence.
+    """Two straight-line functions for a prefix sequence.
 
-    The body holds one assignment per token, emitted right to left in the
+    Each body holds one assignment per token, emitted right to left in the
     order a stack machine would evaluate them, so results match operation
-    for operation.  Literals are bound once as float64 scalars; constant
-    slots read c, a float64 vector in prefix order.  Returns the function
-    and the (name, column) pairs of the variables it reads.
+    for operation.  Tokens whose subtree holds no constant slot go to the
+    fixed stage ``fixed(X)``, which returns the roots of the largest such
+    subtrees; the rest go to the constant stage ``varying(c, F)``, which
+    reads those roots from F and the constant slots from c, a float64
+    vector in prefix order.  Literals are bound once as float64 scalars.
+    Returns both functions and the (name, column) pairs of the variables.
     """
-    lines: list[str] = []
-    stack: list[str] = []
+    fixed_lines: list[str] = []
+    varying_lines: list[str] = []
+    hoisted: list[str] = []  # fixed-stage roots the constant stage reads
+    stack: list[tuple[str, bool]] = []  # (local, its subtree holds a slot)
     literals: list[np.float64] = []
     variables: list[tuple[str, int]] = []
     slot = sum(1 for t in tokens if t.kind is TokenKind.CONST)
     for pos in range(len(tokens) - 1, -1, -1):
         t = tokens[pos]
+        varying = t.kind is TokenKind.CONST
         if t.kind is TokenKind.VARIABLE:
             if t.var_index is None:
                 raise ValueError(f"variable {t.name!r} has no column index")
@@ -123,63 +129,88 @@ def _compile(tokens: tuple[Token, ...]):
         elif t.kind is TokenKind.LITERAL:
             literals.append(np.float64(t.value))
             rhs = f"_lit[{len(literals) - 1}]"
-        elif t.kind is TokenKind.CONST:
+        elif varying:
             slot -= 1
             rhs = f"c[{slot}]"
         elif t.kind is TokenKind.UNARY:
-            rhs = _UNARY_SRC[t.name].format(stack.pop())
+            a, varying = stack.pop()
+            rhs = _UNARY_SRC[t.name].format(a)
         else:
-            a = stack.pop()
-            b = stack.pop()
+            (a, a_varies), (b, b_varies) = stack.pop(), stack.pop()
+            varying = a_varies or b_varies
+            # a constant-free operand of a varying node is a fixed root
+            if varying and not a_varies:
+                hoisted.append(a)
+            if varying and not b_varies:
+                hoisted.append(b)
             rhs = _BINARY_SRC[t.name].format(a, b)
-        lines.append(f"    t{pos} = {rhs}\n")
-        stack.append(f"t{pos}")
-    source = "def f(X, c):\n" + "".join(lines) + "    return t0\n"
+        (varying_lines if varying else fixed_lines).append(
+            f"    t{pos} = {rhs}\n")
+        stack.append((f"t{pos}", varying))
+    if not stack[0][1]:
+        hoisted.append("t0")
+    roots = "".join(f"{name}, " for name in hoisted)
+    source = ("def fixed(X):\n" + "".join(fixed_lines)
+              + f"    return ({roots})\n"
+              + "def varying(c, F):\n"
+              + (f"    {roots}= F\n" if hoisted else "")
+              + "".join(varying_lines) + "    return t0\n")
     namespace = dict(_NAMESPACE, _lit=tuple(literals))
     exec(source, namespace)
-    return namespace["f"], tuple(variables)
+    return namespace["fixed"], namespace["varying"], tuple(variables)
 
 
-# the last compiled sequence, matched by identity: a constant fit scores
-# one tree hundreds of times, and hashing its tokens for the cache costs
-# more than the identity check
-_last_compiled: tuple = ((), None)
+@dataclass(frozen=True, slots=True)
+class Prepared:
+    """The fixed stage of one tree over the rows of one feature matrix:
+    the values of its constant-free subtrees, ready for the constant
+    stage.  A constant fit holds one for the length of the fit and scores
+    every candidate against it."""
+
+    tokens: tuple[Token, ...]
+    n_rows: int
+    values: tuple
+    varying: Callable
 
 
-def _compiled(tokens: tuple[Token, ...]):
-    global _last_compiled
-    tokens_seen, entry = _last_compiled
-    if tokens_seen is not tokens:
-        entry = _compile(tokens)
-        _last_compiled = (tokens, entry)
-    return entry
+def prepare(tree: ExpressionTree, X: np.ndarray) -> Prepared:
+    """Check X against the tree's variables and run the fixed stage."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-d (rows, features)")
+    fixed, varying, variables = _compile(tree.tokens)
+    for name, index in variables:
+        if index >= X.shape[1]:
+            raise ValueError(f"variable {name!r} outside feature matrix")
+    with np.errstate(all="ignore"):
+        values = fixed(X)
+    return Prepared(tree.tokens, X.shape[0], values, varying)
 
 
-def evaluate(tree: ExpressionTree, X: np.ndarray,
+def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
              constants: Sequence[float] | None = None) -> np.ndarray:
     """Evaluate over rows of X, returning one value per row.
 
     ``constants`` stands in for the tree's own constant values, so a fit
     can score candidate values without building a tree per candidate.
-    Each token sequence is compiled once and reused.  Non-finite
-    intermediate results propagate instead of raising.
+    X is a feature matrix, or what ``prepare`` made of one for this tree;
+    then only the constant stage runs, under the caller's floating-point
+    error state.  Each token sequence is compiled once and reused.
+    Non-finite intermediate results propagate instead of raising.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-d (rows, features)")
+    if not isinstance(X, Prepared):
+        with np.errstate(all="ignore"):
+            return evaluate(tree, prepare(tree, X), constants)
+    if X.tokens is not tree.tokens and X.tokens != tree.tokens:
+        raise ValueError("values were prepared for another expression")
     c = np.asarray(tree.constants if constants is None else constants,
                    dtype=float)
     if c.shape != (tree.n_constants,):
         raise ValueError(
             f"expected {tree.n_constants} constants, got shape {c.shape}")
-    fn, variables = _compiled(tree.tokens)
-    for name, index in variables:
-        if index >= X.shape[1]:
-            raise ValueError(f"variable {name!r} outside feature matrix")
-    with np.errstate(all="ignore"):
-        out = np.asarray(fn(X, c), dtype=float)
+    out = np.asarray(X.varying(c, X.values), dtype=float)
     if out.ndim == 0:
-        out = np.full(X.shape[0], float(out))
+        out = np.full(X.n_rows, float(out))
     return out
 
 

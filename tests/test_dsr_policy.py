@@ -7,6 +7,8 @@ from autopl.expr.constraints import ConstraintSet, PrefixState, valid_next_token
 from autopl.expr.tokens import INVERSE_UNARY, TRIG_NAMES, TokenKind, Vocabulary
 from autopl.dsr.policy import (
     PolicyNetwork,
+    _entropy_rows,
+    _sample_round,
     masked_softmax,
     sample_batch,
     surrogate_loss,
@@ -137,6 +139,49 @@ def test_teacher_replay_matches_sampled_log_probs():
     logp, ents, _ = teacher_forward(pol, batch.data)
     assert np.allclose(logp, batch.log_probs, atol=1e-10, rtol=0.0)
     assert np.allclose(ents, batch.entropies, atol=1e-10, rtol=0.0)
+
+
+def _reference_round(policy, m, cs, rng):
+    # the sampling loop with log-prob and entropy summed row by row
+    vocab = policy.vocab
+    states = [PrefixState() for _ in range(m)]
+    h = np.zeros((m, policy.hidden_size))
+    logp, ent_sum = np.zeros(m), np.zeros(m)
+    done, dead = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    while (~done & ~dead).any():
+        masks = np.zeros((m, policy.n_tokens), dtype=bool)
+        x = np.zeros((m, policy.input_size))
+        for i in np.flatnonzero(~done & ~dead):
+            mk = states[i].mask(cs, vocab)
+            dead[i] = not mk.any()
+            if mk.any():
+                masks[i] = mk
+                x[i] = policy.encode_step_input(states[i])
+        active = ~done & ~dead
+        if not active.any():
+            break
+        h_new, logits, _ = policy.step(x, h)
+        h = np.where(active[:, None], h_new, h)
+        probs = masked_softmax(logits, masks)
+        cum = np.cumsum(probs, axis=1)
+        choice = ((rng.random(m) * cum[:, -1])[:, None] >= cum).sum(axis=1)
+        for i in np.flatnonzero(active):
+            a = int(choice[i])
+            logp[i] += float(np.log(probs[i, a]))
+            ent_sum[i] += float(_entropy_rows(probs[i]))
+            states[i].push(vocab[a])
+            done[i] = states[i].is_complete
+    return [(float(logp[i]), float(ent_sum[i] / states[i].length))
+            for i in np.flatnonzero(done)]
+
+
+def test_sample_round_accumulates_like_row_by_row_reference():
+    cs = ConstraintSet()
+    for seed in range(3):
+        pol = PolicyNetwork(_vocab(), seed=seed)
+        got = _sample_round(pol, 50, cs, np.random.default_rng(seed))
+        want = _reference_round(pol, 50, cs, np.random.default_rng(seed))
+        assert [(lp, ent) for _, lp, ent, _ in got["finished"]] == want
 
 
 def test_surrogate_gradients_match_finite_differences():

@@ -166,6 +166,39 @@ def test_monte_carlo_failures_recorded():
         monte_carlo_eval(broken, ds, runs=4, base_seed=0)
 
 
+def test_monte_carlo_failure_reasons_recorded():
+    ds = _toy_dataset()
+    calls = {"i": 0}
+
+    def flaky(train_ds):
+        calls["i"] += 1
+        if calls["i"] == 2:
+            raise DataError("degenerate split")
+        return _lsq_fit(train_ds)
+
+    rep = monte_carlo_eval(flaky, ds, runs=4, base_seed=0)
+    assert rep.failures == (1,)
+    assert rep.failure_reasons == ("DataError: degenerate split",)
+    assert len(rep.mae.values) == 3
+
+    def broken(train_ds):
+        raise DataError("no usable rows")
+
+    with pytest.raises(TrainingError,
+                       match="4 of 4 .* run 0: DataError: no usable rows"):
+        monte_carlo_eval(broken, ds, runs=4, base_seed=0)
+
+
+def test_monte_carlo_programming_errors_propagate():
+    ds = _toy_dataset()
+
+    def typo(train_ds):
+        raise TypeError("predict() takes 1 positional argument")
+
+    with pytest.raises(TypeError, match="positional argument"):
+        monte_carlo_eval(typo, ds, runs=4, base_seed=0)
+
+
 def test_monte_carlo_keep_predictions():
     ds = _toy_dataset()
     rep = monte_carlo_eval(_lsq_fit, ds, runs=3, base_seed=2,

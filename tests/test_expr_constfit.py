@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from autopl.expr import ExpressionTree, Token, evaluate, optimize_constants
+from autopl.expr import ExpressionTree, Token, constfit, evaluate, optimize_constants
 
 ADD = Token.binary("add")
 MUL = Token.binary("mul")
@@ -73,3 +74,124 @@ def test_fit_improves_over_default_constants():
     before = float(np.mean((evaluate(tree, X) - y) ** 2))
     res = optimize_constants(tree, X, y)
     assert res.mse < before
+
+
+def _stack_evaluate(tokens, constants, X):
+    # reference: a plain stack machine over the prefix sequence that
+    # recomputes every subtree on every call
+    fns = {"log10": np.log10, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+           "square": lambda a: a * a, "sqrt": np.sqrt,
+           "add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide}
+    consts = iter(reversed(constants))
+    stack = []
+    for t in reversed(tokens):
+        if t.arity == 2:
+            a = stack.pop()
+            stack.append(fns[t.name](a, stack.pop()))
+        elif t.arity == 1:
+            stack.append(fns[t.name](stack.pop()))
+        elif t.var_index is not None:
+            stack.append(X[:, t.var_index])
+        elif t.value is not None:
+            stack.append(np.float64(t.value))
+        else:
+            stack.append(np.float64(next(consts)))
+    return np.broadcast_to(stack.pop(), X.shape[:1])
+
+
+def _reference_fit(tree, X, y, max_iter):
+    # the fit as a scipy Nelder-Mead over the stack-machine objective,
+    # with optimize_constants' starts and settings
+    def objective(c):
+        with np.errstate(all="ignore"):
+            pred = _stack_evaluate(tree.tokens, c, X)
+            if not np.isfinite(pred).all():
+                return float("inf")
+            return float(np.mean((pred - y) ** 2))
+
+    best_c = np.asarray(tree.constants, dtype=float)
+    best_mse = objective(best_c)
+    k = tree.n_constants
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x0 in (np.ones(k), np.full(k, 0.1)):
+            res = optimize.minimize(objective, x0, method="Nelder-Mead",
+                                    options={"maxiter": max_iter, "xatol": 1e-8,
+                                             "fatol": 1e-10})
+            if np.isfinite(res.fun) and res.fun < best_mse:
+                best_mse = float(res.fun)
+                best_c = np.asarray(res.x, dtype=float)
+    return tuple(float(c) for c in best_c), best_mse
+
+
+def _random_trees(rng, n, n_const=(1, 3)):
+    ops = [ADD, SUB, MUL, Token.binary("div"), LOG, Token.unary("exp"),
+           Token.unary("sin"), Token.unary("cos"), Token.unary("square"),
+           Token.unary("sqrt")]
+    leaves = [X0, Token.variable("f", 1), C, Token.literal(3)]
+    trees = []
+    while len(trees) < n:
+        tokens, slots = [], 1
+        while slots:
+            if len(tokens) < 12 and rng.random() < 0.6:
+                t = ops[rng.integers(len(ops))]
+            else:
+                t = leaves[rng.integers(len(leaves))]
+            tokens.append(t)
+            slots += t.arity - 1
+        if n_const[0] <= sum(t is C for t in tokens) <= n_const[1]:
+            trees.append(ExpressionTree(tuple(tokens)))
+    return trees
+
+
+def _fit_problem():
+    rng = np.random.default_rng(11)
+    X = np.column_stack([rng.uniform(-2.0, 4.0, 40), rng.uniform(0.5, 3.0, 40)])
+    y = 2.0 * np.log10(np.abs(X[:, 0]) + 1.0) + np.sin(X[:, 1])
+    return rng, X, y
+
+
+def test_fit_matches_stack_machine_reference_bit_for_bit():
+    rng, X, y = _fit_problem()
+    # non-finite at the all-ones start, finite from the 0.1 start
+    sqrt_edge = ExpressionTree((Token.unary("sqrt"), SUB, Token.variable("f", 1),
+                                MUL, C, Token.literal(3)))
+    fittable = 0
+    for tree in [sqrt_edge] + _random_trees(rng, 100):
+        res = optimize_constants(tree, X, y, max_iter=100)
+        want_c, want_mse = _reference_fit(tree, X, y, max_iter=100)
+        assert res.mse == want_mse, tree.tokens
+        if res.fittable:
+            fittable += 1
+            assert res.tree.constants == want_c, tree.tokens
+        else:
+            assert want_mse == float("inf")
+    # both outcomes are exercised
+    assert 0 < fittable < 101
+
+
+def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
+    rng, X, y = _fit_problem()
+    calls = {"evaluate": 0, "nfev": 0}
+    real_evaluate = constfit.evaluate
+    real_minimize = optimize.minimize
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return real_evaluate(*args, **kwargs)
+
+    def counting_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        calls["nfev"] += res.nfev
+        return res
+
+    monkeypatch.setattr(constfit, "evaluate", counting_evaluate)
+    monkeypatch.setattr(optimize, "minimize", counting_minimize)
+    for tree in _random_trees(rng, 10):
+        calls.update(evaluate=0, nfev=0)
+        optimize_constants(tree, X, y, max_iter=100)
+        # the starting constants, then every simplex evaluation
+        assert calls["evaluate"] == calls["nfev"] + 1
+    calls.update(evaluate=0, nfev=0)
+    optimize_constants(ExpressionTree((X0,)), X, y)
+    assert calls == {"evaluate": 1, "nfev": 0}

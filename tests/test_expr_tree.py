@@ -7,12 +7,16 @@ an independent parser/evaluator.
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopl.expr import (
     ExpressionTree,
     Token,
+    TokenKind,
     evaluate,
     is_complete,
+    prepare,
     structural_scan,
     to_infix,
     tree_from_json,
@@ -110,6 +114,17 @@ def test_evaluate_constants_override():
     assert np.array_equal(evaluate(tree, X), [1.0, -8.0])
     with pytest.raises(ValueError):
         evaluate(tree, X, [1.0])
+
+
+def test_evaluate_prepared_values():
+    # the fixed stage (log10(d), 3 - f) runs once; candidates reuse it
+    X = np.array([[2.0, 1.0], [10.0, 4.0], [0.5, -2.0]])
+    tree = ExpressionTree((ADD, MUL, C, LOG, X0, SUB, Token.literal(3), X1))
+    fixed = prepare(tree, X)
+    for c in ([1.0], [-2.5], [1e308]):
+        assert np.array_equal(evaluate(tree, fixed, c), evaluate(tree, X, c))
+    with pytest.raises(ValueError):
+        evaluate(ExpressionTree((ADD, C, X0)), fixed, [1.0])
 
 
 def test_evaluate_rejects_missing_variable_column():
@@ -221,6 +236,34 @@ def test_json_round_trip():
     assert back.constants == tree.constants
     X = np.random.default_rng(1).uniform(1.0, 5.0, (20, 2))
     assert np.array_equal(evaluate(back, X), evaluate(tree, X))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_OPS = [ADD, SUB, MUL, DIV, LOG, EXP, SIN, COS, SQ, Token.unary("sqrt")]
+
+
+@st.composite
+def _trees(draw):
+    # a complete prefix sequence: operators until 15 tokens, then leaves
+    leaves = st.one_of(st.sampled_from([X0, X1, C]),
+                       _FINITE.map(Token.literal))
+    tokens, slots = [], 1
+    while slots:
+        ops = st.sampled_from(_OPS) if len(tokens) < 15 else st.nothing()
+        t = draw(st.one_of(ops, leaves))
+        tokens.append(t)
+        slots += t.arity - 1
+    n_const = sum(t.kind is TokenKind.CONST for t in tokens)
+    constants = draw(st.lists(_FINITE, min_size=n_const, max_size=n_const))
+    return ExpressionTree(tuple(tokens), tuple(constants))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees())
+def test_json_round_trip_property(tree):
+    back = tree_from_json(tree_to_json(tree))
+    assert back == tree
+    assert to_infix(back) == to_infix(tree)
 
 
 def test_tree_key_ignores_constant_values():
