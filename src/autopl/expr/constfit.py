@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from autopl.expr.tree import ExpressionTree, evaluate, prepare
 
@@ -20,43 +20,115 @@ class FitResult:
     fittable: bool
 
 
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
+                 maxiter: int, xatol: float, fatol: float
+                 ) -> tuple[list[float], float]:
+    """scipy 1.17's ``_minimize_neldermead`` step for step, on lists.
+
+    Only what the fit uses: coefficients 1, 2, 0.5 and 0.5, scipy's
+    initial simplex, the xatol/fatol stop and ``maxiter`` without a call
+    limit.  Every product and sum is the one scipy's array expressions
+    compute, and the simplex is re-sorted with ``np.argsort`` (which is
+    not stable on every machine), so ``x`` and ``fun`` come out the same.
+    Returns the best vertex and its value.
+    """
+    start = [float(v) for v in x0]
+    n = len(start)
+    sim = [start]
+    for k in range(n):
+        y = list(start)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [func(np.array(x)) for x in sim]
+
+    def resort() -> None:
+        ind = np.argsort(fsim).tolist()
+        sim[:] = [sim[i] for i in ind]
+        fsim[:] = [fsim[i] for i in ind]
+
+    # scipy sorts the first simplex twice
+    resort()
+    resort()
+    for _ in range(1, maxiter):
+        # a NaN difference (inf - inf) fails its test, as in np.max
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))
+                and all(abs(fbest - f) <= fatol for f in fsim[1:])):
+            break
+        # np.add.reduce(sim[:-1], 0): the rows summed in order
+        xbar = list(sim[0])
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [2 * a - 1 * b for a, b in zip(xbar, worst)]
+        fxr = func(np.array(xr))
+        if fxr < fsim[0]:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
+            fxe = func(np.array(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                fxc = func(np.array(xc))
+                shrink = not fxc <= fxr
+            else:
+                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                fxc = func(np.array(xc))
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                    fsim[j] = func(np.array(sim[j]))
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        resort()
+    return sim[0], fsim[0]
+
+
 def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
                        max_iter: int = _FIT_MAXITER) -> FitResult:
     """Fit constant slots by derivative-free simplex search.
 
     Runs Nelder-Mead from an all-ones start and once more from 0.1,
     keeping the better minimum.  The tree's constant-free subtrees are
-    computed once per fit; each candidate runs only the constant stage.
-    Trees whose predictions stay non-finite everywhere come back flagged
-    unfittable so callers can assign the floor reward instead of crashing.
+    computed once per fit; each candidate runs only the constant stage,
+    and each distinct candidate (by its exact bytes) is scored once per
+    fit.  Trees whose predictions stay non-finite everywhere come back
+    flagged unfittable so callers can assign the floor reward instead
+    of crashing.
     """
     y = np.asarray(y, dtype=float)
     k = tree.n_constants
-    # wild candidate constants overflow or leave a function's domain, and
-    # the simplex convergence test meets inf - inf when a tree is
-    # non-finite everywhere: bad vertices, not errors
+    scores: dict[bytes, float] = {}
+    # wild candidate constants overflow or leave a function's domain:
+    # bad vertices, not errors
     with np.errstate(all="ignore"):
         fixed = prepare(tree, X)
 
-        def objective(c: np.ndarray | None) -> float:
-            # np.mean's sum and division without its per-call overhead;
-            # any non-finite prediction makes the mean non-finite
-            sq = (evaluate(tree, fixed, c) - y) ** 2
-            mse = float(np.add.reduce(sq) / sq.size)
-            return mse if math.isfinite(mse) else math.inf
+        def objective(c: np.ndarray) -> float:
+            key = c.tobytes()
+            mse = scores.get(key)
+            if mse is None:
+                # np.mean's sum and division without its per-call
+                # overhead; any non-finite prediction makes it non-finite
+                sq = (evaluate(tree, fixed, c) - y) ** 2
+                mse = float(np.add.reduce(sq) / sq.size)
+                mse = scores[key] = mse if math.isfinite(mse) else math.inf
+            return mse
 
-        if k == 0:
-            mse = objective(None)
-            return FitResult(tree, mse, math.isfinite(mse))
         best_c = np.asarray(tree.constants, dtype=float)
         best_mse = objective(best_c)
+        if k == 0:
+            return FitResult(tree, best_mse, math.isfinite(best_mse))
         for x0 in (np.ones(k), np.full(k, 0.1)):
-            res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                                    options={"maxiter": max_iter, "xatol": 1e-8,
-                                             "fatol": 1e-10})
-            if np.isfinite(res.fun) and res.fun < best_mse:
-                best_mse = float(res.fun)
-                best_c = np.asarray(res.x, dtype=float)
+            x, fun = _nelder_mead(objective, x0, max_iter, xatol=1e-8,
+                                  fatol=1e-10)
+            if math.isfinite(fun) and fun < best_mse:
+                best_mse = fun
+                best_c = np.array(x)
     if not math.isfinite(best_mse):
         return FitResult(tree, math.inf, False)
     return FitResult(tree.with_constants(best_c), best_mse, True)

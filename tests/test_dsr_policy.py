@@ -9,6 +9,7 @@ from autopl.dsr.policy import (
     PolicyNetwork,
     _entropy_rows,
     _sample_round,
+    _sigmoid,
     masked_softmax,
     sample_batch,
     surrogate_loss,
@@ -38,6 +39,32 @@ def test_masked_softmax_zeros_are_exact():
     assert np.all(p >= 0.0)
     assert sums[0] == 0.0
     assert np.allclose(sums[1:], 1.0, atol=1e-12)
+
+
+def _masked_sigmoid(x):
+    # reference: the stable logistic with one boolean-mask scatter per sign
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_reference_bytes():
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, 1e3, -1e3, 710.0, -710.0, 1e-300, -1e-300,
+                      np.inf, -np.inf])
+    cases = [edges] + [rng.normal(0.0, 10.0 ** rng.uniform(-3, 3),
+                                  size=tuple(rng.integers(1, 40, size=2)))
+                       for _ in range(1000)]
+    with np.errstate(over="raise"):
+        for x in cases:
+            got = _sigmoid(x)
+            assert got.dtype == x.dtype and got.shape == x.shape
+            assert got.tobytes() == _masked_sigmoid(x).tobytes()
+    # only a NaN's sign bit may differ
+    assert np.isnan(_sigmoid(np.array([np.nan, 1.0]))[0])
 
 
 def test_policy_param_vector_round_trip():

@@ -1,5 +1,7 @@
 """Constant fitting inside expression trees."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -100,10 +102,13 @@ def _stack_evaluate(tokens, constants, X):
     return np.broadcast_to(stack.pop(), X.shape[:1])
 
 
-def _reference_fit(tree, X, y, max_iter):
+def _reference_fit(tree, X, y, max_iter, scored=None):
     # the fit as a scipy Nelder-Mead over the stack-machine objective,
-    # with optimize_constants' starts and settings
+    # with optimize_constants' starts and settings; every candidate it
+    # scores is appended to `scored`, by bytes
     def objective(c):
+        if scored is not None:
+            scored.append(np.asarray(c, dtype=float).tobytes())
         with np.errstate(all="ignore"):
             pred = _stack_evaluate(tree.tokens, c, X)
             if not np.isfinite(pred).all():
@@ -170,28 +175,100 @@ def test_fit_matches_stack_machine_reference_bit_for_bit():
     assert 0 < fittable < 101
 
 
+def _record_evaluate(monkeypatch):
+    # the bytes of every constant vector the fit hands to constfit.evaluate
+    evaluated = []
+    real_evaluate = constfit.evaluate
+
+    def recording_evaluate(tree, X, constants=None):
+        evaluated.append(np.asarray(constants, dtype=float).tobytes())
+        return real_evaluate(tree, X, constants)
+
+    monkeypatch.setattr(constfit, "evaluate", recording_evaluate)
+    return evaluated
+
+
 def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
     rng, X, y = _fit_problem()
-    calls = {"evaluate": 0, "nfev": 0}
-    real_evaluate = constfit.evaluate
-    real_minimize = optimize.minimize
-
-    def counting_evaluate(*args, **kwargs):
-        calls["evaluate"] += 1
-        return real_evaluate(*args, **kwargs)
-
-    def counting_minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        calls["nfev"] += res.nfev
-        return res
-
-    monkeypatch.setattr(constfit, "evaluate", counting_evaluate)
-    monkeypatch.setattr(optimize, "minimize", counting_minimize)
+    evaluated = _record_evaluate(monkeypatch)
+    repeats = 0
     for tree in _random_trees(rng, 10):
-        calls.update(evaluate=0, nfev=0)
+        scored = []
+        _reference_fit(tree, X, y, 100, scored)
+        evaluated.clear()
         optimize_constants(tree, X, y, max_iter=100)
-        # the starting constants, then every simplex evaluation
-        assert calls["evaluate"] == calls["nfev"] + 1
-    calls.update(evaluate=0, nfev=0)
+        # the starting constants, then every distinct simplex candidate
+        # of both starts, each once, in the order scipy first scores them
+        assert evaluated == list(dict.fromkeys(scored)), tree.tokens
+        repeats += len(scored) - len(evaluated)
+    assert repeats > 0
+    evaluated.clear()
     optimize_constants(ExpressionTree((X0,)), X, y)
-    assert calls == {"evaluate": 1, "nfev": 0}
+    assert len(evaluated) == 1
+
+
+def test_fit_keys_candidates_by_exact_bytes(monkeypatch):
+    # exp(1 / c) is inf at c = 0.0 and 0 at c = -0.0
+    tree = ExpressionTree((Token.unary("exp"), Token.binary("div"),
+                           Token.literal(1), C))
+    X = np.ones((3, 1))
+    y = np.array([1.0, 2.0, 3.0])
+    evaluated = _record_evaluate(monkeypatch)
+    mses = []
+
+    def stub_nelder_mead(func, x0, *args, **kwargs):
+        mses.append((func(np.array([0.0])), func(np.array([-0.0]))))
+        return list(x0), math.inf
+
+    monkeypatch.setattr(constfit, "_nelder_mead", stub_nelder_mead)
+    optimize_constants(tree, X, y)
+    assert evaluated == [np.array([c]).tobytes() for c in (1.0, 0.0, -0.0)]
+    assert mses == [(math.inf, float(np.mean(y ** 2)))] * 2
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(1)
+        return f(x)
+    return g, calls
+
+
+def _tied_objectives(rng, n):
+    # a smooth bowl, the same bowl walled off by an inf half-space, and
+    # rounded copies whose plateaus tie vertices with each other and
+    # with inf; then one that is inf everywhere
+    t = rng.uniform(-2.0, 2.0, n)
+    w = rng.uniform(0.1, 3.0, n)
+    u = rng.normal(size=n)
+    wall = rng.uniform(-0.5, 0.5)
+
+    def bowl(x):
+        return float(np.sum(w * (x - t) ** 2))
+
+    def walled(x):
+        return math.inf if float(np.dot(x - t, u)) > wall else bowl(x)
+
+    return [bowl, walled,
+            lambda x: round(bowl(x), 1),
+            lambda x: round(walled(x), 0),
+            lambda x: math.inf]
+
+
+def test_nelder_mead_takes_scipys_steps():
+    rng = np.random.default_rng(21)
+    options = {"maxiter": 100, "xatol": 1e-8, "fatol": 1e-10}
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            for f in _tied_objectives(rng, n):
+                for x0 in (np.ones(n), np.full(n, 0.1)):
+                    ours, our_calls = _counted(f)
+                    x, fun = constfit._nelder_mead(ours, x0, **options)
+                    ref, ref_calls = _counted(f)
+                    with np.errstate(invalid="ignore"):
+                        res = optimize.minimize(ref, x0, method="Nelder-Mead",
+                                                options=options)
+                    assert np.array(x).tobytes() == res.x.tobytes()
+                    assert fun == res.fun
+                    assert len(our_calls) == len(ref_calls) == res.nfev
