@@ -417,6 +417,9 @@ def cmd_eval(args) -> int:
                                     "with_baselines": None})
     if (args.expr_json is None) == (args.checkpoint is None):
         raise UsageError("eval needs exactly one of --expr-json or --checkpoint")
+    runs = int(cfg["runs"])
+    if runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {runs}")
 
     run.input(args.data)
     ds = read_csv(args.data)
@@ -455,7 +458,6 @@ def cmd_eval(args) -> int:
             run.input(sidecar)
         predictor = net.predict
 
-    runs = int(cfg["runs"])
     expression = to_infix(tree) if tree is not None else ""
     valid = _validity_flag(tree, ds) if tree is not None else ""
     if runs > 1:

@@ -299,9 +299,7 @@ def baseline_table(ds: Dataset, which: str,
         preds = [("fs", eval_fs(col("frequency_mhz"), col("distance_m") / 1000.0)),
                  ("outdoor-empirical", eval_outdoor_empirical(params))]
     for method, pred in preds:
-        rows.append({"method": method,
-                     "mae": mae(pred, ds.y), "mse": mse(pred, ds.y),
-                     "mape": mape(pred, ds.y), "r2": r2(pred, ds.y)})
+        rows.append({"method": method, **score(pred, ds.y)})
     return rows
 
 

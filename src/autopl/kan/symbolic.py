@@ -206,15 +206,11 @@ def _refine(fam: SymbolicEdge, x, y, start):
                                      jac=jacobian, max_nfev=200)
     except (ValueError, np.linalg.LinAlgError):
         return None
-    pred = res.x[2] * _safe_fn(fam, res.x[0] * x + res.x[1]) + res.x[3]
+    with np.errstate(all="ignore"):
+        pred = res.x[2] * fam.fn(res.x[0] * x + res.x[1]) + res.x[3]
     if not np.all(np.isfinite(pred)):
         return None
     return (*map(float, res.x), _r2(pred, y))
-
-
-def _safe_fn(fam: SymbolicEdge, u: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        return fam.fn(u)
 
 
 def fit_edge(x: np.ndarray, y: np.ndarray,
@@ -269,7 +265,7 @@ class SymbolicKan:
         self.masks = [np.asarray(m, dtype=bool) for m in masks]
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        return _forward_with_cache(self, X)[-1]
+        return _forward(self, X)[0][-1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = self.forward(X)
@@ -340,90 +336,79 @@ def _unflatten(sym: SymbolicKan, theta: np.ndarray) -> None:
                 pos += 4
 
 
-def _forward_with_cache(sym: SymbolicKan, X: np.ndarray):
-    """Node values of every layer, the input first and the output last."""
+def _forward(sym: SymbolicKan, X: np.ndarray):
+    """Node values of every layer, the input first and the output last,
+    and per layer the (u, f(u)) of each active edge keyed by (i, j), with
+    u = a*h + b; the only place the symbolic network evaluates its edges."""
     hs = [np.asarray(X, dtype=float)]
+    edges: list[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = []
     with np.errstate(all="ignore"):
         for fits_l, mask in zip(sym.fits, sym.masks):
             h = hs[-1]
             d_in, d_out = mask.shape
             out = np.zeros((h.shape[0], d_out))
+            layer = {}
             for j in range(d_out):
                 for i in range(d_in):
                     if mask[i, j]:
-                        out[:, j] += fits_l[i][j](h[:, i])
+                        f = fits_l[i][j]
+                        u = f.a * h[:, i] + f.b
+                        fu = EDGE_FAMILIES[f.name].fn(u)
+                        out[:, j] += f.c * fu + f.d
+                        layer[i, j] = (u, fu)
             hs.append(out)
-    return hs
+            edges.append(layer)
+    return hs, edges
 
 
 def _mse_and_grad(sym: SymbolicKan, X: np.ndarray, y: np.ndarray):
-    hs = _forward_with_cache(sym, X)
+    hs, edges = _forward(sym, X)
     pred = hs[-1][:, 0]
     if not np.all(np.isfinite(pred)):
         return 1e30, np.zeros(_flatten(sym).size)
     n = y.size
     mse = float(np.mean((pred - y) ** 2))
     d_h = (2.0 / n) * (hs[-1] - y[:, None])
-    grads: list[float] = []
     layer_grads = []
     with np.errstate(all="ignore"):
         for li in range(len(sym.fits) - 1, -1, -1):
-            fits_l, mask = sym.fits[li], sym.masks[li]
             h = hs[li]
-            d_in, d_out = mask.shape
-            g_layer = np.zeros((d_in, d_out, 4))
+            g_layer = np.zeros(sym.masks[li].shape + (4,))
             d_prev = np.zeros_like(h)
-            for j in range(d_out):
-                for i in range(d_in):
-                    f = fits_l[i][j]
-                    if not mask[i, j]:
-                        continue
-                    fam = EDGE_FAMILIES[f.name]
-                    u = f.a * h[:, i] + f.b
-                    fu = fam.fn(u)
-                    dfu = fam.dfn(u)
-                    w = d_h[:, j]
-                    g_layer[i, j, 0] = np.nansum(w * f.c * dfu * h[:, i])
-                    g_layer[i, j, 1] = np.nansum(w * f.c * dfu)
-                    g_layer[i, j, 2] = np.nansum(w * fu)
-                    g_layer[i, j, 3] = np.sum(w)
-                    d_prev[:, i] += w * f.c * dfu * f.a
+            # j outer, i inner, as in the forward pass
+            for (i, j), (u, fu) in edges[li].items():
+                f = sym.fits[li][i][j]
+                dfu = EDGE_FAMILIES[f.name].dfn(u)
+                w = d_h[:, j]
+                g_layer[i, j, 0] = np.nansum(w * f.c * dfu * h[:, i])
+                g_layer[i, j, 1] = np.nansum(w * f.c * dfu)
+                g_layer[i, j, 2] = np.nansum(w * fu)
+                g_layer[i, j, 3] = np.sum(w)
+                d_prev[:, i] += w * f.c * dfu * f.a
             layer_grads.append(g_layer)
             d_h = d_prev
-    for g_layer in reversed(layer_grads):
-        d_in, d_out, _ = g_layer.shape
-        for i in range(d_in):
-            for j in range(d_out):
-                grads += list(g_layer[i, j])
-    return mse, np.asarray(grads)
+    return mse, np.concatenate([g.ravel() for g in reversed(layer_grads)])
 
 
 def _polish_last_layer(sym: SymbolicKan, X: np.ndarray, y: np.ndarray) -> None:
     """Closed-form refit of the output layer's scale and offset terms."""
-    hs = _forward_with_cache(sym, X)
-    h = hs[-2]
+    _, edges = _forward(sym, X)
     fits_l, mask = sym.fits[-1], sym.masks[-1]
-    d_in = mask.shape[0]
-    cols = []
-    idxs = []
-    with np.errstate(all="ignore"):
-        for i in range(d_in):
-            f = fits_l[i][0]
-            if not mask[i, 0] or f.name == "zero":
-                continue
-            fam = EDGE_FAMILIES[f.name]
-            col = fam.fn(f.a * h[:, i] + f.b)
-            if not np.all(np.isfinite(col)):
-                return
-            cols.append(col)
-            idxs.append(i)
+    cols, idxs = [], []
+    for (i, j), (_, fu) in edges[-1].items():
+        if j != 0 or fits_l[i][0].name == "zero":
+            continue
+        if not np.all(np.isfinite(fu)):
+            return
+        cols.append(fu)
+        idxs.append(i)
     if not cols:
         return
     design = np.column_stack(cols + [np.ones(y.size)])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     # keep the total offset: spread the fitted intercept over the active
     # edges and zero the rest
-    active = [i for i in range(d_in) if mask[i, 0]]
+    active = [i for i in range(mask.shape[0]) if mask[i, 0]]
     share = float(sol[-1]) / len(active)
     for i in active:
         f = fits_l[i][0]

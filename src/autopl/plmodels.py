@@ -454,7 +454,15 @@ def read_csv(path) -> Dataset:
         header = next(reader, None)
         if not header or header[-1] != "pl_db":
             raise DataError("dataset CSV must end with a pl_db column")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has "
+                                     f"{len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError("dataset CSV has no rows")
     arr = np.asarray(rows, dtype=float)

@@ -457,3 +457,36 @@ def test_manifest_lists_exactly_the_run_files(tmp_path):
     assert main(["report", "--runs", str(base), str(dsr),
                  "--out", str(rep)]) == 0
     check(rep, [base / "metrics.csv", dsr / "metrics.csv"])
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_eval_rejects_runs_below_one(tmp_path, capsys, runs):
+    data = _gen(tmp_path, "ci", count=40)
+    expr = tmp_path / "expr.json"
+    i = read_csv(data).feature_names.index("d_m")
+    expr.write_text(tree_to_json(ExpressionTree((Token.variable("d_m", i),))))
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", str(data), "--expr-json", str(expr),
+               "--runs", runs, "--out", str(out)])
+    assert rc == 1
+    assert "--runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1.0,2.0", "2 cells, the header has 3"),
+    ("1.0,abc,3.0", "'abc'"),
+], ids=["short-row", "non-numeric"])
+def test_malformed_dataset_csv_is_a_data_error(tmp_path, capsys, bad_row,
+                                               message):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"d_m,f_hz,pl_db\n1.0,2.0,3.0\n{bad_row}\n4.0,5.0,6.0\n")
+    out = tmp_path / "base"
+    rc = main(["baseline", "--data", str(data), "--which", "outdoor",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{data}, line 3" in err
+    assert message in err
+    assert not out.exists()

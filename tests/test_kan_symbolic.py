@@ -1,18 +1,25 @@
 """Edge shape fitting, symbolic read-out, affine retraining, extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from autopl.expr.tree import evaluate, to_infix
 from autopl.kan import (
     EDGE_FAMILIES,
+    EdgeFit,
     KanConfig,
+    SymbolicKan,
     auto_symbolic,
     build_network,
     extract_expression,
     fit_edge,
     retrain_affine,
+    train,
 )
+from autopl.kan import symbolic
+from autopl.plmodels import SyntheticSpec, generate_synthetic, normalize_max
 
 
 def _curve(n=200):
@@ -276,3 +283,184 @@ def test_edge_family_table_is_consistent():
         assert fam.complexity >= 0
         vals = fam.fn(x)
         assert vals.shape == x.shape
+
+
+# ---------------------------------------------------------------------------
+# the one-pass forward against the per-edge recompute it replaced: each
+# reference below evaluates every edge again through EdgeFit.__call__
+
+
+def _ref_forward(sym, X):
+    hs = [np.asarray(X, dtype=float)]
+    with np.errstate(all="ignore"):
+        for fits_l, mask in zip(sym.fits, sym.masks):
+            h = hs[-1]
+            d_in, d_out = mask.shape
+            out = np.zeros((h.shape[0], d_out))
+            for j in range(d_out):
+                for i in range(d_in):
+                    if mask[i, j]:
+                        out[:, j] += fits_l[i][j](h[:, i])
+            hs.append(out)
+    return hs
+
+
+def _ref_mse_and_grad(sym, X, y):
+    hs = _ref_forward(sym, X)
+    pred = hs[-1][:, 0]
+    if not np.all(np.isfinite(pred)):
+        return 1e30, np.zeros(symbolic._flatten(sym).size)
+    n = y.size
+    mse = float(np.mean((pred - y) ** 2))
+    d_h = (2.0 / n) * (hs[-1] - y[:, None])
+    grads = []
+    layer_grads = []
+    with np.errstate(all="ignore"):
+        for li in range(len(sym.fits) - 1, -1, -1):
+            fits_l, mask = sym.fits[li], sym.masks[li]
+            h = hs[li]
+            d_in, d_out = mask.shape
+            g_layer = np.zeros((d_in, d_out, 4))
+            d_prev = np.zeros_like(h)
+            for j in range(d_out):
+                for i in range(d_in):
+                    f = fits_l[i][j]
+                    if not mask[i, j]:
+                        continue
+                    fam = EDGE_FAMILIES[f.name]
+                    u = f.a * h[:, i] + f.b
+                    fu = fam.fn(u)
+                    dfu = fam.dfn(u)
+                    w = d_h[:, j]
+                    g_layer[i, j, 0] = np.nansum(w * f.c * dfu * h[:, i])
+                    g_layer[i, j, 1] = np.nansum(w * f.c * dfu)
+                    g_layer[i, j, 2] = np.nansum(w * fu)
+                    g_layer[i, j, 3] = np.sum(w)
+                    d_prev[:, i] += w * f.c * dfu * f.a
+            layer_grads.append(g_layer)
+            d_h = d_prev
+    for g_layer in reversed(layer_grads):
+        d_in, d_out, _ = g_layer.shape
+        for i in range(d_in):
+            for j in range(d_out):
+                grads += list(g_layer[i, j])
+    return mse, np.asarray(grads)
+
+
+def _ref_polish_last_layer(sym, X, y):
+    h = _ref_forward(sym, X)[-2]
+    fits_l, mask = sym.fits[-1], sym.masks[-1]
+    d_in = mask.shape[0]
+    cols = []
+    idxs = []
+    with np.errstate(all="ignore"):
+        for i in range(d_in):
+            f = fits_l[i][0]
+            if not mask[i, 0] or f.name == "zero":
+                continue
+            fam = EDGE_FAMILIES[f.name]
+            col = fam.fn(f.a * h[:, i] + f.b)
+            if not np.all(np.isfinite(col)):
+                return
+            cols.append(col)
+            idxs.append(i)
+    if not cols:
+        return
+    design = np.column_stack(cols + [np.ones(y.size)])
+    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
+    active = [i for i in range(d_in) if mask[i, 0]]
+    share = float(sol[-1]) / len(active)
+    for i in active:
+        f = fits_l[i][0]
+        new_c = f.c
+        if i in idxs:
+            new_c = float(sol[idxs.index(i)])
+        fits_l[i][0] = replace(f, c=new_c, d=share)
+
+
+def _fit_bytes(sym):
+    """Every edge's family and parameters, bit for bit."""
+    names = [f.name for layer in sym.fits for row in layer for f in row]
+    return names, symbolic._flatten(sym).tobytes()
+
+
+@pytest.fixture(scope="module")
+def ci_readout():
+    """A [4, 4, 1] read-out of a briefly trained close-in net."""
+    ds = normalize_max(generate_synthetic(SyntheticSpec("ci", count=300,
+                                                        seed=7)))
+    net = build_network(KanConfig(shape=(4, 4, 1), grid_size=8, steps=40,
+                                  reg_lambda=0.002, seed=1))
+    train(net, ds.X, ds.y)
+    return auto_symbolic(net, ds.X), ds.X, ds.y
+
+
+def _reference_nets(ci_readout):
+    """The trained read-out, one with a pruned edge, one with active
+    zero-family edges in both layers, and one non-finite on some rows."""
+    sym, X, _ = ci_readout
+    pruned = sym.copy()
+    pruned.masks[0][1, 2] = False
+    zeroed = sym.copy()
+    zeroed.fits[0][2][1] = EdgeFit("zero", 0.0, 0.0, 0.0, 0.4, 1.0)
+    zeroed.fits[1][3][0] = EdgeFit("zero", 0.0, 0.0, 0.0, -0.7, 1.0)
+    # log10 of a last-layer input shifted below zero on part of the rows
+    broken = sym.copy()
+    h = _ref_forward(broken, X)[1][:, 0]
+    broken.fits[1][0][0] = EdgeFit("log10", 1.0, -float(np.median(h)),
+                                   1.0, 0.0, 1.0)
+    return {"trained": sym.copy(), "pruned": pruned, "zeroed": zeroed,
+            "non-finite": broken}
+
+
+def test_one_pass_mse_and_grad_match_recompute_reference(ci_readout):
+    _, X, y = ci_readout
+    # the c gradient reads f(u); on identity and zero edges it equals u
+    assert set(_fit_bytes(ci_readout[0])[0]) - {"identity", "zero"}
+    for label, sym in _reference_nets(ci_readout).items():
+        mse, grad = symbolic._mse_and_grad(sym, X, y)
+        if label == "non-finite":
+            assert mse == 1e30 and not grad.any()
+        else:
+            assert mse < 1e30 and grad.any()
+        # at the read-out's parameters, then away from them
+        for theta in (symbolic._flatten(sym),
+                      symbolic._flatten(sym) * 1.01 + 0.003):
+            symbolic._unflatten(sym, theta)
+            mse, grad = symbolic._mse_and_grad(sym, X, y)
+            ref_mse, ref_grad = _ref_mse_and_grad(sym, X, y)
+            assert np.float64(mse).tobytes() == \
+                np.float64(ref_mse).tobytes(), label
+            assert grad.dtype == ref_grad.dtype, label
+            assert grad.tobytes() == ref_grad.tobytes(), label
+            hs = symbolic._forward(sym, X)[0]
+            assert [h.tobytes() for h in hs] == \
+                [h.tobytes() for h in _ref_forward(sym, X)], label
+
+
+def test_one_pass_polish_matches_recompute_reference(ci_readout):
+    _, X, y = ci_readout
+    for label, sym in _reference_nets(ci_readout).items():
+        polished, ref = sym.copy(), sym.copy()
+        symbolic._polish_last_layer(polished, X, y)
+        _ref_polish_last_layer(ref, X, y)
+        assert _fit_bytes(polished) == _fit_bytes(ref), label
+        # a non-finite output column leaves the net as it was
+        unchanged = _fit_bytes(polished) == _fit_bytes(sym)
+        assert unchanged == (label == "non-finite"), label
+
+
+def test_retrain_affine_matches_recompute_reference(ci_readout, monkeypatch):
+    _, X, y = ci_readout
+    for label in ("trained", "zeroed"):
+        sym = _reference_nets(ci_readout)[label]
+        got, got_mse = retrain_affine(sym, X, y, steps=60)
+        with monkeypatch.context() as m:
+            m.setattr(symbolic, "_mse_and_grad", _ref_mse_and_grad)
+            m.setattr(symbolic, "_polish_last_layer", _ref_polish_last_layer)
+            m.setattr(SymbolicKan, "forward",
+                      lambda self, X: _ref_forward(self, X)[-1])
+            want, want_mse = retrain_affine(sym, X, y, steps=60)
+        assert _fit_bytes(got) == _fit_bytes(want), label
+        assert np.float64(got_mse).tobytes() == \
+            np.float64(want_mse).tobytes(), label
