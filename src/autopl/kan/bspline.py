@@ -49,25 +49,43 @@ class BSplineBasis:
             b[at_hi] = 0.0
             b[at_hi, self.order - 1 + self.grid_size - 1] = 1.0
         for q in range(2, up_to + 1):
-            span_l = t[q - 1:-1] - t[:-q]
-            span_r = t[q:] - t[1:-q + 1]
-            left = (x[:, None] - t[None, :-q]) / span_l * b[:, :-1]
-            right = (t[None, q:] - x[:, None]) / span_r * b[:, 1:]
-            b = left + right
+            b = self._raise(b, x, q)
         return b
 
-    def design_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Basis values at x, shape (len(x), n_basis)."""
-        return self._orders(np.asarray(x, float), self.order)
+    def _raise(self, b: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
+        """One recursion step: order q - 1 values to order q."""
+        t = self.knots
+        span_l = t[q - 1:-1] - t[:-q]
+        span_r = t[q:] - t[1:-q + 1]
+        left = (x[:, None] - t[None, :-q]) / span_l * b[:, :-1]
+        right = (t[None, q:] - x[:, None]) / span_r * b[:, 1:]
+        return left + right
 
-    def derivative_matrix(self, x: np.ndarray) -> np.ndarray:
-        """First derivatives of each basis function at x."""
-        x = np.asarray(x, dtype=float)
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """Order-(k-1) basis values at x, from which both the design and
+        the derivative matrix follow; at order 1, the order-1 values."""
+        return self._orders(x, max(self.order - 1, 1))
+
+    def design_from_lower(self, lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Design matrix at x from `lower(x)`: the recursion's last step."""
         if self.order == 1:
-            return np.zeros((x.shape[0], self.n_basis))
+            return lower
+        return self._raise(lower, np.asarray(x, dtype=float), self.order)
+
+    def derivative_from_lower(self, lower: np.ndarray) -> np.ndarray:
+        """Derivative matrix at x from `lower(x)`."""
+        if self.order == 1:
+            return np.zeros((lower.shape[0], self.n_basis))
         t = self.knots
         k = self.order
-        lower = self._orders(x, k - 1)  # order k-1 values
         d_l = t[k - 1:-1] - t[:-k]
         d_r = t[k:] - t[1:-k + 1]
         return (k - 1) * (lower[:, :-1] / d_l - lower[:, 1:] / d_r)
+
+    def design_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Basis values at x, shape (len(x), n_basis)."""
+        return self.design_from_lower(self.lower(x), x)
+
+    def derivative_matrix(self, x: np.ndarray) -> np.ndarray:
+        """First derivatives of each basis function at x."""
+        return self.derivative_from_lower(self.lower(x))

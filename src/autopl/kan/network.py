@@ -76,30 +76,45 @@ class KanLayer:
     def d_out(self) -> int:
         return self.w_base.shape[1]
 
-    def forward(self, X: np.ndarray, want_cache: bool = False):
-        """Node outputs (N, d_out); optionally the cache for backprop."""
+    def prepare(self, X: np.ndarray) -> dict:
+        """The parameter-free part of a forward pass over X: the clamped
+        input, its SiLU, the design matrix and the order-(k-1) basis the
+        input gradient is taken from."""
         X = np.asarray(X, dtype=float)
         xc = np.clip(X, self.basis.lo, self.basis.hi)
         n, d_in = xc.shape
-        s = silu(xc)
-        flat = self.basis.design_matrix(xc.ravel())
-        b = flat.reshape(n, d_in, self.basis.n_basis)
+        flat_x = xc.ravel()
+        lower = self.basis.lower(flat_x)
+        flat = self.basis.design_from_lower(lower, flat_x)
+        return {"X": X, "xc": xc, "s": silu(xc), "lower": lower,
+                "b": flat.reshape(n, d_in, self.basis.n_basis)}
+
+    def forward(self, X: np.ndarray, want_cache: bool = False,
+                prepared: dict | None = None):
+        """Node outputs (N, d_out); optionally the cache for backprop.
+
+        `prepared` is `prepare(X)`, passed by callers that run the same
+        input through many parameter settings.
+        """
+        p = self.prepare(X) if prepared is None else prepared
+        s, b = p["s"], p["b"]
         spl = np.einsum("nim,ijm->nij", b, self.coeffs)
         edge = self.prune_mask * (self.w_base * s[:, :, None]
                                   + self.w_spline * spl)
         out = edge.sum(axis=1)
         if not want_cache:
             return out
-        cache = {"X": X, "xc": xc, "s": s, "b": b, "spl": spl, "edge": edge}
-        return out, cache
+        return out, {**p, "spl": spl, "edge": edge}
 
     def backward(self, cache: dict, d_out: np.ndarray,
-                 d_edge_extra: np.ndarray | None = None):
+                 d_edge_extra: np.ndarray | None = None,
+                 input_grad: bool = True):
         """Gradients for one layer.
 
         d_out is dL/d(node outputs), d_edge_extra an optional direct
         dL/d(edge output) term (used by the edge-sparsity penalty).
-        Returns (grads dict, dL/dX of the layer input).
+        Returns (grads dict, dL/dX of the layer input); the latter is
+        None when `input_grad` is false.
         """
         xc, s, b, spl = cache["xc"], cache["s"], cache["b"], cache["spl"]
         d_edge = np.broadcast_to(d_out[:, None, :],
@@ -110,16 +125,19 @@ class KanLayer:
         g_wb = np.einsum("nij,ni->ij", d_edge, s)
         g_ws = np.einsum("nij,nij->ij", d_edge, spl)
         g_c = np.einsum("nij,nim->ijm", d_edge * self.w_spline, b)
+        grads = {"w_base": g_wb, "w_spline": g_ws, "coeffs": g_c}
+        if not input_grad:
+            return grads, None
         # input gradient: through the base path and the spline path;
         # clamping zeroes it outside the interval
-        flat_d = self.basis.derivative_matrix(xc.ravel())
+        flat_d = self.basis.derivative_from_lower(cache["lower"])
         db = flat_d.reshape(xc.shape[0], self.d_in, self.basis.n_basis)
         dspl_dx = np.einsum("nim,ijm->nij", db, self.coeffs)
         d_xc = silu_prime(xc) * np.einsum("nij,ij->ni", d_edge, self.w_base)
         d_xc += np.einsum("nij,nij->ni", d_edge * self.w_spline, dspl_dx)
         inside = (cache["X"] > self.basis.lo) & (cache["X"] < self.basis.hi)
         d_x = d_xc * inside
-        return {"w_base": g_wb, "w_spline": g_ws, "coeffs": g_c}, d_x
+        return grads, d_x
 
     def copy(self) -> "KanLayer":
         return KanLayer(self.basis, self.w_base.copy(), self.w_spline.copy(),
@@ -141,18 +159,26 @@ class KanNetwork:
     def shape(self) -> tuple[int, ...]:
         return self.config.shape
 
-    def forward(self, X: np.ndarray, want_caches: bool = False):
+    def forward(self, X: np.ndarray, want_caches: bool = False,
+                first: dict | None = None):
+        """Output (N, d_out); optionally every layer's cache.
+
+        `first` is `layers[0].prepare(X)`, for callers that evaluate the
+        same input under many parameter settings.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.shape[0]:
             raise ValueError(f"expected (n, {self.shape[0]}) input")
         caches = []
         h = X
+        prepared = first
         for layer in self.layers:
             if want_caches:
-                h, cache = layer.forward(h, want_cache=True)
+                h, cache = layer.forward(h, True, prepared)
                 caches.append(cache)
             else:
-                h = layer.forward(h)
+                h = layer.forward(h, False, prepared)
+            prepared = None
         return (h, caches) if want_caches else h
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -15,8 +15,6 @@ from scipy import optimize
 from autopl.errors import TrainingError
 from autopl.kan.network import KanNetwork
 
-GRID_CHOICES = (5, 8, 10, 15, 20, 30, 40, 50)
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -26,8 +24,10 @@ class TrainResult:
 
 
 def _loss_and_grad(net: KanNetwork, X: np.ndarray, y2d: np.ndarray,
-                   lamb: float):
-    out, caches = net.forward(X, want_caches=True)
+                   lamb: float, first: dict | None = None):
+    """Loss, flat gradient, MSE and penalty; `first` is
+    `net.layers[0].prepare(X)` when the caller has it."""
+    out, caches = net.forward(X, want_caches=True, first=first)
     n = X.shape[0]
     resid = out - y2d
     mse = float(np.mean(resid ** 2))
@@ -41,7 +41,7 @@ def _loss_and_grad(net: KanNetwork, X: np.ndarray, y2d: np.ndarray,
         if lamb > 0.0:
             reg += lamb * float(np.abs(edge).mean(axis=0).sum())
             extra = (lamb / n) * np.sign(edge)
-        grads[li], d_y = layer.backward(caches[li], d_y, extra)
+        grads[li], d_y = layer.backward(caches[li], d_y, extra, li > 0)
     flat = np.concatenate([np.concatenate([g["w_base"].ravel(),
                                            g["w_spline"].ravel(),
                                            g["coeffs"].ravel()])
@@ -103,11 +103,14 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
 
     history: list[dict] = []
     last: dict[str, float] = {}
+    # the first layer sees X on every evaluation: clamp it and build its
+    # basis once, for this fit only
+    first = net.layers[0].prepare(X)
 
     def objective(theta: np.ndarray):
         net.set_params(theta)
         loss, grad, last["mse"], last["reg"] = _loss_and_grad(
-            net, X, z2d, cfg.reg_lambda)
+            net, X, z2d, cfg.reg_lambda, first)
         return loss, grad
 
     def record(theta: np.ndarray):
@@ -161,23 +164,3 @@ def prune(net: KanNetwork, X: np.ndarray, threshold: float = 0.01) -> KanNetwork
             raise TrainingError("pruning would remove every edge in a layer")
         layer.prune_mask = keep
     return out
-
-
-def grid_search(base_net_builder, X, y, X_val, y_val,
-                grids=GRID_CHOICES) -> tuple[KanNetwork, int, list[dict]]:
-    """Train one fresh network per grid size, pick the best validation MSE.
-
-    base_net_builder maps a grid size to an untrained network.  Ties go
-    to the coarser grid.
-    """
-    rows = []
-    best = None
-    for g in grids:
-        net = base_net_builder(int(g))
-        result = train(net, X, y)
-        val_mse = float(np.mean((net.predict(X_val) - y_val) ** 2))
-        rows.append({"grid": int(g), "train_mse": result.final_mse,
-                     "val_mse": val_mse})
-        if best is None or val_mse < best[0]:
-            best = (val_mse, int(g), net)
-    return best[2], best[1], rows

@@ -69,6 +69,29 @@ def test_order_one_derivative_is_zero():
     assert np.array_equal(b.derivative_matrix(x), np.zeros((50, 6)))
 
 
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_basis_split_matches_full_recursion(order):
+    b = BSplineBasis(6, order)
+    x = np.concatenate([np.linspace(b.lo, b.hi, 97), [b.hi, b.lo, b.hi]])
+    # points clamped onto the interval's ends, and raw ones beyond it
+    x = np.concatenate([x, np.clip([-3.0, 2.0], b.lo, b.hi), [-3.0, 2.0]])
+    lower = b.lower(x)
+    design = b.design_from_lower(lower, x)
+    assert design.tobytes() == b._orders(x, order).tobytes()
+    assert b.design_matrix(x).tobytes() == design.tobytes()
+    # the derivative formula over a separately computed order-(k-1) basis
+    t, k = b.knots, order
+    if k == 1:
+        want = np.zeros((x.shape[0], b.n_basis))
+    else:
+        low = b._orders(x, k - 1)
+        want = (k - 1) * (low[:, :-1] / (t[k - 1:-1] - t[:-k])
+                          - low[:, 1:] / (t[k:] - t[1:-k + 1]))
+    assert b.derivative_from_lower(lower).tobytes() == want.tobytes()
+    assert b.derivative_matrix(x).tobytes() == want.tobytes()
+
+
 def test_local_support():
     # an order-k basis function spans exactly k cells
     b = BSplineBasis(10, 3)

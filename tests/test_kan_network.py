@@ -9,6 +9,7 @@ from scipy import optimize
 
 from autopl.errors import CheckpointError, TrainingError
 from autopl.kan import (
+    BSplineBasis,
     KanConfig,
     build_network,
     edge_importance,
@@ -17,11 +18,11 @@ from autopl.kan import (
     save_kan,
     train,
 )
+from autopl.kan.network import silu, silu_prime
 from autopl.kan.train import (
     _loss_and_grad,
     _scale_output,
     _shift_output,
-    grid_search,
 )
 
 
@@ -177,6 +178,127 @@ def test_train_evaluates_loss_once_per_point(monkeypatch):
     assert len(calls) < 2 * nit
 
 
+
+def _reference_layer_forward(layer, X):
+    """KanLayer.forward without a prepared input: every call clamps X and
+    runs the whole recursion."""
+    X = np.asarray(X, dtype=float)
+    xc = np.clip(X, layer.basis.lo, layer.basis.hi)
+    n, d_in = xc.shape
+    s = silu(xc)
+    flat = layer.basis._orders(xc.ravel(), layer.basis.order)
+    b = flat.reshape(n, d_in, layer.basis.n_basis)
+    spl = np.einsum("nim,ijm->nij", b, layer.coeffs)
+    edge = layer.prune_mask * (layer.w_base * s[:, :, None]
+                               + layer.w_spline * spl)
+    cache = {"X": X, "xc": xc, "s": s, "b": b, "spl": spl, "edge": edge}
+    return edge.sum(axis=1), cache
+
+
+def _reference_layer_backward(layer, cache, d_out, d_edge_extra):
+    """KanLayer.backward with the derivative matrix recomputed from x,
+    and the input gradient always computed."""
+    xc, s, b, spl = cache["xc"], cache["s"], cache["b"], cache["spl"]
+    d_edge = np.broadcast_to(d_out[:, None, :],
+                             (xc.shape[0], layer.d_in, layer.d_out)).copy()
+    if d_edge_extra is not None:
+        d_edge += d_edge_extra
+    d_edge *= layer.prune_mask
+    g_wb = np.einsum("nij,ni->ij", d_edge, s)
+    g_ws = np.einsum("nij,nij->ij", d_edge, spl)
+    g_c = np.einsum("nij,nim->ijm", d_edge * layer.w_spline, b)
+    basis, x = layer.basis, xc.ravel()
+    k, t = basis.order, basis.knots
+    if k == 1:
+        flat_d = np.zeros((x.shape[0], basis.n_basis))
+    else:
+        lower = basis._orders(x, k - 1)
+        flat_d = (k - 1) * (lower[:, :-1] / (t[k - 1:-1] - t[:-k])
+                            - lower[:, 1:] / (t[k:] - t[1:-k + 1]))
+    db = flat_d.reshape(xc.shape[0], layer.d_in, basis.n_basis)
+    dspl_dx = np.einsum("nim,ijm->nij", db, layer.coeffs)
+    d_xc = silu_prime(xc) * np.einsum("nij,ij->ni", d_edge, layer.w_base)
+    d_xc += np.einsum("nij,nij->ni", d_edge * layer.w_spline, dspl_dx)
+    inside = (cache["X"] > basis.lo) & (cache["X"] < basis.hi)
+    return {"w_base": g_wb, "w_spline": g_ws, "coeffs": g_c}, d_xc * inside
+
+
+def _reference_loss_and_grad(net, X, y2d, lamb):
+    """_loss_and_grad over the reference layer passes."""
+    h, caches = X, []
+    for layer in net.layers:
+        h, cache = _reference_layer_forward(layer, h)
+        caches.append(cache)
+    resid = h - y2d
+    mse = float(np.mean(resid ** 2))
+    d_y = (2.0 / resid.size) * resid
+    reg = 0.0
+    grads = [None] * len(net.layers)
+    for li in range(len(net.layers) - 1, -1, -1):
+        edge = caches[li]["edge"]
+        extra = None
+        if lamb > 0.0:
+            reg += lamb * float(np.abs(edge).mean(axis=0).sum())
+            extra = (lamb / X.shape[0]) * np.sign(edge)
+        grads[li], d_y = _reference_layer_backward(net.layers[li], caches[li],
+                                                   d_y, extra)
+    flat = np.concatenate([np.concatenate([g["w_base"].ravel(),
+                                           g["w_spline"].ravel(),
+                                           g["coeffs"].ravel()])
+                           for g in grads])
+    return mse + reg, flat, mse, reg
+
+
+@pytest.mark.parametrize("lamb", [0.0, 0.01])
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("order", [1, 3, 4])
+@pytest.mark.parametrize("shape", [(2, 3, 1), (2, 2, 2, 1)])
+def test_prepared_first_layer_matches_recompute_reference(shape, order,
+                                                          pruned, lamb):
+    net = build_network(KanConfig(shape=shape, grid_size=5, order=order,
+                                  seed=3))
+    if pruned:
+        net.layers[0].prune_mask[1, 0] = False
+    lo, hi = net.layers[0].basis.lo, net.layers[0].basis.hi
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, (40, 2))
+    # rows on both ends of the interval and outside it
+    X[:4] = [[lo, hi], [hi, lo], [lo - 0.3, hi + 2.0], [-5.0, 7.0]]
+    y2d = rng.normal(size=(40, 1))
+    want = _reference_loss_and_grad(net, X, y2d, lamb)
+    for first in (net.layers[0].prepare(X), None):
+        got = _loss_and_grad(net, X, y2d, lamb, first)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (2, 2, 2, 1)])
+def test_train_builds_first_layer_basis_once(monkeypatch, shape):
+    orders, losses = [], []
+    real_orders = BSplineBasis._orders
+
+    def counted_orders(self, x, up_to):
+        orders.append(1)
+        return real_orders(self, x, up_to)
+
+    def counted_loss(*args):
+        losses.append(1)
+        return _loss_and_grad(*args)
+
+    kan_train = importlib.import_module("autopl.kan.train")
+    monkeypatch.setattr(BSplineBasis, "_orders", counted_orders)
+    monkeypatch.setattr(kan_train, "_loss_and_grad", counted_loss)
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-1, 1, (100, 2))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
+    train(_toy_net(shape=shape, steps=30), X, y)
+    n_layers, hidden = len(shape) - 1, len(shape) - 2
+    assert len(losses) >= 10
+    # the first layer's basis once per fit, each hidden layer's once per
+    # evaluation, and every layer's for each of train's two predictions
+    assert len(orders) == 1 + hidden * len(losses) + 2 * n_layers
+
+
 def test_train_continues_without_degrading():
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, (120, 2))
@@ -287,21 +409,3 @@ def test_checkpoint_errors(tmp_path):
     truncated.write_text('{"format": "kan-checkpoint", "version": 1, "config": {}}')
     with pytest.raises(CheckpointError):
         load_kan(truncated)
-
-
-def test_grid_search_picks_best_validation_grid():
-    rng = np.random.default_rng(10)
-    X = rng.uniform(-1, 1, (300, 2))
-    y = np.sin(4.0 * X[:, 0]) + X[:, 1] + 30.0
-    Xv = rng.uniform(-1, 1, (100, 2))
-    yv = np.sin(4.0 * Xv[:, 0]) + Xv[:, 1] + 30.0
-
-    def builder(g):
-        return build_network(KanConfig(shape=(2, 1), grid_size=g, steps=40, seed=0))
-
-    net, best_grid, rows = grid_search(builder, X, y, Xv, yv, grids=(3, 8, 15))
-    assert best_grid in (3, 8, 15)
-    assert len(rows) == 3
-    best_row = min(rows, key=lambda r: r["val_mse"])
-    assert best_row["grid"] == best_grid
-    assert np.mean((net.predict(Xv) - yv) ** 2) == pytest.approx(best_row["val_mse"])
