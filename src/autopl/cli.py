@@ -430,7 +430,12 @@ def cmd_eval(args) -> int:
         if not os.path.exists(args.expr_json):
             raise DataError(f"expression file not found: {args.expr_json}")
         with open(args.expr_json) as fh:
-            tree = tree_from_json(fh.read())
+            text = fh.read()
+        try:
+            tree = tree_from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed expression file {args.expr_json}: "
+                            f"{exc!r}") from exc
         # variables are stored by column index; the name must match too
         for t in tree.tokens:
             i = t.var_index

@@ -28,9 +28,11 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
     Only what the fit uses: coefficients 1, 2, 0.5 and 0.5, scipy's
     initial simplex, the xatol/fatol stop and ``maxiter`` without a call
     limit.  Every product and sum is the one scipy's array expressions
-    compute, and the simplex is re-sorted with ``np.argsort`` (which is
-    not stable on every machine), so ``x`` and ``fun`` come out the same.
-    Returns the best vertex and its value.
+    compute, and the simplex is re-sorted in ``np.argsort``'s order, so
+    ``x`` and ``fun`` come out the same: distinct values have one order,
+    which ``sorted`` finds faster; ties and NaN go to ``np.argsort``
+    itself, which is not stable on every machine.  Returns the best
+    vertex and its value.
     """
     start = [float(v) for v in x0]
     n = len(start)
@@ -42,7 +44,12 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
     fsim = [func(np.array(x)) for x in sim]
 
     def resort() -> None:
-        ind = np.argsort(fsim).tolist()
+        # NaN is tested value by value: fsim == fsim holds even with a
+        # NaN in it, as list equality checks identity first
+        if all(f == f for f in fsim) and len(set(fsim)) == n + 1:
+            ind = sorted(range(n + 1), key=fsim.__getitem__)
+        else:
+            ind = np.argsort(fsim).tolist()
         sim[:] = [sim[i] for i in ind]
         fsim[:] = [fsim[i] for i in ind]
 
@@ -98,7 +105,10 @@ def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
     and each distinct candidate (by its exact bytes) is scored once per
     fit.  Trees whose predictions stay non-finite everywhere come back
     flagged unfittable so callers can assign the floor reward instead
-    of crashing.
+    of crashing.  When the constant-free values already settle that (a
+    NaN row, or a +-inf row that every op above keeps non-finite; see
+    ``Prepared.never_finite``), the fit returns so without scoring a
+    candidate: every search would score only non-finite ones.
     """
     y = np.asarray(y, dtype=float)
     k = tree.n_constants
@@ -107,6 +117,8 @@ def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
     # bad vertices, not errors
     with np.errstate(all="ignore"):
         fixed = prepare(tree, X)
+        if fixed.never_finite():
+            return FitResult(tree, math.inf, False)
 
         def objective(c: np.ndarray) -> float:
             key = c.tobytes()

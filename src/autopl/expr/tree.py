@@ -3,12 +3,18 @@
 Evaluation is vectorized over dataset rows and never raises on numeric
 trouble: division by zero, logs of non-positive values, and overflow
 flow through as inf/nan for the caller to score.
+
+A tree is evaluated in two stages.  The fixed stage computes its
+constant-free subtrees by walking a step list; the constant stage, which
+only a tree with a constant slot has, is generated source compiled once
+per token sequence and rerun for each candidate a constant fit scores.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -16,8 +22,9 @@ import numpy as np
 
 from autopl.expr.tokens import BINARY_SYMBOLS, Token, TokenKind
 
-# source templates for the compiled evaluator; each operand is a local
-# name, so an operand used twice (square) is still computed once
+# templates for both stages: the constant stage's source and the fixed
+# stage's per-op functions; each operand is a name, so an operand used
+# twice (square) is still computed once
 _UNARY_SRC = {
     "log10": "_log10({})",
     "exp": "_exp({})",
@@ -36,6 +43,17 @@ _BINARY_SRC = {
 
 _NAMESPACE = {"_log10": np.log10, "_exp": np.exp, "_sin": np.sin,
               "_cos": np.cos, "_sqrt": np.sqrt}
+
+# the fixed stage's per-op functions, made from the same templates
+_UNARY_FN = {name: eval(f"lambda a: {src.format('a')}", dict(_NAMESPACE))
+             for name, src in _UNARY_SRC.items()}
+_BINARY_FN = {name: eval(f"lambda a, b: {src.format('a', 'b')}")
+              for name, src in _BINARY_SRC.items()}
+
+# ops that keep a non-finite operand non-finite (inf or nan) whatever
+# their other operand; exp(-inf) and x / inf are finite
+_KEEPS_NON_FINITE = frozenset(
+    {"add", "sub", "mul", "log10", "sqrt", "sin", "cos", "square"})
 
 
 def is_complete(tokens: Sequence[Token]) -> bool:
@@ -98,24 +116,55 @@ def _leaf_values(tree: ExpressionTree) -> list[float | None]:
     return values
 
 
+def _walk(steps: tuple, literals: tuple, roots: tuple[int, ...],
+          X: np.ndarray) -> tuple:
+    # registers: X, the literals, then one value per step
+    r = [X, *literals]
+    for fn, a, b in steps:
+        r.append(fn(r[a]) if b is None else fn(r[a], r[b]))
+    return tuple([r[i] for i in roots])
+
+
 @functools.lru_cache(maxsize=64)
 def _compile(tokens: tuple[Token, ...]):
-    """Two straight-line functions for a prefix sequence.
+    """The two stages of a prefix sequence.
 
-    Each body holds one assignment per token, emitted right to left in the
-    order a stack machine would evaluate them, so results match operation
-    for operation.  Tokens whose subtree holds no constant slot go to the
-    fixed stage ``fixed(X)``, which returns the roots of the largest such
-    subtrees; the rest go to the constant stage ``varying(c, F)``, which
-    reads those roots from F and the constant slots from c, a float64
-    vector in prefix order.  Literals are bound once as float64 scalars.
-    Returns both functions and the (name, column) pairs of the variables.
+    Tokens are taken right to left, in the order a stack machine would
+    evaluate them, so results match operation for operation.  Tokens
+    whose subtree holds no constant slot form the fixed stage
+    ``fixed(X)``: a step list walked with per-op functions made from the
+    same templates, returning the roots of the largest such subtrees.
+    Only a tree with a constant slot gets a constant stage
+    ``varying(c, F)``, generated as straight-line source and ``exec``'d;
+    it reads the roots from F and the slots from c, a float64 vector in
+    prefix order.  A constant-free tree's value is its fixed stage's one
+    root, and its ``varying`` is None.  Literals are float64 scalars.
+
+    Also records, per root, whether every op between it and the output
+    keeps a non-finite value non-finite: those in ``_KEEPS_NON_FINITE``
+    and the numerator of a division.  Returns ``fixed``, ``varying``,
+    those flags, and the (name, column) pairs of the variables.
     """
-    fixed_lines: list[str] = []
-    varying_lines: list[str] = []
-    hoisted: list[str] = []  # fixed-stage roots the constant stage reads
-    stack: list[tuple[str, bool]] = []  # (local, its subtree holds a slot)
+    # per position, prefix order (parents first): does a non-finite value
+    # there stay non-finite at the output?
+    keeps: list[bool] = []
+    pending = [True]
+    for t in tokens:
+        k = pending.pop()
+        keeps.append(k)
+        if t.arity:
+            # the last operand first: the left subtree is read next
+            pending.append(k and t.name in _KEEPS_NON_FINITE)
+        if t.arity == 2:
+            pending.append(k and (t.name in _KEEPS_NON_FINITE
+                                  or t.name == "div"))
+    n_literals = sum(1 for t in tokens if t.kind is TokenKind.LITERAL)
     literals: list[np.float64] = []
+    steps: list[tuple] = []
+    register: dict[int, int] = {}  # position -> register, fixed stage
+    varying_lines: list[str] = []
+    hoisted: list[int] = []  # positions of the roots the constant stage reads
+    stack: list[tuple[int, bool]] = []  # (position, its subtree holds a slot)
     variables: list[tuple[str, int]] = []
     slot = sum(1 for t in tokens if t.kind is TokenKind.CONST)
     for pos in range(len(tokens) - 1, -1, -1):
@@ -125,39 +174,52 @@ def _compile(tokens: tuple[Token, ...]):
             if t.var_index is None:
                 raise ValueError(f"variable {t.name!r} has no column index")
             variables.append((t.name, int(t.var_index)))
-            rhs = f"X[:, {int(t.var_index)}]"
+            steps.append((operator.itemgetter((slice(None), int(t.var_index))),
+                          0, None))
         elif t.kind is TokenKind.LITERAL:
             literals.append(np.float64(t.value))
-            rhs = f"_lit[{len(literals) - 1}]"
+            register[pos] = len(literals)
         elif varying:
             slot -= 1
-            rhs = f"c[{slot}]"
+            varying_lines.append(f"    t{pos} = c[{slot}]\n")
         elif t.kind is TokenKind.UNARY:
             a, varying = stack.pop()
-            rhs = _UNARY_SRC[t.name].format(a)
+            if varying:
+                varying_lines.append(
+                    f"    t{pos} = {_UNARY_SRC[t.name].format(f't{a}')}\n")
+            else:
+                steps.append((_UNARY_FN[t.name], register[a], None))
         else:
             (a, a_varies), (b, b_varies) = stack.pop(), stack.pop()
             varying = a_varies or b_varies
-            # a constant-free operand of a varying node is a fixed root
-            if varying and not a_varies:
-                hoisted.append(a)
-            if varying and not b_varies:
-                hoisted.append(b)
-            rhs = _BINARY_SRC[t.name].format(a, b)
-        (varying_lines if varying else fixed_lines).append(
-            f"    t{pos} = {rhs}\n")
-        stack.append((f"t{pos}", varying))
-    if not stack[0][1]:
-        hoisted.append("t0")
-    roots = "".join(f"{name}, " for name in hoisted)
-    source = ("def fixed(X):\n" + "".join(fixed_lines)
-              + f"    return ({roots})\n"
-              + "def varying(c, F):\n"
-              + (f"    {roots}= F\n" if hoisted else "")
-              + "".join(varying_lines) + "    return t0\n")
-    namespace = dict(_NAMESPACE, _lit=tuple(literals))
-    exec(source, namespace)
-    return namespace["fixed"], namespace["varying"], tuple(variables)
+            if varying:
+                # a constant-free operand of a varying node is a root
+                if not a_varies:
+                    hoisted.append(a)
+                if not b_varies:
+                    hoisted.append(b)
+                rhs = _BINARY_SRC[t.name].format(f"t{a}", f"t{b}")
+                varying_lines.append(f"    t{pos} = {rhs}\n")
+            else:
+                steps.append((_BINARY_FN[t.name], register[a], register[b]))
+        if not varying and t.kind is not TokenKind.LITERAL:
+            register[pos] = n_literals + len(steps)
+        stack.append((pos, varying))
+    if stack[0][1]:
+        names = "".join(f"t{pos}, " for pos in hoisted)
+        source = ("def varying(c, F):\n"
+                  + (f"    {names}= F\n" if hoisted else "")
+                  + "".join(varying_lines) + "    return t0\n")
+        namespace = dict(_NAMESPACE)
+        exec(source, namespace)
+        constant_stage = namespace["varying"]
+    else:
+        constant_stage = None
+        hoisted.append(0)
+    fixed = functools.partial(_walk, tuple(steps), tuple(literals),
+                              tuple(register[pos] for pos in hoisted))
+    return (fixed, constant_stage, tuple(keeps[pos] for pos in hoisted),
+            tuple(variables))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +232,20 @@ class Prepared:
     tokens: tuple[Token, ...]
     n_rows: int
     values: tuple
-    varying: Callable
+    varying: Callable | None
+    keeps: tuple[bool, ...]
+
+    def never_finite(self) -> bool:
+        """True when no constants can make every row finite: a value is
+        NaN on some row (every op keeps NaN), or is +-inf on some row and
+        reaches the output only through ops that keep it non-finite."""
+        for v, keeps in zip(self.values, self.keeps):
+            if keeps:
+                if not np.isfinite(v).all():
+                    return True
+            elif np.isnan(v).any():
+                return True
+        return False
 
 
 def prepare(tree: ExpressionTree, X: np.ndarray) -> Prepared:
@@ -178,13 +253,13 @@ def prepare(tree: ExpressionTree, X: np.ndarray) -> Prepared:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d (rows, features)")
-    fixed, varying, variables = _compile(tree.tokens)
+    fixed, varying, keeps, variables = _compile(tree.tokens)
     for name, index in variables:
         if index >= X.shape[1]:
             raise ValueError(f"variable {name!r} outside feature matrix")
     with np.errstate(all="ignore"):
         values = fixed(X)
-    return Prepared(tree.tokens, X.shape[0], values, varying)
+    return Prepared(tree.tokens, X.shape[0], values, varying, keeps)
 
 
 def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
@@ -208,7 +283,8 @@ def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
     if c.shape != (tree.n_constants,):
         raise ValueError(
             f"expected {tree.n_constants} constants, got shape {c.shape}")
-    out = np.asarray(X.varying(c, X.values), dtype=float)
+    out = X.values[0] if X.varying is None else X.varying(c, X.values)
+    out = np.asarray(out, dtype=float)
     if out.ndim == 0:
         out = np.full(X.n_rows, float(out))
     return out

@@ -490,3 +490,21 @@ def test_malformed_dataset_csv_is_a_data_error(tmp_path, capsys, bad_row,
     assert f"{data}, line 3" in err
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"tokens": [',
+    '{"tokens": [{"var": "d_m"}]}',
+    '{"tokens": [{"op": "tan", "kind": "unary"}, {"var": "d_m", "i": 0}]}',
+], ids=["invalid-json", "var-without-index", "unknown-operator"])
+def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
+    data = _gen(tmp_path, "ci", count=40)
+    expr = tmp_path / "expr.json"
+    expr.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", str(data), "--expr-json", str(expr),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"malformed expression file {expr}" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from autopl.expr import ExpressionTree, Token, constfit, evaluate, optimize_constants
+from autopl.expr import (
+    ExpressionTree,
+    Token,
+    constfit,
+    evaluate,
+    optimize_constants,
+    prepare,
+)
 
 ADD = Token.binary("add")
 MUL = Token.binary("mul")
@@ -175,6 +182,58 @@ def test_fit_matches_stack_machine_reference_bit_for_bit():
     assert 0 < fittable < 101
 
 
+def _reference_never_finite(tree, X, scored):
+    # every candidate the reference scored is non-finite on some row
+    with np.errstate(all="ignore"):
+        return not any(
+            np.isfinite(_stack_evaluate(tree.tokens, np.frombuffer(c), X)).all()
+            for c in scored)
+
+
+LOG_ZERO = (LOG, SUB, X0, X0)  # log10(x - x): -inf on every row
+
+
+@pytest.mark.parametrize("tokens", [
+    (ADD, C, LOG, X0),
+    (Token.binary("div"), C, Token.unary("exp"), MUL, C, LOG, X0),
+    (ADD, C) + LOG_ZERO,
+    (MUL, C) + LOG_ZERO,
+    (Token.binary("div"),) + LOG_ZERO + (C,),
+    (LOG, MUL, C) + LOG_ZERO,
+    (Token.unary("square"), ADD, C) + LOG_ZERO,
+], ids=["nan", "nan-under-exp-denominator", "add", "mul", "numerator",
+        "log10", "square"])
+def test_fit_settled_without_search(monkeypatch, tokens):
+    # a NaN row anywhere, or -inf that every op above keeps non-finite
+    rng, X, y = _fit_problem()
+    tree = ExpressionTree(tokens)
+    scored = []
+    _, want_mse = _reference_fit(tree, X, y, 100, scored)
+    assert want_mse == float("inf")
+    assert _reference_never_finite(tree, X, scored)
+    evaluated = _record_evaluate(monkeypatch)
+    res = optimize_constants(tree, X, y, max_iter=100)
+    assert evaluated == []
+    assert (res.tree, res.mse, res.fittable) == (tree, float("inf"), False)
+
+
+@pytest.mark.parametrize("tokens", [
+    (Token.binary("div"), C) + LOG_ZERO,
+    (Token.unary("exp"), MUL, C) + LOG_ZERO,
+], ids=["denominator", "exp"])
+def test_fit_searches_when_inf_can_turn_finite(monkeypatch, tokens):
+    # c / -inf and exp(c * -inf) are finite for c > 0
+    rng, X, y = _fit_problem()
+    tree = ExpressionTree(tokens)
+    scored = []
+    want_c, want_mse = _reference_fit(tree, X, y, 100, scored)
+    evaluated = _record_evaluate(monkeypatch)
+    res = optimize_constants(tree, X, y, max_iter=100)
+    assert evaluated == list(dict.fromkeys(scored))
+    assert res.fittable
+    assert (res.tree.constants, res.mse) == (want_c, want_mse)
+
+
 def _record_evaluate(monkeypatch):
     # the bytes of every constant vector the fit hands to constfit.evaluate
     evaluated = []
@@ -191,17 +250,24 @@ def _record_evaluate(monkeypatch):
 def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
     rng, X, y = _fit_problem()
     evaluated = _record_evaluate(monkeypatch)
-    repeats = 0
+    repeats = skipped = 0
     for tree in _random_trees(rng, 10):
         scored = []
         _reference_fit(tree, X, y, 100, scored)
         evaluated.clear()
         optimize_constants(tree, X, y, max_iter=100)
+        if prepare(tree, X).never_finite():
+            # settled without a search
+            assert evaluated == [], tree.tokens
+            assert _reference_never_finite(tree, X, scored), tree.tokens
+            skipped += 1
+            continue
         # the starting constants, then every distinct simplex candidate
         # of both starts, each once, in the order scipy first scores them
         assert evaluated == list(dict.fromkeys(scored)), tree.tokens
         repeats += len(scored) - len(evaluated)
     assert repeats > 0
+    assert 0 < skipped < 10
     evaluated.clear()
     optimize_constants(ExpressionTree((X0,)), X, y)
     assert len(evaluated) == 1
@@ -236,9 +302,9 @@ def _counted(f):
 
 
 def _tied_objectives(rng, n):
-    # a smooth bowl, the same bowl walled off by an inf half-space, and
-    # rounded copies whose plateaus tie vertices with each other and
-    # with inf; then one that is inf everywhere
+    # a smooth bowl, the same bowl walled off by an inf or a NaN
+    # half-space, and rounded copies whose plateaus tie vertices with
+    # each other and with inf; then one that is inf everywhere
     t = rng.uniform(-2.0, 2.0, n)
     w = rng.uniform(0.1, 3.0, n)
     u = rng.normal(size=n)
@@ -250,9 +316,14 @@ def _tied_objectives(rng, n):
     def walled(x):
         return math.inf if float(np.dot(x - t, u)) > wall else bowl(x)
 
+    def nan_walled(x):
+        return math.nan if float(np.dot(x - t, u)) > wall else bowl(x)
+
     return [bowl, walled,
             lambda x: round(bowl(x), 1),
             lambda x: round(walled(x), 0),
+            nan_walled,
+            lambda x: round(nan_walled(x), 0),
             lambda x: math.inf]
 
 
@@ -270,5 +341,7 @@ def test_nelder_mead_takes_scipys_steps():
                         res = optimize.minimize(ref, x0, method="Nelder-Mead",
                                                 options=options)
                     assert np.array(x).tobytes() == res.x.tobytes()
-                    assert fun == res.fun
+                    # NaN != NaN: a NaN minimum is NaN on both sides
+                    assert fun == res.fun or (math.isnan(fun)
+                                              and math.isnan(res.fun))
                     assert len(our_calls) == len(ref_calls) == res.nfev

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autopl.expr.tree as tree_module
 from autopl.expr import (
     ExpressionTree,
     Token,
@@ -180,9 +181,40 @@ def test_evaluate_matches_stack_machine_bit_for_bit():
 def test_evaluate_deep_tree():
     # nesting far beyond any parser limit on parenthesised source
     depth = 2000
-    tree = ExpressionTree((ADD, X0) * depth + (X1,))
+    deep = (ADD, X0) * depth + (X1,)
     X = np.array([[0.5, 1.0]])
-    assert evaluate(tree, X)[0] == pytest.approx(depth * 0.5 + 1.0)
+    assert evaluate(ExpressionTree(deep), X)[0] == pytest.approx(
+        depth * 0.5 + 1.0)
+    # slot at the top: the deep part is the walked fixed stage
+    top = ExpressionTree((ADD, C) + deep, constants=(2.0,))
+    assert evaluate(top, X)[0] == pytest.approx(depth * 0.5 + 3.0)
+    # slot at the bottom: the deep part is the compiled constant stage
+    bottom = ExpressionTree((ADD, X0) * depth + (C,), constants=(2.0,))
+    assert evaluate(bottom, X)[0] == pytest.approx(depth * 0.5 + 2.0)
+
+
+def test_only_the_constant_stage_is_compiled(monkeypatch):
+    sources = []
+
+    def recording_exec(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(tree_module, "exec", recording_exec, raising=False)
+    tree_module._compile.cache_clear()
+    X = np.array([[2.0, 1.0], [10.0, 4.0]])
+    free = ExpressionTree((ADD, LOG, X0, Token.literal(7)))
+    for _ in range(2):
+        assert np.array_equal(evaluate(free, X), np.log10(X[:, 0]) + 7.0)
+    assert sources == []
+    slotted = ExpressionTree((ADD, MUL, C, LOG, X0, C), constants=(2.0, 3.0))
+    evaluate(slotted, X)
+    hits = tree_module._compile.cache_info().hits
+    for c in ([1.0, 0.0], [-2.0, 5.0]):
+        assert np.array_equal(evaluate(slotted, X, c),
+                              c[0] * np.log10(X[:, 0]) + c[1])
+    assert len(sources) == 1
+    assert tree_module._compile.cache_info().hits == hits + 2
 
 
 def test_to_infix_formatting():
