@@ -320,7 +320,7 @@ def cmd_train_kan(args) -> int:
     if cfg["prune"] is not None:
         net = kan.prune(net, train_ds.X, float(cfg["prune"]))
 
-    kan.save_kan(net, run.path("kan.npz"))
+    kan.save_kan(net, run.path("kan.npz"), ds.feature_names)
     # record the input scaling the net was trained under, so eval can
     # feed it raw-unit datasets later
     run.text("kan.npz.norm.json", json.dumps(ds.norm, sort_keys=True) + "\n")
@@ -448,7 +448,7 @@ def cmd_eval(args) -> int:
             return evaluate(tree, X)
     else:
         run.input(args.checkpoint)
-        net = kan.load_kan(args.checkpoint)
+        net = kan.load_kan(args.checkpoint, ds.feature_names)
         label = "checkpoint"
         sidecar = str(args.checkpoint) + ".norm.json"
         if os.path.exists(sidecar):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -11,6 +12,9 @@ import numpy as np
 from autopl.expr.tree import ExpressionTree, evaluate, prepare
 
 _FIT_MAXITER = 200
+_XATOL, _FATOL = 1e-8, 1e-10
+_STARTS = (1.0, 0.1)  # every slot's value at each search's start
+_WITNESSES = 16  # most rows a dead-end check evaluates the path on
 
 
 @dataclass(frozen=True)
@@ -23,17 +27,14 @@ class FitResult:
 def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
                  maxiter: int, xatol: float, fatol: float
                  ) -> tuple[list[float], float]:
-    """scipy 1.17's ``_minimize_neldermead`` step for step, on lists.
-
-    Only what the fit uses: coefficients 1, 2, 0.5 and 0.5, scipy's
-    initial simplex, the xatol/fatol stop and ``maxiter`` without a call
-    limit.  Every product and sum is the one scipy's array expressions
-    compute, and the simplex is re-sorted in ``np.argsort``'s order, so
-    ``x`` and ``fun`` come out the same: distinct values have one order,
-    which ``sorted`` finds faster; ties and NaN go to ``np.argsort``
-    itself, which is not stable on every machine.  Returns the best
-    vertex and its value.
-    """
+    """scipy 1.17's ``_minimize_neldermead`` step for step, on lists:
+    coefficients 1, 2, 0.5 and 0.5, scipy's initial simplex, the
+    xatol/fatol stop and ``maxiter`` without a call limit.  Every product
+    and sum is the one scipy's array expressions compute, and the simplex
+    is re-sorted in ``np.argsort``'s order, so ``x`` and ``fun`` come out
+    the same: distinct values have one order, which ``sorted`` finds
+    faster; ties and NaN go to ``np.argsort`` itself, which is not stable
+    on every machine.  Returns the best vertex and its value."""
     start = [float(v) for v in x0]
     n = len(start)
     sim = [start]
@@ -95,20 +96,47 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
     return sim[0], fsim[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _dead_end_path(k: int, max_iter: int) -> np.ndarray:
+    """Every distinct candidate both searches score when every score is
+    inf, in the order first scored, as a read-only (m, k) matrix.  No
+    score then beats another, so Nelder-Mead shrinks on every iteration
+    and never stops early: the path depends only on its start, k and
+    ``max_iter``, and is recorded by running the search itself."""
+    seen: dict[bytes, None] = {}
+
+    def record(c: np.ndarray) -> float:
+        seen[c.tobytes()] = None
+        return math.inf
+
+    for start in _STARTS:
+        _nelder_mead(record, np.full(k, start), max_iter, xatol=_XATOL,
+                     fatol=_FATOL)
+    return np.frombuffer(b"".join(seen), dtype=float).reshape(-1, k)
+
+
+def _mse(pred: np.ndarray, y: np.ndarray) -> float:
+    # np.mean's sum and division without its per-call overhead; any
+    # non-finite prediction makes it non-finite, which scores inf
+    sq = (pred - y) ** 2
+    mse = float(np.add.reduce(sq) / sq.size)
+    return mse if math.isfinite(mse) else math.inf
+
+
 def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
                        max_iter: int = _FIT_MAXITER) -> FitResult:
     """Fit constant slots by derivative-free simplex search.
 
     Runs Nelder-Mead from an all-ones start and once more from 0.1,
-    keeping the better minimum.  The tree's constant-free subtrees are
-    computed once per fit; each candidate runs only the constant stage,
-    and each distinct candidate (by its exact bytes) is scored once per
-    fit.  Trees whose predictions stay non-finite everywhere come back
-    flagged unfittable so callers can assign the floor reward instead
-    of crashing.  When the constant-free values already settle that (a
-    NaN row, or a +-inf row that every op above keeps non-finite; see
-    ``Prepared.never_finite``), the fit returns so without scoring a
-    candidate: every search would score only non-finite ones.
+    keeping the better minimum.  The constant-free subtrees are computed
+    once per fit, and each distinct candidate (by its exact bytes) is
+    scored once.  A tree whose predictions stay non-finite comes back
+    unfittable, for the caller to give the floor reward.  When the
+    tree's own constants leave rows non-finite, the points of
+    ``_dead_end_path`` are first evaluated at once on up to
+    ``_WITNESSES`` of those rows, and only the points finite on all of
+    them are scored; if none scores below inf, neither search could
+    either, and the fit returns without running them.
     """
     y = np.asarray(y, dtype=float)
     k = tree.n_constants
@@ -117,27 +145,31 @@ def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
     # bad vertices, not errors
     with np.errstate(all="ignore"):
         fixed = prepare(tree, X)
-        if fixed.never_finite():
-            return FitResult(tree, math.inf, False)
 
         def objective(c: np.ndarray) -> float:
             key = c.tobytes()
             mse = scores.get(key)
             if mse is None:
-                # np.mean's sum and division without its per-call
-                # overhead; any non-finite prediction makes it non-finite
-                sq = (evaluate(tree, fixed, c) - y) ** 2
-                mse = float(np.add.reduce(sq) / sq.size)
-                mse = scores[key] = mse if math.isfinite(mse) else math.inf
+                mse = scores[key] = _mse(evaluate(tree, fixed, c), y)
             return mse
 
         best_c = np.asarray(tree.constants, dtype=float)
-        best_mse = objective(best_c)
+        pred = evaluate(tree, fixed, best_c)
+        best_mse = scores[best_c.tobytes()] = _mse(pred, y)
         if k == 0:
             return FitResult(tree, best_mse, math.isfinite(best_mse))
-        for x0 in (np.ones(k), np.full(k, 0.1)):
-            x, fun = _nelder_mead(objective, x0, max_iter, xatol=1e-8,
-                                  fatol=1e-10)
+        # rows the start leaves non-finite; none if only the sum overflowed
+        witnesses = np.flatnonzero(~np.isfinite(pred))[:_WITNESSES]
+        if witnesses.size:
+            path = _dead_end_path(k, max_iter)
+            block = evaluate(tree, fixed.take(witnesses), path)
+            settled = ~np.isfinite(block).all(axis=1)
+            if all(objective(c) == math.inf for c in path[~settled]):
+                return FitResult(tree, math.inf, False)
+            scores.update((c.tobytes(), math.inf) for c in path[settled])
+        for start in _STARTS:
+            x, fun = _nelder_mead(objective, np.full(k, start), max_iter,
+                                  xatol=_XATOL, fatol=_FATOL)
             if math.isfinite(fun) and fun < best_mse:
                 best_mse = fun
                 best_c = np.array(x)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from autopl.expr.tokens import BINARY_SYMBOLS, Token, TokenKind
+from autopl.expr.tokens import BINARY_SYMBOLS, TRIG_NAMES, Token, TokenKind
 
 # templates for both stages: the constant stage's source and the fixed
 # stage's per-op functions; each operand is a name, so an operand used
@@ -49,11 +49,6 @@ _UNARY_FN = {name: eval(f"lambda a: {src.format('a')}", dict(_NAMESPACE))
              for name, src in _UNARY_SRC.items()}
 _BINARY_FN = {name: eval(f"lambda a, b: {src.format('a', 'b')}")
               for name, src in _BINARY_SRC.items()}
-
-# ops that keep a non-finite operand non-finite (inf or nan) whatever
-# their other operand; exp(-inf) and x / inf are finite
-_KEEPS_NON_FINITE = frozenset(
-    {"add", "sub", "mul", "log10", "sqrt", "sin", "cos", "square"})
 
 
 def is_complete(tokens: Sequence[Token]) -> bool:
@@ -107,15 +102,6 @@ class ExpressionTree:
         return tuple((t.name, t.kind.value, t.value) for t in self.tokens)
 
 
-def _leaf_values(tree: ExpressionTree) -> list[float | None]:
-    # constant slot values by token position, prefix order
-    values: list[float | None] = []
-    it = iter(tree.constants)
-    for t in tree.tokens:
-        values.append(next(it) if t.kind is TokenKind.CONST else None)
-    return values
-
-
 def _walk(steps: tuple, literals: tuple, roots: tuple[int, ...],
           X: np.ndarray) -> tuple:
     # registers: X, the literals, then one value per step
@@ -136,28 +122,11 @@ def _compile(tokens: tuple[Token, ...]):
     same templates, returning the roots of the largest such subtrees.
     Only a tree with a constant slot gets a constant stage
     ``varying(c, F)``, generated as straight-line source and ``exec``'d;
-    it reads the roots from F and the slots from c, a float64 vector in
-    prefix order.  A constant-free tree's value is its fixed stage's one
-    root, and its ``varying`` is None.  Literals are float64 scalars.
-
-    Also records, per root, whether every op between it and the output
-    keeps a non-finite value non-finite: those in ``_KEEPS_NON_FINITE``
-    and the numerator of a division.  Returns ``fixed``, ``varying``,
-    those flags, and the (name, column) pairs of the variables.
+    it reads the roots from F and slot j from c[j], slots in prefix
+    order.  A constant-free tree's value is its fixed stage's one root,
+    and its ``varying`` is None.  Literals are float64 scalars.  Returns
+    ``fixed``, ``varying`` and the variables' (name, column) pairs.
     """
-    # per position, prefix order (parents first): does a non-finite value
-    # there stay non-finite at the output?
-    keeps: list[bool] = []
-    pending = [True]
-    for t in tokens:
-        k = pending.pop()
-        keeps.append(k)
-        if t.arity:
-            # the last operand first: the left subtree is read next
-            pending.append(k and t.name in _KEEPS_NON_FINITE)
-        if t.arity == 2:
-            pending.append(k and (t.name in _KEEPS_NON_FINITE
-                                  or t.name == "div"))
     n_literals = sum(1 for t in tokens if t.kind is TokenKind.LITERAL)
     literals: list[np.float64] = []
     steps: list[tuple] = []
@@ -218,8 +187,7 @@ def _compile(tokens: tuple[Token, ...]):
         hoisted.append(0)
     fixed = functools.partial(_walk, tuple(steps), tuple(literals),
                               tuple(register[pos] for pos in hoisted))
-    return (fixed, constant_stage, tuple(keeps[pos] for pos in hoisted),
-            tuple(variables))
+    return fixed, constant_stage, tuple(variables)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,19 +201,11 @@ class Prepared:
     n_rows: int
     values: tuple
     varying: Callable | None
-    keeps: tuple[bool, ...]
 
-    def never_finite(self) -> bool:
-        """True when no constants can make every row finite: a value is
-        NaN on some row (every op keeps NaN), or is +-inf on some row and
-        reaches the output only through ops that keep it non-finite."""
-        for v, keeps in zip(self.values, self.keeps):
-            if keeps:
-                if not np.isfinite(v).all():
-                    return True
-            elif np.isnan(v).any():
-                return True
-        return False
+    def take(self, rows: np.ndarray) -> "Prepared":
+        """The same values on the given rows only (an index array)."""
+        values = tuple(v[rows] if np.ndim(v) else v for v in self.values)
+        return Prepared(self.tokens, len(rows), values, self.varying)
 
 
 def prepare(tree: ExpressionTree, X: np.ndarray) -> Prepared:
@@ -253,13 +213,13 @@ def prepare(tree: ExpressionTree, X: np.ndarray) -> Prepared:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d (rows, features)")
-    fixed, varying, keeps, variables = _compile(tree.tokens)
+    fixed, varying, variables = _compile(tree.tokens)
     for name, index in variables:
         if index >= X.shape[1]:
             raise ValueError(f"variable {name!r} outside feature matrix")
     with np.errstate(all="ignore"):
         values = fixed(X)
-    return Prepared(tree.tokens, X.shape[0], values, varying, keeps)
+    return Prepared(tree.tokens, X.shape[0], values, varying)
 
 
 def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
@@ -268,9 +228,10 @@ def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
 
     ``constants`` stands in for the tree's own constant values, so a fit
     can score candidate values without building a tree per candidate.
-    X is a feature matrix, or what ``prepare`` made of one for this tree;
-    then only the constant stage runs, under the caller's floating-point
-    error state.  Each token sequence is compiled once and reused.
+    An (m, k) matrix of candidates gives an (m, rows) result, one row per
+    candidate, with the same bits as m single calls.  X is a feature
+    matrix, or what ``prepare`` made of one for this tree; then only the
+    constant stage runs, under the caller's floating-point error state.  Each token sequence is compiled once and reused.
     Non-finite intermediate results propagate instead of raising.
     """
     if not isinstance(X, Prepared):
@@ -280,13 +241,17 @@ def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
         raise ValueError("values were prepared for another expression")
     c = np.asarray(tree.constants if constants is None else constants,
                    dtype=float)
-    if c.shape != (tree.n_constants,):
+    if c.ndim not in (1, 2) or c.shape[-1] != tree.n_constants:
         raise ValueError(
             f"expected {tree.n_constants} constants, got shape {c.shape}")
+    shape = c.shape[:-1] + (X.n_rows,)
+    if c.ndim == 2:
+        # slot j as an (m, 1) column, broadcast against the rows
+        c = c.T[:, :, None]
     out = X.values[0] if X.varying is None else X.varying(c, X.values)
     out = np.asarray(out, dtype=float)
-    if out.ndim == 0:
-        out = np.full(X.n_rows, float(out))
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
     return out
 
 
@@ -298,13 +263,13 @@ def _render_number(v: float) -> str:
 
 def to_infix(tree: ExpressionTree) -> str:
     """Human-readable infix string; fitted constants at 4 significant digits."""
-    const_vals = _leaf_values(tree)
+    # the walk meets the constant slots in prefix order
+    constants = iter(tree.constants)
     pos = 0
 
     def walk() -> str:
         nonlocal pos
         t = tree.tokens[pos]
-        here = pos
         pos += 1
         if t.kind is TokenKind.BINARY:
             a = walk()
@@ -319,7 +284,7 @@ def to_infix(tree: ExpressionTree) -> str:
             return t.name
         if t.kind is TokenKind.LITERAL:
             return _render_number(t.value)
-        return format(const_vals[here], ".4g")
+        return format(next(constants), ".4g")
 
     out = walk()
     if pos != len(tree.tokens):
@@ -335,8 +300,6 @@ class ScanResult:
 
 def structural_scan(tree: ExpressionTree) -> ScanResult:
     """Which variables the tree reads, and which sit under sin/cos."""
-    from autopl.expr.tokens import TRIG_NAMES
-
     variables: set[str] = set()
     trig_variables: set[str] = set()
 

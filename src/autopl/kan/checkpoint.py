@@ -1,17 +1,19 @@
 """Lossless persistence for spline-edge networks.
 
 Checkpoints are JSON: Python float repr round-trips doubles exactly, so
-a save/load cycle reproduces predictions bit for bit.
+a save/load cycle reproduces predictions bit for bit.  It may record
+the training data's feature names, for a load to check its columns by.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 
-from autopl.errors import CheckpointError
+from autopl.errors import CheckpointError, DataError
 from autopl.kan.bspline import BSplineBasis
 from autopl.kan.network import KanConfig, KanLayer, KanNetwork
 
@@ -19,21 +21,11 @@ _FORMAT = "kan-checkpoint"
 _VERSION = 1
 
 
-def save_kan(net: KanNetwork, path) -> None:
-    cfg = net.config
+def save_kan(net: KanNetwork, path, feature_names=None) -> None:
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
-        "config": {
-            "shape": list(cfg.shape),
-            "grid_size": cfg.grid_size,
-            "order": cfg.order,
-            "steps": cfg.steps,
-            "reg_lambda": cfg.reg_lambda,
-            "seed": cfg.seed,
-            "lo": cfg.lo,
-            "hi": cfg.hi,
-        },
+        "config": dataclasses.asdict(net.config),
         "layers": [
             {
                 "w_base": layer.w_base.tolist(),
@@ -44,11 +36,15 @@ def save_kan(net: KanNetwork, path) -> None:
             for layer in net.layers
         ],
     }
+    if feature_names is not None:
+        doc["features"] = list(feature_names)
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
 
-def load_kan(path) -> KanNetwork:
+def load_kan(path, feature_names=None) -> KanNetwork:
+    """Read a checkpoint; DataError if it records feature names other
+    than ``feature_names``, the columns it will be fed."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
@@ -60,6 +56,10 @@ def load_kan(path) -> KanNetwork:
         raise CheckpointError(f"not a network checkpoint: {path}")
     if doc.get("version") != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
+    saved = doc.get("features")
+    if None not in (saved, feature_names) and list(feature_names) != saved:
+        raise DataError(f"checkpoint {path} was trained on columns {saved}, "
+                        f"not {list(feature_names)}")
     try:
         c = doc["config"]
         cfg = KanConfig(shape=tuple(c["shape"]), grid_size=int(c["grid_size"]),

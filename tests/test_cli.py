@@ -310,6 +310,35 @@ def test_eval_expression_rejects_reordered_columns(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+def test_eval_checkpoint_rejects_reordered_columns(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=60)
+    kan_out = tmp_path / "k"
+    assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
+                 "--grid", "5", "--steps", "5", "--no-symbolic",
+                 "--out", str(kan_out)]) == 0
+    ds = read_csv(data)
+    names = ds.feature_names
+    checkpoint = kan_out / "kan.npz"
+    assert json.loads(checkpoint.read_text())["features"] == list(names)
+    i, j = names.index("d_m"), names.index("f_hz")
+    order = list(range(len(names)))
+    order[i], order[j] = j, i
+    swapped = tmp_path / "swapped.csv"
+    write_csv(Dataset(tuple(names[k] for k in order), ds.X[:, order], ds.y,
+                      "test"), swapped)
+    argv = ["eval", "--data", str(swapped), "--checkpoint"]
+    capsys.readouterr()
+    assert main(argv + [str(checkpoint), "--out", str(tmp_path / "sw")]) == 2
+    assert "f_hz" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+    # a checkpoint without names loads as before, whatever the order
+    doc = json.loads(checkpoint.read_text())
+    del doc["features"]
+    unnamed = tmp_path / "unnamed.json"
+    unnamed.write_text(json.dumps(doc))
+    assert main(argv + [str(unnamed), "--out", str(tmp_path / "un")]) == 0
+
+
 def test_eval_usage(tmp_path):
     data = _gen(tmp_path, "ci", count=40)
     assert main(["eval", "--data", str(data),

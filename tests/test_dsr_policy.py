@@ -1,10 +1,26 @@
 """Sequence policy: masked sampling, replay consistency, gradients."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from autopl.expr.constraints import ConstraintSet, PrefixState, valid_next_tokens
-from autopl.expr.tokens import INVERSE_UNARY, TRIG_NAMES, TokenKind, Vocabulary
+from autopl.expr.constraints import (
+    ConstraintSet,
+    PrefixState,
+    RepeatRule,
+    valid_next_tokens,
+)
+from autopl.expr.tokens import (
+    BINARY_NAMES,
+    INVERSE_UNARY,
+    TRIG_NAMES,
+    UNARY_NAMES,
+    TokenKind,
+    Vocabulary,
+)
 from autopl.dsr.policy import (
     PolicyNetwork,
     _entropy_rows,
@@ -150,6 +166,76 @@ def test_sampled_sequences_respect_composition_rules():
                     if top.name in TRIG_NAMES:
                         trig_depth -= 1
                     const = False
+
+
+def _hard_rule_breaks(tokens, cs):
+    # every hard rule a complete prefix sequence breaks, read off the
+    # tree it encodes
+    breaks = []
+    if not cs.min_length <= len(tokens) <= cs.max_length:
+        breaks.append("length")
+    counts = Counter(t.name for t in tokens)
+    for name, rule in cs.repeat_rules.items():
+        if rule.max_count is not None and counts[name] > rule.max_count:
+            breaks.append(f"more than {rule.max_count} {name}")
+    pos = 0
+
+    def node(under_trig):
+        nonlocal pos
+        t = tokens[pos]
+        pos += 1
+        trig = t.name in TRIG_NAMES
+        children = [node(under_trig or trig) for _ in range(t.arity)]
+        if cs.forbid_nested_trig and trig and under_trig:
+            breaks.append("nested trig")
+        if (cs.forbid_all_constant_children and children
+                and all(c.kind in (TokenKind.CONST, TokenKind.LITERAL)
+                        for c in children)):
+            breaks.append(f"all-constant operand of {t.name}")
+        if (cs.forbid_inverse_unary_child and t.arity == 1
+                and INVERSE_UNARY.get(t.name) == children[0].name):
+            breaks.append(f"{children[0].name} under {t.name}")
+        return t
+
+    node(False)
+    assert pos == len(tokens)
+    return breaks
+
+
+@st.composite
+def _sampling_setups(draw):
+    n_vars = draw(st.integers(1, 3))
+    unary = draw(st.lists(st.sampled_from(UNARY_NAMES), unique=True))
+    literals = draw(st.lists(st.integers(1, 10), unique=True, max_size=3))
+    vocab = Vocabulary.default([f"x{i}" for i in range(n_vars)], unary=unary,
+                               literals=literals,
+                               include_const=draw(st.booleans()))
+    # no prefix dead-ends: a window wider than one length always fits a
+    # binary operator where a leaf would close the tree too early, and
+    # only one operator is capped (with min = max and no unary, say,
+    # every prefix can dead-end, and sampling rightly gives up)
+    min_length = draw(st.integers(1, 8))
+    max_length = draw(st.integers(min_length + 1, 24))
+    capped = draw(st.sampled_from(BINARY_NAMES + tuple(unary)))
+    cs = ConstraintSet(
+        min_length=min_length, max_length=max_length,
+        forbid_all_constant_children=draw(st.booleans()),
+        forbid_inverse_unary_child=draw(st.booleans()),
+        forbid_nested_trig=draw(st.booleans()),
+        repeat_rules={capped: RepeatRule(max_count=draw(st.integers(1, 3)))})
+    policy = PolicyNetwork(vocab, hidden_size=draw(st.integers(1, 8)),
+                           seed=draw(st.integers(0, 2 ** 16)))
+    return policy, cs, draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_sampling_setups())
+def test_sampled_sequences_satisfy_every_hard_rule(setup):
+    policy, cs, n, seed = setup
+    batch = sample_batch(policy, n, cs, np.random.default_rng(seed))
+    assert batch.n == n
+    for seq in batch.sequences:
+        assert _hard_rule_breaks(seq.tokens, cs) == [], seq.tokens
 
 
 def test_min_length_relaxation_allows_short_trees():

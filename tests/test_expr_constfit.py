@@ -193,6 +193,59 @@ def _reference_never_finite(tree, X, scored):
 LOG_ZERO = (LOG, SUB, X0, X0)  # log10(x - x): -inf on every row
 
 
+def _record_evaluate(monkeypatch):
+    # the bytes of every constant vector the fit hands to constfit.evaluate
+    # to score in full, and the (candidates, rows) shape of each batched call
+    evaluated, blocks = [], []
+    real_evaluate = constfit.evaluate
+
+    def recording_evaluate(tree, X, constants=None):
+        out = real_evaluate(tree, X, constants)
+        if out.ndim == 1:
+            evaluated.append(np.asarray(constants, dtype=float).tobytes())
+        else:
+            blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(constfit, "evaluate", recording_evaluate)
+    return evaluated, blocks
+
+
+def _record_dead_end_paths(max_iter):
+    # the paths are recorded by running the search itself, so record them
+    # before a test replaces it
+    for k in range(1, 5):
+        constfit._dead_end_path(k, max_iter)
+
+
+def _record_searches(monkeypatch, max_iter):
+    # one entry per Nelder-Mead run a fit starts
+    _record_dead_end_paths(max_iter)
+    searches = []
+    real_nelder_mead = constfit._nelder_mead
+
+    def recording_nelder_mead(func, x0, *args, **kwargs):
+        searches.append(np.asarray(x0).tobytes())
+        return real_nelder_mead(func, x0, *args, **kwargs)
+
+    monkeypatch.setattr(constfit, "_nelder_mead", recording_nelder_mead)
+    return searches
+
+
+def _forbid_search(monkeypatch, max_iter):
+    _record_dead_end_paths(max_iter)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the fit ran a search")
+
+    monkeypatch.setattr(constfit, "_nelder_mead", no_search)
+
+
+def _is_subsequence(part, whole):
+    it = iter(whole)
+    return all(c in it for c in part)
+
+
 @pytest.mark.parametrize("tokens", [
     (ADD, C, LOG, X0),
     (Token.binary("div"), C, Token.unary("exp"), MUL, C, LOG, X0),
@@ -204,16 +257,15 @@ LOG_ZERO = (LOG, SUB, X0, X0)  # log10(x - x): -inf on every row
 ], ids=["nan", "nan-under-exp-denominator", "add", "mul", "numerator",
         "log10", "square"])
 def test_fit_settled_without_search(monkeypatch, tokens):
-    # a NaN row anywhere, or -inf that every op above keeps non-finite
+    # non-finite at the start, and on every point of the dead-end path
     rng, X, y = _fit_problem()
     tree = ExpressionTree(tokens)
     scored = []
     _, want_mse = _reference_fit(tree, X, y, 100, scored)
     assert want_mse == float("inf")
     assert _reference_never_finite(tree, X, scored)
-    evaluated = _record_evaluate(monkeypatch)
+    _forbid_search(monkeypatch, 100)
     res = optimize_constants(tree, X, y, max_iter=100)
-    assert evaluated == []
     assert (res.tree, res.mse, res.fittable) == (tree, float("inf"), False)
 
 
@@ -227,44 +279,49 @@ def test_fit_searches_when_inf_can_turn_finite(monkeypatch, tokens):
     tree = ExpressionTree(tokens)
     scored = []
     want_c, want_mse = _reference_fit(tree, X, y, 100, scored)
-    evaluated = _record_evaluate(monkeypatch)
+    evaluated, _ = _record_evaluate(monkeypatch)
     res = optimize_constants(tree, X, y, max_iter=100)
     assert evaluated == list(dict.fromkeys(scored))
     assert res.fittable
     assert (res.tree.constants, res.mse) == (want_c, want_mse)
 
 
-def _record_evaluate(monkeypatch):
-    # the bytes of every constant vector the fit hands to constfit.evaluate
-    evaluated = []
-    real_evaluate = constfit.evaluate
-
-    def recording_evaluate(tree, X, constants=None):
-        evaluated.append(np.asarray(constants, dtype=float).tobytes())
-        return real_evaluate(tree, X, constants)
-
-    monkeypatch.setattr(constfit, "evaluate", recording_evaluate)
-    return evaluated
-
-
 def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
     rng, X, y = _fit_problem()
-    evaluated = _record_evaluate(monkeypatch)
+    evaluated, blocks = _record_evaluate(monkeypatch)
+    searches = _record_searches(monkeypatch, 100)
     repeats = skipped = 0
     for tree in _random_trees(rng, 10):
         scored = []
-        _reference_fit(tree, X, y, 100, scored)
+        _, want_mse = _reference_fit(tree, X, y, 100, scored)
+        with np.errstate(all="ignore"):
+            start = _stack_evaluate(tree.tokens, tree.constants, X)
         evaluated.clear()
-        optimize_constants(tree, X, y, max_iter=100)
-        if prepare(tree, X).never_finite():
-            # settled without a search
-            assert evaluated == [], tree.tokens
-            assert _reference_never_finite(tree, X, scored), tree.tokens
+        blocks.clear()
+        searches.clear()
+        res = optimize_constants(tree, X, y, max_iter=100)
+        assert res.mse == want_mse, tree.tokens
+        want = list(dict.fromkeys(scored))
+        # each candidate scored in full at most once, in scipy's order
+        assert len(set(evaluated)) == len(evaluated), tree.tokens
+        assert _is_subsequence(evaluated, want), tree.tokens
+        if np.isfinite(start).all():
+            # the starting constants, then every distinct simplex
+            # candidate of both starts
+            assert evaluated == want, tree.tokens
+            assert blocks == [], tree.tokens
+        else:
+            # one batched call on at most 16 rows the start left
+            # non-finite; what it skips is non-finite for the reference
+            assert len(blocks) == 1 and blocks[0][1] <= 16, tree.tokens
+            assert _reference_never_finite(
+                tree, X, set(want) - set(evaluated)), tree.tokens
+        if want_mse == float("inf") and not np.isfinite(start).all():
+            # settled: the searches would score only non-finite points
+            assert searches == [], tree.tokens
             skipped += 1
-            continue
-        # the starting constants, then every distinct simplex candidate
-        # of both starts, each once, in the order scipy first scores them
-        assert evaluated == list(dict.fromkeys(scored)), tree.tokens
+        else:
+            assert len(searches) == 2, tree.tokens
         repeats += len(scored) - len(evaluated)
     assert repeats > 0
     assert 0 < skipped < 10
@@ -273,13 +330,128 @@ def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
     assert len(evaluated) == 1
 
 
+@pytest.mark.parametrize("max_iter", [100, constfit._FIT_MAXITER])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_dead_end_path_is_what_scipy_scores_when_every_score_is_inf(k, max_iter):
+    scored = []
+
+    def inf_objective(c):
+        scored.append(np.asarray(c, dtype=float).tobytes())
+        return float("inf")
+
+    options = {"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-10}
+    with np.errstate(invalid="ignore"):
+        for x0 in (np.ones(k), np.full(k, 0.1)):
+            optimize.minimize(inf_objective, x0, method="Nelder-Mead",
+                              options=options)
+    path = constfit._dead_end_path(k, max_iter)
+    assert path.shape[1] == k
+    assert [c.tobytes() for c in path] == list(dict.fromkeys(scored))
+
+
+F1 = Token.variable("f", 1)
+LOG_SIN = (LOG, Token.unary("sin"), MUL, C, F1)  # log10(sin(c * f))
+
+
+def _sin_problem(*f_ranges):
+    # sin(c * f) is negative for c * f in (pi, 2 pi), so log10(sin(f)) is
+    # NaN over (5, 2 pi), and finite from c = 1.05 on over (6, 6.2);
+    # log10(sin(0.1 * f)) is finite over (5, 6.2), but not over (35, 37)
+    rng = np.random.default_rng(4)
+    f = np.concatenate([rng.uniform(lo, hi, 20) for lo, hi in f_ranges])
+    X = np.column_stack([np.ones_like(f), f])
+    return X, np.log10(np.sin(0.08 * f)) + rng.normal(0.0, 0.01, f.size)
+
+
+def test_fit_scores_in_full_the_points_witnesses_leave(monkeypatch):
+    # the witnesses are the first 16 rows, finite near c = 0.1; the rows
+    # over (35, 37) are not, so the fit is still settled without a search
+    X, y = _sin_problem((5.0, 6.2), (35.0, 37.0))
+    assert (X[:16, 1] > 6.0).any()
+    tree = ExpressionTree(LOG_SIN)
+    scored = []
+    _, want_mse = _reference_fit(tree, X, y, 100, scored)
+    assert want_mse == float("inf")
+    evaluated, blocks = _record_evaluate(monkeypatch)
+    _forbid_search(monkeypatch, 100)
+    res = optimize_constants(tree, X, y, max_iter=100)
+    assert (res.tree, res.mse, res.fittable) == (tree, float("inf"), False)
+    assert blocks == [(len(constfit._dead_end_path(1, 100)), 16)]
+    # the start, then in scipy's order each point finite on all 16
+    # witnesses: here those of the 0.1 start
+    with np.errstate(all="ignore"):
+        left = [c for c in dict.fromkeys(scored) if np.isfinite(
+            _stack_evaluate(tree.tokens, np.frombuffer(c), X[:16])).all()]
+    assert evaluated == [scored[0]] + left
+    assert len(left) > 10 and left[0] == np.array([0.1]).tobytes()
+
+
+def test_fit_non_finite_at_start_but_fittable_elsewhere(monkeypatch):
+    X, y = _sin_problem((5.0, 6.2), (5.0, 6.2))
+    tree = ExpressionTree(LOG_SIN)
+    scored = []
+    want_c, want_mse = _reference_fit(tree, X, y, 100, scored)
+    evaluated, blocks = _record_evaluate(monkeypatch)
+    searches = _record_searches(monkeypatch, 100)
+    res = optimize_constants(tree, X, y, max_iter=100)
+    assert res.fittable and len(searches) == 2 and len(blocks) == 1
+    # the ones start's points are settled by the witnesses and not scored
+    # in full again when the search passes them
+    assert len(set(evaluated)) == len(evaluated)
+    assert _is_subsequence(evaluated, list(dict.fromkeys(scored)))
+    assert np.array([1.05]).tobytes() not in evaluated
+    assert (res.tree.constants, res.mse) == (want_c, want_mse)
+    assert res.tree.constants[0] == pytest.approx(0.08, abs=1e-3)
+
+
+def test_fit_searches_when_only_the_mse_sum_overflows(monkeypatch):
+    # c * exp(x) is finite on every row, and so is its square, but at
+    # c = 1 the squares sum past the largest double; no row is a witness
+    rng = np.random.default_rng(6)
+    X = rng.uniform(353.5, 354.5, size=(40, 1))
+    y = rng.normal(size=40)
+    tree = ExpressionTree((MUL, C, Token.unary("exp"), X0))
+    with np.errstate(all="ignore"):
+        assert np.isfinite(evaluate(tree, X) ** 2).all()
+        assert np.mean(evaluate(tree, X) ** 2) == float("inf")
+    want_c, want_mse = _reference_fit(tree, X, y, 100)
+    evaluated, blocks = _record_evaluate(monkeypatch)
+    searches = _record_searches(monkeypatch, 100)
+    res = optimize_constants(tree, X, y, max_iter=100)
+    assert blocks == [] and len(searches) == 2
+    assert res.fittable
+    assert (res.tree.constants, res.mse) == (want_c, want_mse)
+
+
+SQRT_EDGE = (Token.unary("sqrt"), SUB, F1, MUL, C, Token.literal(3))
+
+
+@pytest.mark.parametrize("tokens, constants", [
+    (SQRT_EDGE, (0.1,)),
+    (SQRT_EDGE, (5.0,)),
+    (LOG_SIN, (0.05,)),
+    ((ADD, C) + LOG_ZERO, (3.0,)),
+    ((Token.binary("div"), C, Token.unary("exp"), MUL, C, LOG, X0),
+     (2.0, -1.0)),
+], ids=["finite", "non-finite-then-fittable", "sign-flip", "settled",
+        "settled-nan"])
+def test_fit_from_start_constants_other_than_ones(tokens, constants):
+    rng, X, y = _fit_problem()
+    tree = ExpressionTree(tokens, constants)
+    want_c, want_mse = _reference_fit(tree, X, y, 100)
+    res = optimize_constants(tree, X, y, max_iter=100)
+    assert res.mse == want_mse
+    assert res.tree.constants == (want_c if res.fittable else constants)
+    assert res.fittable == (want_mse != float("inf"))
+
+
 def test_fit_keys_candidates_by_exact_bytes(monkeypatch):
     # exp(1 / c) is inf at c = 0.0 and 0 at c = -0.0
     tree = ExpressionTree((Token.unary("exp"), Token.binary("div"),
                            Token.literal(1), C))
     X = np.ones((3, 1))
     y = np.array([1.0, 2.0, 3.0])
-    evaluated = _record_evaluate(monkeypatch)
+    evaluated, _ = _record_evaluate(monkeypatch)
     mses = []
 
     def stub_nelder_mead(func, x0, *args, **kwargs):

@@ -298,6 +298,63 @@ def test_json_round_trip_property(tree):
     assert to_infix(back) == to_infix(tree)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_trees(), st.data())
+def test_evaluate_candidate_matrix_matches_single_calls(tree, data):
+    # an (m, k) candidate matrix on a row subset gives, row for row, the
+    # bits of one call per candidate on every row
+    k = tree.n_constants
+    cands = data.draw(st.lists(st.lists(_FINITE, min_size=k, max_size=k),
+                               min_size=1, max_size=4))
+    cands = np.array(cands, dtype=float).reshape(len(cands), k)
+    X = np.random.default_rng(5).uniform(-3.0, 400.0, size=(7, 2))
+    rows = np.array(data.draw(st.lists(st.integers(0, 6), min_size=1,
+                                       max_size=7)))
+    with np.errstate(all="ignore"):
+        block = evaluate(tree, prepare(tree, X).take(rows), cands)
+    assert block.shape == (len(cands), len(rows))
+    for c, got in zip(cands, block):
+        assert got.tobytes() == evaluate(tree, X, c)[rows].tobytes()
+
+
+def _edge_values():
+    # near exp's overflow and log10's and sqrt's zero, subnormals, large
+    # trig arguments (frequencies in Hz), signs, and non-finite values
+    rng = np.random.default_rng(9)
+    edges = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                      709.782712893384, 709.7827128933841, -745.1332191019411,
+                      -745.1332191019412, 1e9, 2.8e10, np.pi, 1e308,
+                      np.inf, -np.inf, np.nan])
+    near = np.concatenate([
+        709.78 + rng.uniform(-0.01, 0.01, 400),
+        -745.13 + rng.uniform(-0.01, 0.01, 400),
+        np.ldexp(rng.uniform(0.5, 1.0, 400), rng.integers(-1074, -1000, 400)),
+        rng.uniform(-1e-12, 1e-12, 400),
+        rng.uniform(1e8, 1e11, 400),
+    ])
+    values = np.concatenate([edges, -edges, near, -near,
+                             rng.normal(scale=50.0, size=2000)])
+    return values[:values.size // 8 * 8]
+
+
+@pytest.mark.parametrize("fn", [np.exp, np.log10, np.sin, np.cos, np.sqrt],
+                         ids=lambda fn: fn.__name__)
+def test_transcendentals_give_the_same_bits_in_every_shape(fn):
+    # a constant fit's dead-end check evaluates candidates as (m, rows)
+    # blocks and (m, 1) columns, and relies on their bits matching the
+    # 1-d rows and scalars the search evaluates
+    v = _edge_values()
+    with np.errstate(all="ignore"):
+        want = np.array([fn(np.float64(x)) for x in v])
+        assert np.array([fn(np.array(x)) for x in v]).tobytes() == want.tobytes()
+        assert fn(v).tobytes() == want.tobytes()
+        block = v.reshape(-1, 8)
+        assert fn(block).tobytes() == want.tobytes()
+        assert fn(block[:, :1]).tobytes() == want[::8].tobytes()
+        assert fn(block[:, ::3]).tobytes() == want.reshape(-1, 8)[:, ::3].tobytes()
+        assert fn(block.T).T.tobytes() == want.tobytes()
+
+
 def test_tree_key_ignores_constant_values():
     a = ExpressionTree((ADD, C, X0), constants=(1.0,))
     b = ExpressionTree((ADD, C, X0), constants=(9.0,))
