@@ -4,7 +4,9 @@ A single gated recurrent cell conditions each generation step on the
 parent and sibling of the position being filled, emits logits over the
 token vocabulary, and samples under the hard constraint mask.  Sampling
 records the per-step masks and inputs so trainers can replay the exact
-distributions when computing gradients.
+distributions when computing gradients, and keeps its own per-step
+activations, which the update made under the same parameters reads in
+place of a replay.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from autopl.errors import TrainingError
-from autopl.expr.constraints import ConstraintSet, PrefixState
+from autopl.expr.constraints import ConstraintSet, PrefixBatch, PrefixState
 from autopl.expr.tokens import Vocabulary
 from autopl.expr.tree import ExpressionTree
 
@@ -25,7 +27,7 @@ _RESAMPLE_CAP = 50
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive number never overflows
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class PolicyNetwork:
@@ -86,16 +88,23 @@ class PolicyNetwork:
         logits = h_new @ p["wo"] + p["bo"]
         return h_new, logits, (z, r, rh, c)
 
+    def encode_step_inputs(self, parent: np.ndarray, sibling: np.ndarray,
+                           on: np.ndarray | bool = True) -> np.ndarray:
+        """Parent/sibling one-hot pairs, one row per pair of vocabulary
+        indices; index n_tokens (no parent or no sibling) is the empty
+        marker.  Rows where `on` is false stay all zero."""
+        x = np.zeros((parent.size, self.input_size))
+        rows = np.arange(parent.size)
+        x[rows, parent] = on
+        x[rows, self.n_tokens + 1 + sibling] = on
+        return x
+
     def encode_step_input(self, state: PrefixState) -> np.ndarray:
         """Parent/sibling one-hot pair for the next position of a prefix."""
-        x = np.zeros(self.input_size)
-        empty = self.n_tokens
-        parent, sibling = state.parent, state.sibling
-        ip = self.vocab.index[parent.name] if parent is not None else empty
-        isb = self.vocab.index[sibling.name] if sibling is not None else empty
-        x[ip] = 1.0
-        x[self.n_tokens + 1 + isb] = 1.0
-        return x
+        parent, sibling = (
+            np.array([self.vocab.index[t.name] if t else self.n_tokens])
+            for t in (state.parent, state.sibling))
+        return self.encode_step_inputs(parent, sibling)[0]
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -106,12 +115,11 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     shifted = np.where(mask, logits, -np.inf)
-    rowmax = np.max(np.where(mask, logits, -np.inf), axis=-1, keepdims=True)
-    any_valid = np.isfinite(rowmax)
-    rowmax = np.where(any_valid, rowmax, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(shifted - rowmax)
-    e = np.where(mask, e, 0.0)
+    rowmax = np.max(shifted, axis=-1, keepdims=True)
+    # a shift of 0 where nothing is allowed (or a logit is infinite) keeps
+    # inf - inf out; masked-out entries are exp(-inf) = 0
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    e = np.exp(shifted - rowmax)
     total = e.sum(axis=-1, keepdims=True)
     return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
@@ -138,11 +146,22 @@ class SequenceData:
 
 @dataclass
 class SampledBatch:
+    """Sampled sequences with their replay records.
+
+    `forward`, when set, is the sampling pass's own per-step activations
+    in exactly the layout `teacher_forward` would replay them in (one
+    sampling round that finished every row), as `teacher_forward`'s
+    result.  It holds only for the parameters the batch was sampled
+    with, so no update reads it from the batch: `train` takes it off
+    and hands it to the update it was made for.
+    """
+
     sequences: list[ExpressionTree]
     log_probs: np.ndarray
     entropies: np.ndarray
     data: list[SequenceData]
     rewards: np.ndarray | None = field(default=None)
+    forward: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -175,41 +194,42 @@ def sample_batch(policy: PolicyNetwork, n: int, cs: ConstraintSet,
             entropies.append(ent)
             data.append(rec)
         dropped += out["dropped"]
+    # with nothing dropped, the one round ran is the batch, row for row;
+    # otherwise a replay's matrices have other row counts, which BLAS
+    # may round differently
     return SampledBatch(sequences, np.asarray(log_probs),
-                        np.asarray(entropies), data)
+                        np.asarray(entropies), data,
+                        forward=out["forward"] if dropped == 0 else None)
 
 
 def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
                   rng: np.random.Generator):
     vocab = policy.vocab
     v = policy.n_tokens
-    states = [PrefixState() for _ in range(m)]
+    state = PrefixBatch(vocab, m, cs.max_length)
+    # every open row takes a token per step, so no round runs longer
+    # than max_length steps
+    x_all = np.zeros((cs.max_length, m, policy.input_size))
+    m_all = np.zeros((cs.max_length, m, v), dtype=bool)
     h = np.zeros((m, policy.hidden_size))
     logp = np.zeros(m)
     ent_sum = np.zeros(m)
-    rec_idx: list[list[int]] = [[] for _ in range(m)]
-    rec_mask: list[list[np.ndarray]] = [[] for _ in range(m)]
-    rec_input: list[list[np.ndarray]] = [[] for _ in range(m)]
     done = np.zeros(m, dtype=bool)
-    dead = np.zeros(m, dtype=bool)
+    steps = []
 
     while True:
-        open_rows = np.flatnonzero(~done & ~dead)
-        if open_rows.size == 0:
-            break
-        masks = np.zeros((m, v), dtype=bool)
-        x = np.zeros((m, policy.input_size))
-        for i in open_rows:
-            mk = states[i].mask(cs, vocab)
-            if not mk.any():
-                dead[i] = True
-                continue
-            masks[i] = mk
-            x[i] = policy.encode_step_input(states[i])
-        active = ~done & ~dead
+        # complete rows, and open rows that have dead-ended, admit nothing
+        masks = state.mask(cs)
+        active = masks.any(axis=1)
+        dead = ~active & ~done
         if not active.any():
             break
-        h_new, logits, _ = policy.step(x, h)
+        t = len(steps)
+        m_all[t] = masks
+        x_all[t] = policy.encode_step_inputs(*state.context(), on=active)
+        x = x_all[t]
+        h_new, logits, (z, r, rh, c) = policy.step(x, h)
+        h_prev = h
         h = np.where(active[:, None], h_new, h)
         probs = masked_softmax(logits, masks)
         cum = np.cumsum(probs, axis=1)
@@ -217,26 +237,30 @@ def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
         scaled = u * cum[:, -1]
         choice = (scaled[:, None] >= cum).sum(axis=1)
         rows = np.flatnonzero(active)
-        logp[rows] += np.log(probs[rows, choice[rows]])
+        a = choice[rows]
+        logp[rows] += np.log(probs[rows, a])
         ent_sum[rows] += _entropy_rows(probs[rows])
-        for i in rows:
-            a = int(choice[i])
-            rec_idx[i].append(a)
-            rec_mask[i].append(masks[i].copy())
-            rec_input[i].append(x[i].copy())
-            states[i].push(vocab[a])
-            if states[i].is_complete:
-                done[i] = True
+        state.push(rows, a)
+        done = state.slots == 0
+        steps.append({"x": x, "h_prev": h_prev, "z": z, "r": r, "rh": rh,
+                      "c": c, "p": probs, "valid": active,
+                      "a": np.where(active, choice, 0)})
 
+    # a row that dead-ends at its root has no tokens
+    ents = ent_sum / np.maximum(state.length, 1)
     finished = []
-    for i in np.flatnonzero(done):
-        rec = SequenceData(np.asarray(rec_idx[i], dtype=int),
-                           np.asarray(rec_mask[i], dtype=bool),
-                           np.asarray(rec_input[i]))
-        finished.append((ExpressionTree(tuple(states[i].tokens)),
-                         float(logp[i]),
-                         float(ent_sum[i] / states[i].length), rec))
-    return {"finished": finished, "dropped": int(dead.sum())}
+    tokens, lengths = state.tok.tolist(), state.length.tolist()
+    logp_list, ents_list = logp.tolist(), ents.tolist()
+    for i in np.flatnonzero(done).tolist():
+        t = lengths[i]
+        rec = SequenceData(state.tok[i, :t].copy(), m_all[:t, i].copy(),
+                           x_all[:t, i].copy())
+        tree = ExpressionTree(tuple(map(vocab.tokens.__getitem__,
+                                        tokens[i][:t])))
+        finished.append((tree, logp_list[i], ents_list[i], rec))
+    forward = (logp, ents, {"steps": steps, "lengths": state.length})
+    return {"finished": finished, "dropped": int(dead.sum()),
+            "forward": forward}
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +315,7 @@ def policy_backward(policy: PolicyNetwork, cache: dict,
                     dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate per-step logit gradients through the recurrent cell."""
     p = policy.params
+    wo_t, uc_t, uz_t, ur_t = p["wo"].T, p["uc"].T, p["uz"].T, p["ur"].T
     steps = cache["steps"]
     n = steps[0]["p"].shape[0]
     grads = policy.zero_grads()
@@ -301,18 +326,18 @@ def policy_backward(policy: PolicyNetwork, cache: dict,
         dl = dlogits[:, t, :] * vt
         z, r, rh, c, h_prev, x = (st["z"], st["r"], st["rh"], st["c"],
                                   st["h_prev"], st["x"])
-        h_new = (1.0 - z) * h_prev + z * c
+        keep = 1.0 - z
+        h_new = keep * h_prev + z * c
         grads["wo"] += h_new.T @ dl
         grads["bo"] += dl.sum(axis=0)
-        dh = dh_next + dl @ p["wo"].T
+        dh = dh_next + dl @ wo_t
         # masked pre-activation gradients keep rows that had already
         # finished by step t from touching the parameters
-        dz_pre = dh * (c - h_prev) * z * (1.0 - z) * vt
+        dz_pre = dh * (c - h_prev) * z * keep * vt
         dc_pre = dh * z * (1.0 - c * c) * vt
-        drh = dc_pre @ p["uc"].T
+        drh = dc_pre @ uc_t
         dr_pre = drh * h_prev * r * (1.0 - r)
-        dh_prev = (dh * (1.0 - z) + drh * r
-                   + dz_pre @ p["uz"].T + dr_pre @ p["ur"].T)
+        dh_prev = dh * keep + drh * r + dz_pre @ uz_t + dr_pre @ ur_t
         for nm, dpre in (("z", dz_pre), ("r", dr_pre), ("c", dc_pre)):
             grads["w" + nm] += x.T @ dpre
             grads["b" + nm] += dpre.sum(axis=0)
@@ -325,12 +350,21 @@ def policy_backward(policy: PolicyNetwork, cache: dict,
 
 
 def surrogate_loss(policy: PolicyNetwork, data: list[SequenceData],
-                   weights: np.ndarray, entropy_weight: float):
+                   weights: np.ndarray, entropy_weight: float,
+                   forward: tuple | None = None):
     """Loss -sum_i w_i log p(tau_i) - beta * mean_i entropy_i and its
-    parameter gradients under the recorded masks."""
+    parameter gradients under the recorded masks.
+
+    `forward` is `teacher_forward(policy, data)` when the caller already
+    has it (a batch's `forward`, under the parameters it was sampled
+    with); otherwise the sequences are replayed."""
     weights = np.asarray(weights, dtype=float)
-    logp, ents, cache = teacher_forward(policy, data)
     n = len(data)
+    if forward is None:
+        forward = teacher_forward(policy, data)
+    logp, ents, cache = forward
+    if logp.size != n:
+        raise ValueError("forward pass does not match the sequences")
     loss = -float(weights @ logp) - entropy_weight * float(ents.mean())
     steps = cache["steps"]
     lengths = cache["lengths"]
@@ -338,17 +372,19 @@ def surrogate_loss(policy: PolicyNetwork, data: list[SequenceData],
     v = policy.n_tokens
     dlogits = np.zeros((n, t_max, v))
     rows = np.arange(n)
+    w = weights[:, None]
+    beta = (entropy_weight / (n * lengths))[:, None]
     for t, st in enumerate(steps):
         probs = st["p"]
         onehot = np.zeros_like(probs)
         onehot[rows, st["a"]] = 1.0
-        term = weights[:, None] * (probs - onehot)
+        term = w * (probs - onehot)
         if entropy_weight != 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
             h_t = -plogp.sum(axis=1, keepdims=True)
             dent = plogp + probs * h_t
-            term = term + (entropy_weight / (n * lengths))[:, None] * dent
-        dlogits[:, t, :] = term * st["valid"][:, None]
+            term = term + beta * dent
+        np.multiply(term, st["valid"][:, None], out=dlogits[:, t, :])
     grads = policy_backward(policy, cache, dlogits)
     return loss, grads

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from autopl.errors import DataError
 from autopl.expr.constraints import ConstraintSet, repeat_penalty
+from autopl.expr.tokens import Token
 from autopl.expr.tree import ExpressionTree, evaluate
 from autopl.plmodels import Dataset
 
@@ -26,14 +30,27 @@ def nrmse(pred: np.ndarray, y: np.ndarray) -> float:
     return rmse / sigma
 
 
+def reward_from_mse(mse: float, sigma: float, tokens: Sequence[Token],
+                    cs: ConstraintSet) -> float:
+    """`reward` of a tree with the given tokens whose predictions over
+    the training rows have mean squared error mse, for a target of
+    population std sigma; an infinite mse scores 0."""
+    r = 1.0 / (1.0 + math.sqrt(mse) / sigma)
+    return float(r * repeat_penalty(tokens, cs))
+
+
 def reward(e: ExpressionTree, train: Dataset, cs: ConstraintSet) -> float:
     """Squashed inverse NRMSE in [0, 1], discounted for unmet minimum
     token-repeat rules; any non-finite prediction zeroes the reward."""
     y = train.y
-    if float(np.std(y)) == 0.0:
+    sigma = float(np.std(y))
+    if sigma == 0.0:
         raise DataError("target is constant, reward undefined")
     pred = evaluate(e, train.X)
     if not np.all(np.isfinite(pred)):
         return 0.0
-    r = 1.0 / (1.0 + nrmse(pred, y))
-    return float(r * repeat_penalty(e.tokens, cs))
+    # huge-but-finite predictions may overflow the square: an infinitely
+    # bad fit, as in nrmse
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((pred - y) ** 2))
+    return reward_from_mse(mse, sigma, e.tokens, cs)

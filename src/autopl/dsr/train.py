@@ -26,7 +26,7 @@ from autopl.dsr.policy import (
     sample_batch,
     surrogate_loss,
 )
-from autopl.dsr.reward import reward
+from autopl.dsr.reward import reward, reward_from_mse
 
 POLICY_KINDS = ("rspg", "vpg", "pqt")
 
@@ -124,9 +124,14 @@ class MaxRewardPriorityQueue:
 
 
 def rspg_step(policy: PolicyNetwork, batch: SampledBatch, epsilon: float,
-              entropy_weight: float, opt: Adam) -> dict:
+              entropy_weight: float, opt: Adam,
+              forward: tuple | None = None) -> dict:
     """Risk-seeking update: only rewards strictly above the empirical
-    (1 - epsilon) quantile contribute, weighted by their margin."""
+    (1 - epsilon) quantile contribute, weighted by their margin.
+
+    `forward` is the batch's own sampling pass, valid only while the
+    parameters are the ones it was sampled with; without it the batch
+    is replayed."""
     if batch.rewards is None:
         raise ValueError("batch rewards are unset")
     r = np.asarray(batch.rewards, dtype=float)
@@ -134,22 +139,26 @@ def rspg_step(policy: PolicyNetwork, batch: SampledBatch, epsilon: float,
     quantile = float(np.quantile(r, 1.0 - epsilon))
     above = r > quantile
     weights = np.where(above, (r - quantile) / (epsilon * n), 0.0)
-    loss, grads = surrogate_loss(policy, batch.data, weights, entropy_weight)
+    loss, grads = surrogate_loss(policy, batch.data, weights, entropy_weight,
+                                 forward)
     opt.step(policy.params, grads)
     return {"loss": loss, "quantile": quantile, "n_above": int(above.sum()),
             "no_survivors": not bool(above.any())}
 
 
 def vpg_step(policy: PolicyNetwork, batch: SampledBatch, baseline: float | None,
-             ewma_alpha: float, entropy_weight: float, opt: Adam) -> tuple[dict, float]:
-    """REINFORCE update against an EWMA baseline; returns the new baseline."""
+             ewma_alpha: float, entropy_weight: float, opt: Adam,
+             forward: tuple | None = None) -> tuple[dict, float]:
+    """REINFORCE update against an EWMA baseline; returns the new baseline.
+    `forward` is as for `rspg_step`."""
     if batch.rewards is None:
         raise ValueError("batch rewards are unset")
     r = np.asarray(batch.rewards, dtype=float)
     mean_r = float(r.mean())
     b = mean_r if baseline is None else float(baseline)
     weights = (r - b) / r.size
-    loss, grads = surrogate_loss(policy, batch.data, weights, entropy_weight)
+    loss, grads = surrogate_loss(policy, batch.data, weights, entropy_weight,
+                                 forward)
     opt.step(policy.params, grads)
     new_b = ewma_alpha * mean_r + (1.0 - ewma_alpha) * b
     return {"loss": loss, "baseline": b}, new_b
@@ -157,9 +166,11 @@ def vpg_step(policy: PolicyNetwork, batch: SampledBatch, baseline: float | None,
 
 def pqt_step(policy: PolicyNetwork, batch: SampledBatch,
              queue: MaxRewardPriorityQueue, entropy_weight: float,
-             opt: Adam) -> dict:
+             opt: Adam, forward: tuple | None = None) -> dict:
     """Priority-queue update: maximize likelihood of the stored top-k,
-    with the entropy bonus taken over the freshly sampled batch."""
+    with the entropy bonus taken over the freshly sampled batch.  The
+    queue, sampled under older parameters, is always replayed; `forward`
+    (as for `rspg_step`) serves the entropy term."""
     queue.absorb(batch)
     items = queue.items()
     qdata = [e.data for e in items]
@@ -167,7 +178,8 @@ def pqt_step(policy: PolicyNetwork, batch: SampledBatch,
     loss_q, grads = surrogate_loss(policy, qdata, w, 0.0)
     if entropy_weight != 0.0:
         loss_e, grads_e = surrogate_loss(policy, batch.data,
-                                         np.zeros(batch.n), entropy_weight)
+                                         np.zeros(batch.n), entropy_weight,
+                                         forward)
         for name in grads:
             grads[name] += grads_e[name]
         loss_q += loss_e
@@ -186,7 +198,10 @@ class DsrResult:
 
 def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
                  cache: dict, fit_iters: int = 100) -> list[ExpressionTree]:
-    """Fill batch.rewards, fitting constants once per unique structure."""
+    """Fill batch.rewards, fitting constants once per unique structure.
+    A fitted structure's reward comes from its fit's MSE (infinite when
+    unfittable), which `reward` would compute again from the data."""
+    sigma = float(np.std(ds.y))
     fitted: list[ExpressionTree | None] = [None] * batch.n
     todo: dict[tuple, list[int]] = {}
     rewards = np.zeros(batch.n)
@@ -199,8 +214,11 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
     for key, idxs in todo.items():
         tree = batch.sequences[idxs[0]]
         if tree.n_constants:
-            tree = optimize_constants(tree, ds.X, ds.y, max_iter=fit_iters).tree
-        r = reward(tree, ds, cs)
+            fit = optimize_constants(tree, ds.X, ds.y, max_iter=fit_iters)
+            tree = fit.tree
+            r = reward_from_mse(fit.mse, sigma, tree.tokens, cs)
+        else:
+            r = reward(tree, ds, cs)
         cache[key] = (r, tree)
         for i in idxs:
             rewards[i] = r
@@ -234,6 +252,9 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
     while samples_used < config.sample_budget:
         want = min(config.batch_size, config.sample_budget - samples_used)
         batch = sample_batch(policy, want, cs, rng)
+        # the sampling pass serves this batch's update alone, which
+        # changes the parameters it was made with
+        forward, batch.forward = batch.forward, None
         fitted = _score_batch(batch, train_ds, cs, cache,
                               config.const_fit_iters)
         samples_used += batch.n
@@ -251,13 +272,17 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
             break
         if config.policy_kind == "rspg":
             stats = rspg_step(policy, batch, config.epsilon,
-                              config.entropy_weight, opt)
+                              config.entropy_weight, opt, forward=forward)
         elif config.policy_kind == "vpg":
             stats, baseline = vpg_step(policy, batch, baseline,
                                        config.ewma_alpha,
-                                       config.entropy_weight, opt)
+                                       config.entropy_weight, opt,
+                                       forward=forward)
         else:
-            stats = pqt_step(policy, batch, queue, config.entropy_weight, opt)
+            stats = pqt_step(policy, batch, queue, config.entropy_weight, opt,
+                             forward=forward)
+        # released before the next batch is sampled
+        forward = None
         row.update(stats)
         history.append(row)
     return DsrResult(best_tree, best_reward, history, samples_used)

@@ -1,5 +1,6 @@
 """Sequence policy: masked sampling, replay consistency, gradients."""
 
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from autopl.expr.constraints import (
     ConstraintSet,
+    PrefixBatch,
     PrefixState,
     RepeatRule,
     valid_next_tokens,
@@ -203,7 +205,7 @@ def _hard_rule_breaks(tokens, cs):
 
 
 @st.composite
-def _sampling_setups(draw):
+def _sampling_setups(draw, dead_ends=False):
     n_vars = draw(st.integers(1, 3))
     unary = draw(st.lists(st.sampled_from(UNARY_NAMES), unique=True))
     literals = draw(st.lists(st.integers(1, 10), unique=True, max_size=3))
@@ -217,12 +219,19 @@ def _sampling_setups(draw):
     min_length = draw(st.integers(1, 8))
     max_length = draw(st.integers(min_length + 1, 24))
     capped = draw(st.sampled_from(BINARY_NAMES + tuple(unary)))
+    rules = {capped: RepeatRule(max_count=draw(st.integers(1, 3)))}
+    if dead_ends:
+        # a narrow window and capped variables leave prefixes with no
+        # admissible token
+        max_length = draw(st.integers(min_length, min_length + 3))
+        rules.update((f"x{i}", RepeatRule(max_count=draw(st.integers(1, 2))))
+                     for i in range(n_vars))
     cs = ConstraintSet(
         min_length=min_length, max_length=max_length,
         forbid_all_constant_children=draw(st.booleans()),
         forbid_inverse_unary_child=draw(st.booleans()),
         forbid_nested_trig=draw(st.booleans()),
-        repeat_rules={capped: RepeatRule(max_count=draw(st.integers(1, 3)))})
+        repeat_rules=rules)
     policy = PolicyNetwork(vocab, hidden_size=draw(st.integers(1, 8)),
                            seed=draw(st.integers(0, 2 ** 16)))
     return policy, cs, draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 16))
@@ -238,6 +247,36 @@ def test_sampled_sequences_satisfy_every_hard_rule(setup):
         assert _hard_rule_breaks(seq.tokens, cs) == [], seq.tokens
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(_sampling_setups(dead_ends=True))
+def test_batched_masks_equal_valid_next_tokens_row_by_row(setup):
+    # rows advance by random admissible tokens until every row is complete
+    # or dead-ended; dead rows stay in the batch, as in the sampler
+    policy, cs, n, seed = setup
+    vocab = policy.vocab
+    rng = np.random.default_rng(seed)
+    batch = PrefixBatch(vocab, n, cs.max_length)
+    prefixes = [[] for _ in range(n)]
+    while True:
+        masks = batch.mask(cs)
+        parent, sibling = batch.context()
+        for i, prefix in enumerate(prefixes):
+            state = PrefixState()
+            for tok in prefix:
+                state.push(tok)
+            assert np.array_equal(masks[i], valid_next_tokens(prefix, cs, vocab))
+            assert [vocab[j] if j < len(vocab) else None
+                    for j in (parent[i], sibling[i])] == \
+                [state.parent, state.sibling]
+        rows = np.flatnonzero(masks.any(axis=1))
+        if rows.size == 0:
+            break
+        picks = np.array([rng.choice(np.flatnonzero(masks[i])) for i in rows])
+        batch.push(rows, picks)
+        for i, j in zip(rows, picks):
+            prefixes[i].append(vocab[j])
+
+
 def test_min_length_relaxation_allows_short_trees():
     pol = PolicyNetwork(_vocab(), seed=0)
     batch = sample_batch(pol, 150, ConstraintSet(min_length=1),
@@ -250,8 +289,66 @@ def test_teacher_replay_matches_sampled_log_probs():
     pol = PolicyNetwork(_vocab(), seed=11)
     batch = sample_batch(pol, 60, ConstraintSet(), np.random.default_rng(12))
     logp, ents, _ = teacher_forward(pol, batch.data)
-    assert np.allclose(logp, batch.log_probs, atol=1e-10, rtol=0.0)
-    assert np.allclose(ents, batch.entropies, atol=1e-10, rtol=0.0)
+    assert logp.tobytes() == batch.log_probs.tobytes()
+    assert ents.tobytes() == batch.entropies.tobytes()
+
+
+def _dead_end_setup():
+    # one variable used at most once and 4-6 tokens: prefixes such as
+    # (add x0 log10 .) have no admissible token, so rows are dropped and
+    # resampled, here over two rounds, the second of one row
+    vocab = Vocabulary.default(["x0"], unary=UNARY_NAMES,
+                               literals=range(1, 30))
+    cs = ConstraintSet(min_length=4, max_length=6,
+                       repeat_rules={"x0": RepeatRule(max_count=1)})
+    return PolicyNetwork(vocab, seed=8), cs, np.random.default_rng(8)
+
+
+def _loss_bytes(loss, grads):
+    return [np.float64(loss).tobytes()] + [grads[k].tobytes()
+                                           for k in sorted(grads)]
+
+
+@pytest.mark.parametrize("case", ["one round", "dropped rows"])
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.3])
+def test_sampling_pass_gives_the_replays_loss_and_gradients(
+        case, entropy_weight, monkeypatch):
+    policy_module = importlib.import_module("autopl.dsr.policy")
+    rounds = []
+
+    def spy(*args):
+        out = _sample_round(*args)
+        rounds.append(out["dropped"])
+        return out
+
+    monkeypatch.setattr(policy_module, "_sample_round", spy)
+    if case == "one round":
+        pol, cs, rng = PolicyNetwork(_vocab(), seed=13), ConstraintSet(), \
+            np.random.default_rng(14)
+    else:
+        pol, cs, rng = _dead_end_setup()
+    batch = sample_batch(pol, 60, cs, rng)
+    w = np.random.default_rng(15).normal(size=60)
+    replayed = surrogate_loss(pol, batch.data, w, entropy_weight)
+    if case == "one round":
+        assert rounds == [0]
+        logp, ents, cache = batch.forward
+        want_logp, want_ents, want_cache = teacher_forward(pol, batch.data)
+        assert logp.tobytes() == want_logp.tobytes()
+        assert ents.tobytes() == want_ents.tobytes()
+        assert cache["lengths"].tobytes() == want_cache["lengths"].tobytes()
+        assert len(cache["steps"]) == len(want_cache["steps"])
+        for got, want in zip(cache["steps"], want_cache["steps"]):
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), key
+    else:
+        # a replay's matrices have other row counts than the rounds had,
+        # which BLAS may round differently (one-row products may take
+        # another kernel), so such a batch keeps no sampling pass
+        assert len(rounds) >= 2 and rounds[0] > 0
+        assert batch.forward is None
+    got = surrogate_loss(pol, batch.data, w, entropy_weight, batch.forward)
+    assert _loss_bytes(*got) == _loss_bytes(*replayed)
 
 
 def _reference_round(policy, m, cs, rng):

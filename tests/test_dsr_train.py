@@ -1,16 +1,21 @@
 """Reward, priority queue, the three policy updates, and the train loop."""
 
+import copy
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
 from autopl.errors import DataError
+from autopl.expr.constfit import optimize_constants
 from autopl.expr.constraints import ConstraintSet, RepeatRule
 from autopl.expr.tokens import Token, Vocabulary
-from autopl.expr.tree import ExpressionTree
+from autopl.expr.tree import ExpressionTree, evaluate
 from autopl.plmodels import Dataset
 from autopl.dsr.optim import Adam
 from autopl.dsr.policy import PolicyNetwork, SampledBatch, sample_batch
-from autopl.dsr.reward import nrmse, reward
+from autopl.dsr.reward import nrmse, reward, reward_from_mse
 from autopl.dsr.train import (
     MaxRewardPriorityQueue,
     TrainerConfig,
@@ -61,6 +66,49 @@ def test_reward_applies_repeat_discount():
     cs = ConstraintSet(repeat_rules={"x0": RepeatRule(min_count=2)},
                        soft_repeat_weight=0.5)
     assert reward(_sum_tree(), ds, cs) == pytest.approx(0.5)
+
+
+def _fit_case(kind):
+    # (tree, data, constraints) for one kind of constant fit
+    rng = np.random.default_rng(3)
+    add, mul, c = Token.binary("add"), Token.binary("mul"), Token.const()
+    x0, x1 = Token.variable("x0", 0), Token.variable("x1", 1)
+    line = ExpressionTree((add, mul, c, x0, c))
+    X = rng.uniform(1.0, 10.0, size=(60, 2))
+    y = 3.5 * X[:, 0] - 2.0 + rng.normal(0.0, 0.1, 60)
+    if kind == "fittable":
+        return line, X, y, ConstraintSet()
+    if kind == "min-count":
+        # x1 is wanted twice and appears never: a discount of 0.5 ** 2
+        rules = {"x1": RepeatRule(min_count=2), "x0": RepeatRule(min_count=1)}
+        return line, X, y, ConstraintSet(repeat_rules=rules)
+    if kind == "non-finite":
+        # log10(x1 - x1) is -inf on every row, whatever c is
+        tree = ExpressionTree((add, c, Token.unary("log10"),
+                               Token.binary("sub"), x1, x1))
+        return tree, X, y, ConstraintSet()
+    # c + exp(x0) is finite on every row, but its squared errors sum past
+    # the largest double for any c a fit reaches
+    X[:, 0] = rng.uniform(353.5, 354.5, 60)
+    tree = ExpressionTree((add, c, Token.unary("exp"), x0))
+    return tree, X, y, ConstraintSet()
+
+
+@pytest.mark.parametrize("kind", ["fittable", "min-count", "non-finite",
+                                  "sum-overflow"])
+def test_reward_from_fit_is_reward_of_fitted_tree_bit_for_bit(kind):
+    tree, X, y, cs = _fit_case(kind)
+    ds = Dataset(feature_names=("x0", "x1"), X=X, y=y, provenance="test")
+    fit = optimize_constants(tree, X, y)
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(evaluate(fit.tree, X)).all()
+    assert (fit.fittable, finite) == {
+        "fittable": (True, True), "min-count": (True, True),
+        "non-finite": (False, False), "sum-overflow": (False, True)}[kind]
+    got = reward_from_mse(fit.mse, float(np.std(y)), fit.tree.tokens, cs)
+    want = reward(fit.tree, ds, cs)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert (got > 0.0) == fit.fittable
 
 
 def test_queue_keeps_topk_unique():
@@ -159,6 +207,45 @@ def test_vpg_baseline_initialization_and_update():
         assert np.array_equal(p, before[name])
 
 
+def _params_bytes(policy):
+    return [policy.params[n].tobytes() for n in policy.PARAM_NAMES]
+
+
+@pytest.mark.parametrize("update", ["rspg", "vpg"])
+def test_updates_replay_unless_handed_the_sampling_pass(update):
+    # an update reads a batch's sampling pass only when handed it: on a
+    # batch sampled by another policy, or called again after the first
+    # update moved the parameters, it replays
+    vocab = Vocabulary.default(["x0", "x1"])
+    sampler = PolicyNetwork(vocab, seed=0)
+    batch = sample_batch(sampler, 30, ConstraintSet(),
+                         np.random.default_rng(1))
+    batch.rewards = np.linspace(0.0, 1.0, 30)
+    assert batch.forward is not None
+    replayed = dataclasses.replace(batch, forward=None)
+
+    def step(policy, b, opt, **kw):
+        if update == "rspg":
+            rspg_step(policy, b, 0.2, 0.01, opt, **kw)
+        else:
+            vpg_step(policy, b, 0.5, 0.25, 0.01, opt, **kw)
+
+    other, other_replayed = (PolicyNetwork(vocab, seed=5) for _ in range(2))
+    opts = Adam(0.01), Adam(0.01)
+    for _ in range(2):
+        step(other, batch, opts[0])
+        step(other_replayed, replayed, opts[1])
+    assert _params_bytes(other) == _params_bytes(other_replayed)
+
+    own, own_replayed = copy.deepcopy(sampler), copy.deepcopy(sampler)
+    opts = Adam(0.01), Adam(0.01)
+    step(own, batch, opts[0], forward=batch.forward)
+    step(own, batch, opts[0])
+    for _ in range(2):
+        step(own_replayed, replayed, opts[1])
+    assert _params_bytes(own) == _params_bytes(own_replayed)
+
+
 def test_pqt_step_absorbs_and_trains_on_queue():
     vocab = Vocabulary.default(["x0", "x1"])
     pol = PolicyNetwork(vocab, seed=4)
@@ -209,6 +296,38 @@ def test_train_deterministic_and_thread_invariant():
     assert a.best_reward == b.best_reward
     assert [r["mean_reward"] for r in a.history] == \
         [r["mean_reward"] for r in b.history]
+
+
+@pytest.mark.parametrize("kind", ["rspg", "vpg", "pqt"])
+def test_train_with_sampling_passes_matches_replaying_every_update(
+        kind, monkeypatch):
+    # compared within one process: BLAS may round differently elsewhere
+    train_module = importlib.import_module("autopl.dsr.train")
+    sample = train_module.sample_batch
+    handed = []
+
+    def spy(*args, **kwargs):
+        batch = sample(*args, **kwargs)
+        handed.append(batch.forward is not None)
+        return batch
+
+    def without_pass(*args, **kwargs):
+        batch = sample(*args, **kwargs)
+        batch.forward = None
+        return batch
+
+    ds = _dataset()
+    cs = ConstraintSet(min_length=3)
+    cfg = TrainerConfig(policy_kind=kind, batch_size=40, sample_budget=200,
+                        reward_threshold=2.0, seed=4)
+    monkeypatch.setattr(train_module, "sample_batch", spy)
+    got = train(cfg, ds, cs)
+    monkeypatch.setattr(train_module, "sample_batch", without_pass)
+    want = train(cfg, ds, cs)
+    assert len(handed) == 5 and all(handed)
+    assert got.history == want.history
+    assert (got.best_tree, got.best_reward) == \
+        (want.best_tree, want.best_reward)
 
 
 def test_train_rejects_constant_target():

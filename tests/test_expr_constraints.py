@@ -1,5 +1,7 @@
 """Sampling-grammar rules: masks over the next token and repeat scoring."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -174,27 +176,52 @@ def test_incremental_state_matches_rebuilt_mask():
         assert CS.min_length <= len(prefix) <= CS.max_length
 
 
-def _reference_mask(st, cs, vocab):
+def _walk(tokens):
+    # slots, per-name counts, trig depth and open frames of a prefix, read
+    # token by token; a frame is [operator, children done, all constant]
+    from autopl.expr.tokens import TRIG_NAMES
+
+    slots, trig, stack = 1, 0, []
+    for t in tokens:
+        slots += t.arity - 1
+        if t.arity:
+            stack.append([t, 0, True])
+            trig += t.name in TRIG_NAMES
+            continue
+        const = t.is_constant_leaf
+        while stack:
+            frame = stack[-1]
+            frame[1] += 1
+            frame[2] = frame[2] and const
+            if frame[1] < frame[0].arity:
+                break
+            stack.pop()
+            trig -= frame[0].name in TRIG_NAMES
+            const = False
+    return slots, Counter(t.name for t in tokens), trig, stack
+
+
+def _reference_mask(tokens, cs, vocab):
     # the five rules applied one candidate token at a time
     from autopl.expr.tokens import INVERSE_UNARY, TRIG_NAMES, TokenKind
 
     out = np.zeros(len(vocab), dtype=bool)
-    if st.is_complete:
+    slots, counts, trig_depth, stack = _walk(tokens)
+    if tokens and slots == 0:
         return out
-    parent = st.parent
-    frame = st._stack[-1] if st._stack else None
+    parent, done, all_const = stack[-1] if stack else (None, 0, True)
     for i, t in enumerate(vocab):
-        length_after = st.length + 1
-        slots_after = st.slots - 1 + t.arity
+        length_after = len(tokens) + 1
+        slots_after = slots - 1 + t.arity
         if slots_after == 0 and length_after < cs.min_length:
             continue
         if length_after + slots_after > cs.max_length:
             continue
         rule = cs.repeat_rules.get(t.name)
         if rule is not None and rule.max_count is not None \
-                and st.counts[t.name] + 1 > rule.max_count:
+                and counts[t.name] + 1 > rule.max_count:
             continue
-        if cs.forbid_nested_trig and t.name in TRIG_NAMES and st.trig_depth > 0:
+        if cs.forbid_nested_trig and t.name in TRIG_NAMES and trig_depth > 0:
             continue
         if cs.forbid_inverse_unary_child and parent is not None \
                 and parent.kind is TokenKind.UNARY \
@@ -204,7 +231,7 @@ def _reference_mask(st, cs, vocab):
                 and parent is not None:
             if parent.kind is TokenKind.UNARY:
                 continue
-            if frame.children_done == parent.arity - 1 and frame.all_const:
+            if done == parent.arity - 1 and all_const:
                 continue
         out[i] = True
     return out
@@ -229,13 +256,17 @@ def test_mask_matches_rule_by_rule_reference(cs):
         st = PrefixState()
         while not st.is_complete:
             mask = st.mask(cs, vocab)
-            assert np.array_equal(mask, _reference_mask(st, cs, vocab))
+            assert np.array_equal(mask, _reference_mask(st.tokens, cs, vocab))
+            slots, counts, trig_depth, stack = _walk(st.tokens)
+            assert (st.slots, st.counts, st.trig_depth) == \
+                (slots, counts, trig_depth)
+            assert st.parent == (stack[-1][0] if stack else None)
             choices = np.flatnonzero(mask)
             if choices.size == 0:
                 break
             st.push(vocab[int(rng.choice(choices))])
         assert np.array_equal(st.mask(cs, vocab),
-                              _reference_mask(st, cs, vocab))
+                              _reference_mask(st.tokens, cs, vocab))
 
 
 def test_constraint_set_validation():
