@@ -10,7 +10,7 @@ variable token per dataset feature.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +31,8 @@ TRIG_NAMES = frozenset({"sin", "cos"})
 # unary pairs that cancel when directly nested
 INVERSE_UNARY = {"log10": "exp", "exp": "log10", "sqrt": "square", "square": "sqrt"}
 BINARY_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_ARITY = {TokenKind.BINARY: 2, TokenKind.UNARY: 1, TokenKind.VARIABLE: 0,
+          TokenKind.CONST: 0, TokenKind.LITERAL: 0}
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,12 @@ class Token:
     kind: TokenKind
     value: float | None = None
     var_index: int | None = None
+    # read off the kind once, as a plain attribute: every sequence a policy
+    # samples is validated token by token.  Not part of equality or hash.
+    arity: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def arity(self) -> int:
-        if self.kind is TokenKind.BINARY:
-            return 2
-        if self.kind is TokenKind.UNARY:
-            return 1
-        return 0
+    def __post_init__(self):
+        object.__setattr__(self, "arity", _ARITY[self.kind])
 
     @property
     def is_operator(self) -> bool:

@@ -51,16 +51,23 @@ _BINARY_FN = {name: eval(f"lambda a, b: {src.format('a', 'b')}")
               for name, src in _BINARY_SRC.items()}
 
 
+def _count_constants(tokens: Sequence[Token]) -> int | None:
+    """Constant slots of a prefix sequence that closes exactly one
+    expression, or None when it does not; a single pass."""
+    const = TokenKind.CONST
+    slots, n_const = 1, 0
+    for t in tokens:
+        if not slots:
+            return None
+        slots += t.arity - 1
+        if t.kind is const:
+            n_const += 1
+    return None if slots else n_const
+
+
 def is_complete(tokens: Sequence[Token]) -> bool:
     """True when the prefix sequence closes exactly one expression."""
-    if not tokens:
-        return False
-    slots = 1
-    for i, t in enumerate(tokens):
-        slots += t.arity - 1
-        if slots == 0:
-            return i == len(tokens) - 1
-    return False
+    return _count_constants(tokens) is not None
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,9 @@ class ExpressionTree:
     def __post_init__(self):
         tokens = tuple(self.tokens)
         object.__setattr__(self, "tokens", tokens)
-        if not is_complete(tokens):
+        n_const = _count_constants(tokens)
+        if n_const is None:
             raise ValueError("token sequence is not a complete prefix expression")
-        n_const = sum(1 for t in tokens if t.kind is TokenKind.CONST)
         consts = tuple(float(c) for c in self.constants)
         if not consts and n_const:
             consts = (1.0,) * n_const

@@ -18,9 +18,10 @@ closed form or a 1-d search of at most 200 candidates:
 
 Each start is refined by nonlinear least squares on all four parameters
 with the analytic Jacobian.  Candidates are scored by R2 with a simplicity
-tie-break, the surviving affine parameters can be retrained end to end,
-and the whole symbolic network flattens into one expression tree with
-dataset normalization folded back in.
+tie-break, fitted simplest first so that an edge stops at the first
+complexity level that must win; the surviving affine parameters can be
+retrained end to end, and the whole symbolic network flattens into one
+expression tree with dataset normalization folded back in.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from autopl.expr.tokens import Token
 from autopl.expr.tree import ExpressionTree
@@ -66,6 +66,10 @@ EDGE_FAMILIES: dict[str, SymbolicEdge] = {
 
 # how much R2 a more complex shape must gain to beat a simpler one
 _TIE_BREAK = 0.02
+# an R2 no later fit can beat by the tie-break: `_r2` is at most 1, and
+# `_start`'s cov^2 / (var_f * var_y) rounds at most a few ulps above 1,
+# far inside the 1e-9 margin
+_SETTLED = 1.0 + 1e-9 - _TIE_BREAK
 # rates a searched by exp (both signs) and by sin and cos (a > 0 suffices,
 # the sign folds into b and c).  Edge inputs live in the clamp interval
 # [-1, 1.05]; |a| up to 12 at step 0.125 keeps a trig start's phase error
@@ -201,6 +205,8 @@ def _refine(fam: SymbolicEdge, x, y, start):
             jac[~np.isfinite(p[2] * fu + p[3])] = 0.0
         return np.where(np.isfinite(jac), jac, 0.0)
 
+    from scipy import optimize  # loaded here: only train-kan needs scipy
+
     try:
         res = optimize.least_squares(residual, np.array([a0, b0, c0, d0]),
                                      jac=jacobian, max_nfev=200)
@@ -219,6 +225,12 @@ def fit_edge(x: np.ndarray, y: np.ndarray,
 
     Shapes within 0.02 R2 of the leader resolve toward the simplest;
     a flat response short-circuits to the zero shape with offset d.
+    Families are fitted level by level in order of complexity, in
+    library order within a level.  Once a level's best shape is within
+    the tie-break of R2 = 1 (no shape scores above it, bar `_start`'s
+    rounding) and every simpler shape is already outside the tie-break
+    of it, no later fit can change the winner, so the remaining levels
+    are skipped.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -233,19 +245,28 @@ def fit_edge(x: np.ndarray, y: np.ndarray,
     if "zero" in names:
         candidates.append(EdgeFit("zero", 0.0, 0.0, 0.0, ym,
                                   _r2(np.full_like(y, ym), y)))
-    for name in names:
-        if name == "zero":
-            continue
-        fam = EDGE_FAMILIES[name]
-        start = _start(fam, x, y)
-        if start is None:
-            continue
-        best = start
-        refined = _refine(fam, x, y, start)
-        if refined is not None and refined[4] > best[4]:
-            best = refined
-        candidates.append(EdgeFit(name, best[0], best[1], best[2], best[3],
-                                  best[4]))
+    levels = sorted({EDGE_FAMILIES[n].complexity for n in names if n != "zero"})
+    for level in levels:
+        simpler = len(candidates)
+        for name in names:
+            fam = EDGE_FAMILIES[name]
+            if name == "zero" or fam.complexity != level:
+                continue
+            start = _start(fam, x, y)
+            if start is None:
+                continue
+            best = start
+            refined = _refine(fam, x, y, start)
+            if refined is not None and refined[4] > best[4]:
+                best = refined
+            candidates.append(EdgeFit(name, best[0], best[1], best[2],
+                                      best[3], best[4]))
+        if len(candidates) > simpler:
+            # with every simpler shape out of the tie, the top is this level's
+            top = max(c.r2 for c in candidates)
+            if top >= _SETTLED and all(c.r2 < top - _TIE_BREAK
+                                       for c in candidates[:simpler]):
+                break
     if not candidates:
         return EdgeFit("zero", 0.0, 0.0, 0.0, ym, _r2(np.full_like(y, ym), y))
     top = max(c.r2 for c in candidates)
@@ -443,6 +464,8 @@ def retrain_affine(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
     def objective(theta):
         _unflatten(work, theta)
         return _mse_and_grad(work, X, y)
+
+    from scipy import optimize
 
     res = optimize.minimize(objective, _flatten(work), jac=True,
                             method="L-BFGS-B",

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from autopl.errors import TrainingError
 from autopl.kan.network import KanNetwork
@@ -118,6 +117,8 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
         mse, reg = last["mse"], last["reg"]
         history.append({"step": len(history) + 1, "mse": mse * sigma ** 2,
                         "reg": reg, "loss": mse + reg})
+
+    from scipy import optimize  # loaded here: only train-kan needs scipy
 
     res = optimize.minimize(objective, net.get_params(), jac=True,
                             method="L-BFGS-B", callback=record,

@@ -1,0 +1,97 @@
+"""Only train-kan loads scipy: importing the CLI and running any other
+command leaves it out of the process, so those commands do not pay for it
+at start-up.  Each check runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+from autopl.cli import main
+from autopl.plmodels import (
+    Dataset,
+    IndoorParams,
+    eval_indoor_empirical,
+    write_csv,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# imports the CLI, then runs each command in turn; prints, for the import
+# and after each command, the command's exit code and whether any scipy
+# module is loaded
+_RUNNER = """
+import json, sys
+import autopl.cli
+seen = [["import autopl.cli", 0, "scipy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = autopl.cli.main(argv)
+    seen.append([" ".join(argv[:3]), code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _scipy_loaded_after(commands):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _indoor_csv(path):
+    rng = np.random.default_rng(1)
+    X = np.column_stack([rng.uniform(1.0, 50.0, 30),
+                         rng.integers(0, 6, 30), rng.integers(0, 3, 30)])
+    write_csv(Dataset(("d_m", "n_w", "n_f"), X, eval_indoor_empirical(
+        IndoorParams(X[:, 0], X[:, 1], X[:, 2])), "test"), path)
+
+
+def test_commands_other_than_train_kan_leave_scipy_unloaded(tmp_path):
+    # the checkpoint comes from this process, which may load scipy freely
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--model", "ci", "--count", "60", "--seed", "3",
+                 "--out", str(data_dir)]) == 0
+    data = str(data_dir / "dataset.csv")
+    kan_dir = tmp_path / "kan"
+    assert main(["train-kan", "--data", data, "--shape", "4,2,1", "--grid",
+                 "5", "--steps", "5", "--no-symbolic",
+                 "--out", str(kan_dir)]) == 0
+    indoor = tmp_path / "indoor.csv"
+    _indoor_csv(indoor)
+
+    t = str(tmp_path)
+    seen = _scipy_loaded_after([
+        ["gen-data", "--model", "ci", "--count", "60", "--seed", "4",
+         "--out", f"{t}/gen"],
+        ["train-dsr", "--data", data, "--samples", "100", "--batch", "100",
+         "--min-len", "3", "--out", f"{t}/dsr"],
+        ["eval", "--data", data, "--expr-json", f"{t}/dsr/expression.json",
+         "--out", f"{t}/ev"],
+        ["eval", "--data", data, "--checkpoint", str(kan_dir / "kan.npz"),
+         "--out", f"{t}/ec"],
+        ["baseline", "--data", str(indoor), "--which", "indoor",
+         "--out", f"{t}/base"],
+        ["report", "--runs", f"{t}/base", f"{t}/dsr", "--out", f"{t}/rep"],
+    ])
+    assert len(seen) == 7
+    for step, code, loaded in seen:
+        assert code == 0, step
+        assert not loaded, f"scipy loaded by {step}"
+
+
+def test_train_kan_loads_scipy(tmp_path):
+    data = str(tmp_path / "data" / "dataset.csv")
+    seen = _scipy_loaded_after([
+        ["gen-data", "--model", "ci", "--count", "60", "--seed", "3",
+         "--out", str(tmp_path / "data")],
+        ["train-kan", "--data", data, "--shape", "4,2,1", "--grid", "5",
+         "--steps", "5", "--out", str(tmp_path / "kan")],
+    ])
+    assert [(code, loaded) for _, code, loaded in seen] == [
+        (0, False), (0, False), (0, True)]

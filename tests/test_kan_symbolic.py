@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopl.expr.tree import evaluate, to_infix
 from autopl.kan import (
@@ -128,6 +130,175 @@ def test_fit_edge_input_validation():
         fit_edge(np.zeros((5, 2)), np.zeros((5, 2)))
 
 
+# ---------------------------------------------------------------------------
+# fit_edge's early stop against the full-library selection it replaced
+
+
+def _reference_fit_edge(x, y, families=None):
+    """fit_edge as it was before the early stop: every family in library
+    order, then the tie-break over all of them."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    names = list(families) if families is not None else list(EDGE_FAMILIES)
+    ym = float(y.mean())
+    if float(np.var(y)) < 1e-24:
+        return EdgeFit("zero", 0.0, 0.0, 0.0, ym, 1.0)
+    candidates = []
+    if "zero" in names:
+        candidates.append(EdgeFit("zero", 0.0, 0.0, 0.0, ym,
+                                  symbolic._r2(np.full_like(y, ym), y)))
+    for name in names:
+        if name == "zero":
+            continue
+        fam = EDGE_FAMILIES[name]
+        start = symbolic._start(fam, x, y)
+        if start is None:
+            continue
+        best = start
+        refined = symbolic._refine(fam, x, y, start)
+        if refined is not None and refined[4] > best[4]:
+            best = refined
+        candidates.append(EdgeFit(name, best[0], best[1], best[2], best[3],
+                                  best[4]))
+    if not candidates:
+        return EdgeFit("zero", 0.0, 0.0, 0.0, ym,
+                       symbolic._r2(np.full_like(y, ym), y))
+    top = max(c.r2 for c in candidates)
+    near = [c for c in candidates if c.r2 >= top - symbolic._TIE_BREAK]
+    near.sort(key=lambda c: (c.complexity, -c.r2))
+    return near[0]
+
+
+def _same_fit(got, want):
+    return got.name == want.name and np.array_equal(
+        [got.a, got.b, got.c, got.d, got.r2],
+        [want.a, want.b, want.c, want.d, want.r2], equal_nan=True)
+
+
+def _started(monkeypatch):
+    """Record the families whose start fit_edge computes."""
+    seen = []
+    real = symbolic._start
+
+    def start(fam, x, y):
+        seen.append(fam.name)
+        return real(fam, x, y)
+
+    monkeypatch.setattr(symbolic, "_start", start)
+    return seen
+
+
+@st.composite
+def _edge_curves(draw):
+    """(x, y, families): a library shape with random parameters on part of
+    the clamp interval, noise from none to swamping, sometimes a near tie
+    between a line and a parabola, sometimes a family subset."""
+    n = draw(st.integers(12, 120))
+    lo = draw(st.floats(-1.0, 0.5))
+    hi = draw(st.floats(lo + 0.1, 1.05))
+    x = np.linspace(lo, hi, n)
+    a = draw(st.floats(-4.0, 4.0).filter(lambda v: abs(v) > 0.05))
+    b = draw(st.floats(-2.0, 2.0))
+    c = draw(st.floats(-30.0, 30.0).filter(lambda v: abs(v) > 1e-3))
+    d = draw(st.floats(-30.0, 30.0))
+    shape = draw(st.sampled_from(["near-tie"] + [
+        f for f in EDGE_FAMILIES if f != "zero"]))
+    if shape == "near-tie":
+        eps = draw(st.floats(0.0, 2.0))
+        y = c * (x + eps * x * x) + d
+    else:
+        if shape in ("sqrt", "log10", "reciprocal"):
+            # keep the singularity outside the sampled range
+            b = draw(st.floats(0.01, 3.0)) - min(a * lo, a * hi)
+        if shape == "exp":
+            a = float(np.clip(a, -3.0, 3.0))
+        y = c * EDGE_FAMILIES[shape].fn(a * x + b) + d
+    noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.3, 3.0]))
+    seed = draw(st.integers(0, 2 ** 16))
+    y = y + noise * float(np.std(y)) * np.random.default_rng(seed).normal(size=n)
+    families = None
+    if draw(st.booleans()):
+        families = draw(st.lists(st.sampled_from(list(EDGE_FAMILIES)),
+                                 min_size=1, max_size=5, unique=True))
+    return x, y, families
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_edge_curves())
+def test_fit_edge_early_stop_matches_full_library(curve):
+    x, y, families = curve
+    got = fit_edge(x, y, families)
+    want = _reference_fit_edge(x, y, families)
+    assert _same_fit(got, want), (got, want)
+
+
+def test_fit_edge_stops_at_the_first_level_that_must_win(monkeypatch):
+    x = _curve()
+    seen = _started(monkeypatch)
+    assert fit_edge(x, -4.0 * x + 0.5).name == "identity"
+    assert seen == ["identity"]
+    # a clean parabola: identity cannot win, square settles level 2, so the
+    # level-3 families (cube, sin, cos) are never started
+    seen.clear()
+    y = 2.0 * (x - 0.3) ** 2 - 1.0
+    got = fit_edge(x, y)
+    assert seen == ["identity", "square", "sqrt", "reciprocal", "log10",
+                    "exp"]
+    assert _same_fit(got, _reference_fit_edge(x, y))
+    # swamped by noise, no level settles, and every family is fitted
+    seen.clear()
+    y = x + np.random.default_rng(3).normal(size=x.size)
+    fit_edge(x, y)
+    assert seen == ["identity", "square", "sqrt", "reciprocal", "log10",
+                    "exp", "cube", "sin", "cos"]
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_fit_edge_early_stop_guards_start_rounding(monkeypatch, below):
+    """A start's R2 can round above 1; a simpler shape whose R2 sits right
+    at the stopping threshold must still be chosen as the full library
+    would choose it."""
+    x = np.linspace(-1.0, 1.05, 25)
+    y = 2.0 * (x - 0.3) ** 2 - 1.0
+    over = symbolic._start(EDGE_FAMILIES["square"], x, y)
+    assert over[4] > 1.0  # real rounding, kept since a refined R2 is <= 1
+    settled = symbolic._SETTLED
+    if below:
+        settled = float(np.nextafter(settled, 0.0))
+    real_start, real_refine = symbolic._start, symbolic._refine
+
+    def start(fam, x, y):
+        if fam.name == "identity":
+            return (1.0, 0.0, 1.0, 0.0, settled)
+        return real_start(fam, x, y)
+
+    def refine(fam, x, y, start):
+        # the identity stays at its planted R2
+        return None if fam.name == "identity" else real_refine(fam, x, y, start)
+
+    monkeypatch.setattr(symbolic, "_start", start)
+    monkeypatch.setattr(symbolic, "_refine", refine)
+    got = fit_edge(x, y)
+    want = _reference_fit_edge(x, y)
+    assert _same_fit(got, want), (got, want)
+    assert want.name == "identity"
+
+
+def test_fit_edge_early_stop_waits_while_a_simpler_shape_ties(monkeypatch):
+    """Square settles level 2, but identity is still within the tie-break
+    of it; a level-3 shape then raises the top and pushes identity out, so
+    stopping at level 2 would have picked identity instead of square."""
+    planted = {"identity": 0.975, "square": 0.99, "sin": 0.999}
+    monkeypatch.setattr(symbolic, "_start", lambda fam, x, y: (
+        (1.0, 0.0, 1.0, 0.0, planted[fam.name]) if fam.name in planted
+        else None))
+    monkeypatch.setattr(symbolic, "_refine", lambda fam, x, y, start: None)
+    x = _curve(20)
+    got = fit_edge(x, x)
+    assert _same_fit(got, _reference_fit_edge(x, x))
+    assert got.name == "square"
+
+
 def _library_net(grid_size=8, order=3):
     """[2, 1] net whose two edges are spline fits of library shapes."""
     cfg = KanConfig(shape=(2, 1), grid_size=grid_size, order=order, steps=1)
@@ -246,6 +417,56 @@ def test_extract_expression_folds_normalization():
     pred_tree = evaluate(tree, X_orig)
     pred_sym = sym.predict(X_norm)
     assert np.allclose(pred_tree, pred_sym, rtol=1e-10, atol=1e-10)
+
+
+_FINITE_ON_R = ("zero", "identity", "square", "cube", "exp", "sin", "cos")
+
+
+@st.composite
+def _edge_fit(draw, lo, hi, families):
+    """An EdgeFit of a drawn family, finite for inputs in [lo, hi]."""
+    name = draw(st.sampled_from(families))
+    if name == "zero":
+        return EdgeFit("zero", 0.0, 0.0, 0.0, draw(st.floats(-5.0, 5.0)), 1.0)
+    a = draw(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 0.05))
+    b = draw(st.floats(-1.0, 1.0))
+    if name in ("sqrt", "log10", "reciprocal"):
+        # keep the singularity at least 0.05 outside a*[lo, hi] + b
+        b = draw(st.floats(0.05, 2.0)) - min(a * lo, a * hi)
+    c = draw(st.floats(-5.0, 5.0))
+    d = draw(st.floats(-5.0, 5.0))
+    return EdgeFit(name, a, b, c, d, 1.0)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_extract_expression_folds_normalization_for_every_family(data):
+    """The extracted tree on raw features equals the symbolic network on
+    the features divided by their divisors, for every edge family and
+    random positive divisors; one feature has no divisor (1.0)."""
+    draw = data.draw
+    # layer 0 sees normalized inputs in [0.1, 1.05]; layer 1 sees hidden
+    # values of unknown range, so it uses the shapes finite on the line
+    fits0 = [[draw(_edge_fit(0.1, 1.05, list(EDGE_FAMILIES)))
+              for _ in range(2)] for _ in range(3)]
+    fits1 = [[draw(_edge_fit(-1.0, 1.0, _FINITE_ON_R))] for _ in range(2)]
+    fits1 = [[replace(f, a=float(np.clip(f.a, -0.2, 0.2)))
+              if f.name == "exp" else f for f in row] for row in fits1]
+    masks = [np.array(draw(st.lists(st.booleans(), min_size=6, max_size=6)),
+                      dtype=bool).reshape(3, 2),
+             np.array([[True], [draw(st.booleans())]])]
+    sym = SymbolicKan((3, 2, 1), [fits0, fits1], masks)
+    divisors = np.array([10.0 ** draw(st.floats(-3.0, 4.0)),
+                         10.0 ** draw(st.floats(-3.0, 4.0)), 1.0])
+    norm = {"d_m": float(divisors[0]), "f_hz": float(divisors[1])}
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    X_raw = rng.uniform(0.1, 1.05, size=(40, 3)) * divisors
+    tree = extract_expression(sym, ["d_m", "f_hz", "h_m"], norm)
+    want = sym.predict(X_raw / divisors)
+    got = evaluate(tree, X_raw)
+    assert np.all(np.isfinite(want))
+    scale = max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
 
 
 def test_extract_expression_infix_mentions_families():
