@@ -8,7 +8,11 @@ of the best sequences seen so far.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from autopl.dsr.policy import (
 from autopl.dsr.reward import reward, reward_from_mse
 
 POLICY_KINDS = ("rspg", "vpg", "pqt")
+_MAX_WORKERS = 8  # most fitting processes one train() call starts
 
 
 @dataclass(frozen=True)
@@ -196,11 +201,80 @@ class DsrResult:
     samples_used: int = 0
 
 
+def _fit_tree(X: np.ndarray, y: np.ndarray, fit_iters: int,
+              tree: ExpressionTree) -> tuple[float, tuple[float, ...]]:
+    """One structure's constant fit, as its MSE and fitted constants."""
+    fit = optimize_constants(tree, X, y, max_iter=fit_iters)
+    return fit.mse, fit.tree.constants
+
+
+# `_fit_tree` bound to the training rows, set by `_init_worker` in each
+# fitting worker process only
+_worker_fit: Callable | None = None
+
+
+def _init_worker(X: np.ndarray, y: np.ndarray, fit_iters: int) -> None:
+    global _worker_fit
+    _worker_fit = functools.partial(_fit_tree, X, y, fit_iters)
+
+
+def _fit_in_worker(tree: ExpressionTree) -> tuple[float, tuple[float, ...]]:
+    return _worker_fit(tree)
+
+
+def _available_cpus() -> int:
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _start_pool(processes: int, X: np.ndarray, y: np.ndarray,
+                fit_iters: int):
+    # fork, not spawn: the workers inherit the imported modules and the
+    # rows, where spawn would import numpy and autopl again in every
+    # worker of every call; the pool starts its own threads only after
+    # forking them
+    import multiprocessing
+    return multiprocessing.get_context("fork").Pool(
+        processes, initializer=_init_worker, initargs=(X, y, fit_iters))
+
+
+FitMap = Callable[[Iterable[ExpressionTree]],
+                  Iterator[tuple[float, tuple[float, ...]]]]
+
+
+@contextlib.contextmanager
+def _fitting(ds: Dataset, fit_iters: int) -> Iterator[FitMap]:
+    """Yield a map from structures to their fits' (mse, constants), in
+    order.  The fits run in forked workers, one per available CPU up to
+    `_MAX_WORKERS`, or through builtin `map` in this process when only
+    one CPU is available or the pool cannot start.  Either way a fit is
+    the same pure function of the structure and the rows, so the
+    results are bit-identical; the workers are gone on exit."""
+    processes = min(_available_cpus(), _MAX_WORKERS)
+    pool = None
+    if processes > 1:
+        try:
+            pool = _start_pool(processes, ds.X, ds.y, fit_iters)
+        except OSError:  # from fork, or no semaphores to be had
+            pass
+    if pool is None:
+        yield functools.partial(map, functools.partial(_fit_tree, ds.X, ds.y,
+                                                       fit_iters))
+        return
+    try:
+        yield functools.partial(pool.imap, _fit_in_worker)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
-                 cache: dict, fit_iters: int = 100) -> list[ExpressionTree]:
-    """Fill batch.rewards, fitting constants once per unique structure.
-    A fitted structure's reward comes from its fit's MSE (infinite when
-    unfittable), which `reward` would compute again from the data."""
+                 cache: dict, fit_all: FitMap) -> list[ExpressionTree]:
+    """Fill batch.rewards, fitting constants once per unique structure
+    through `fit_all`.  A fitted structure's reward comes from its fit's
+    MSE (infinite when unfittable), which `reward` would compute again
+    from the data."""
     sigma = float(np.std(ds.y))
     fitted: list[ExpressionTree | None] = [None] * batch.n
     todo: dict[tuple, list[int]] = {}
@@ -211,14 +285,16 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
             rewards[i], fitted[i] = cache[key]
         else:
             todo.setdefault(key, []).append(i)
-    for key, idxs in todo.items():
-        tree = batch.sequences[idxs[0]]
-        if tree.n_constants:
-            fit = optimize_constants(tree, ds.X, ds.y, max_iter=fit_iters)
-            tree = fit.tree
-            r = reward_from_mse(fit.mse, sigma, tree.tokens, cs)
-        else:
-            r = reward(tree, ds, cs)
+    trees = [batch.sequences[idxs[0]] for idxs in todo.values()]
+    fits = fit_all([tree for tree in trees if tree.n_constants])
+    # the constant-free structures are scored while the workers fit
+    plain = [None if tree.n_constants else reward(tree, ds, cs)
+             for tree in trees]
+    for (key, idxs), tree, r in zip(todo.items(), trees, plain):
+        if r is None:
+            mse, constants = next(fits)
+            tree = tree.with_constants(constants)
+            r = reward_from_mse(mse, sigma, tree.tokens, cs)
         cache[key] = (r, tree)
         for i in idxs:
             rewards[i] = r
@@ -230,7 +306,9 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
 def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
           vocab: Vocabulary | None = None) -> DsrResult:
     """Sample/score/update until the budget runs out or the reward
-    threshold is reached; deterministic for a given config seed."""
+    threshold is reached; deterministic for a given config seed, and
+    bit-identical whether the constant fits run in worker processes or
+    in this one (see `_fitting`)."""
     if float(np.std(train_ds.y)) == 0.0:
         raise DataError("target is constant")
     if vocab is None:
@@ -249,40 +327,40 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
     history: list[dict] = []
     samples_used = 0
     step = 0
-    while samples_used < config.sample_budget:
-        want = min(config.batch_size, config.sample_budget - samples_used)
-        batch = sample_batch(policy, want, cs, rng)
-        # the sampling pass serves this batch's update alone, which
-        # changes the parameters it was made with
-        forward, batch.forward = batch.forward, None
-        fitted = _score_batch(batch, train_ds, cs, cache,
-                              config.const_fit_iters)
-        samples_used += batch.n
-        step += 1
-        i_best = int(np.argmax(batch.rewards))
-        if float(batch.rewards[i_best]) > best_reward:
-            best_reward = float(batch.rewards[i_best])
-            best_tree = fitted[i_best]
-        row = {"step": step, "samples": samples_used,
-               "best_reward": best_reward,
-               "mean_reward": float(np.mean(batch.rewards)),
-               "best_expression": to_infix(best_tree)}
-        if best_reward >= config.reward_threshold:
+    with _fitting(train_ds, config.const_fit_iters) as fit_all:
+        while samples_used < config.sample_budget:
+            want = min(config.batch_size, config.sample_budget - samples_used)
+            batch = sample_batch(policy, want, cs, rng)
+            # the sampling pass serves this batch's update alone, which
+            # changes the parameters it was made with
+            forward, batch.forward = batch.forward, None
+            fitted = _score_batch(batch, train_ds, cs, cache, fit_all)
+            samples_used += batch.n
+            step += 1
+            i_best = int(np.argmax(batch.rewards))
+            if float(batch.rewards[i_best]) > best_reward:
+                best_reward = float(batch.rewards[i_best])
+                best_tree = fitted[i_best]
+            row = {"step": step, "samples": samples_used,
+                   "best_reward": best_reward,
+                   "mean_reward": float(np.mean(batch.rewards)),
+                   "best_expression": to_infix(best_tree)}
+            if best_reward >= config.reward_threshold:
+                history.append(row)
+                break
+            if config.policy_kind == "rspg":
+                stats = rspg_step(policy, batch, config.epsilon,
+                                  config.entropy_weight, opt, forward=forward)
+            elif config.policy_kind == "vpg":
+                stats, baseline = vpg_step(policy, batch, baseline,
+                                           config.ewma_alpha,
+                                           config.entropy_weight, opt,
+                                           forward=forward)
+            else:
+                stats = pqt_step(policy, batch, queue, config.entropy_weight,
+                                 opt, forward=forward)
+            # released before the next batch is sampled
+            forward = None
+            row.update(stats)
             history.append(row)
-            break
-        if config.policy_kind == "rspg":
-            stats = rspg_step(policy, batch, config.epsilon,
-                              config.entropy_weight, opt, forward=forward)
-        elif config.policy_kind == "vpg":
-            stats, baseline = vpg_step(policy, batch, baseline,
-                                       config.ewma_alpha,
-                                       config.entropy_weight, opt,
-                                       forward=forward)
-        else:
-            stats = pqt_step(policy, batch, queue, config.entropy_weight, opt,
-                             forward=forward)
-        # released before the next batch is sampled
-        forward = None
-        row.update(stats)
-        history.append(row)
     return DsrResult(best_tree, best_reward, history, samples_used)

@@ -238,7 +238,8 @@ def evaluate(tree: ExpressionTree, X: np.ndarray | Prepared,
     An (m, k) matrix of candidates gives an (m, rows) result, one row per
     candidate, with the same bits as m single calls.  X is a feature
     matrix, or what ``prepare`` made of one for this tree; then only the
-    constant stage runs, under the caller's floating-point error state.  Each token sequence is compiled once and reused.
+    constant stage runs, under the caller's floating-point error state.
+    Each token sequence is compiled once and reused.
     Non-finite intermediate results propagate instead of raising.
     """
     if not isinstance(X, Prepared):

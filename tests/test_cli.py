@@ -400,7 +400,7 @@ def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys):
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
-    # runs are single-threaded; the old AUTOPL_THREADS variable is inert
+    # the old AUTOPL_THREADS variable is inert: it sizes nothing
     data = _gen(tmp_path, "ci", count=60)
     argv = ["train-dsr", "--data", str(data), "--samples", "100",
             "--batch", "100", "--min-len", "3"]

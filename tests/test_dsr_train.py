@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -328,6 +329,76 @@ def test_train_with_sampling_passes_matches_replaying_every_update(
     assert got.history == want.history
     assert (got.best_tree, got.best_reward) == \
         (want.best_tree, want.best_reward)
+
+
+def _train_fit_case(kind):
+    ds = _dataset()
+    cs = ConstraintSet(min_length=3)
+    cfg = TrainerConfig(policy_kind=kind, batch_size=40, sample_budget=160,
+                        reward_threshold=2.0, seed=5)
+    return cfg, ds, cs
+
+
+def _force_pool(monkeypatch):
+    # two workers, even where only one CPU is available; returns the
+    # sizes of the pools train() starts
+    train_module = importlib.import_module("autopl.dsr.train")
+    start = train_module._start_pool
+    started = []
+
+    def spy(processes, *args):
+        started.append(processes)
+        return start(processes, *args)
+
+    monkeypatch.setattr(train_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(train_module, "_start_pool", spy)
+    return started
+
+
+@pytest.mark.parametrize("kind", ["rspg", "vpg", "pqt"])
+def test_train_in_workers_matches_in_process(kind, monkeypatch):
+    # the fits run in-process when the pool cannot start, and when only
+    # one CPU is available, where no pool is tried
+    train_module = importlib.import_module("autopl.dsr.train")
+    cfg, ds, cs = _train_fit_case(kind)
+    started = _force_pool(monkeypatch)
+    pooled = train(cfg, ds, cs)
+    assert started == [2]
+
+    def no_semaphores(*args):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr(train_module, "_start_pool", no_semaphores)
+    no_pool = train(cfg, ds, cs)
+
+    def unreachable(*args):
+        raise AssertionError("a pool was started with one CPU available")
+
+    monkeypatch.setattr(train_module, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(train_module, "_start_pool", unreachable)
+    one_cpu = train(cfg, ds, cs)
+    for alone in (no_pool, one_cpu):
+        assert pooled.history == alone.history
+        assert (pooled.best_tree, pooled.best_reward) == \
+            (alone.best_tree, alone.best_reward)
+
+
+def test_no_worker_outlives_train(monkeypatch):
+    train_module = importlib.import_module("autopl.dsr.train")
+    cfg, ds, cs = _train_fit_case("rspg")
+    started = _force_pool(monkeypatch)
+    train(cfg, ds, cs)
+    assert multiprocessing.active_children() == []
+
+    def broken(*args, **kwargs):
+        raise ValueError("fit failed")
+
+    # the workers are forked after this, so they inherit it
+    monkeypatch.setattr(train_module, "optimize_constants", broken)
+    with pytest.raises(ValueError, match="fit failed"):
+        train(cfg, ds, cs)
+    assert started == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_train_rejects_constant_target():

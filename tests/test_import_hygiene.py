@@ -1,6 +1,7 @@
-"""Only train-kan loads scipy: importing the CLI and running any other
-command leaves it out of the process, so those commands do not pay for it
-at start-up.  Each check runs in a fresh interpreter."""
+"""Only train-kan loads scipy, and only train-dsr loads multiprocessing:
+importing the CLI and running any other command leaves them out of the
+process, so those commands do not pay for them at start-up.  Each check
+runs in a fresh interpreter."""
 
 import json
 import os
@@ -21,20 +22,25 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 # imports the CLI, then runs each command in turn; prints, for the import
-# and after each command, the command's exit code and whether any scipy
-# module is loaded
+# and after each command, the command's exit code and which of scipy and
+# multiprocessing have a module loaded
 _RUNNER = """
 import json, sys
+
+def loaded():
+    return [any(m == top or m.startswith(top + ".") for m in sys.modules)
+            for top in ("scipy", "multiprocessing")]
+
 import autopl.cli
-seen = [["import autopl.cli", 0, "scipy" in sys.modules]]
+seen = [["import autopl.cli", 0, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     code = autopl.cli.main(argv)
-    seen.append([" ".join(argv[:3]), code, "scipy" in sys.modules])
+    seen.append([" ".join(argv[:3]), code, *loaded()])
 print(json.dumps(seen))
 """
 
 
-def _scipy_loaded_after(commands):
+def _loaded_after(commands):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -52,8 +58,9 @@ def _indoor_csv(path):
         IndoorParams(X[:, 0], X[:, 1], X[:, 2])), "test"), path)
 
 
-def test_commands_other_than_train_kan_leave_scipy_unloaded(tmp_path):
-    # the checkpoint comes from this process, which may load scipy freely
+def test_commands_leave_scipy_and_multiprocessing_unloaded(tmp_path):
+    # the checkpoint and the DSR run come from this process, which may
+    # load either freely
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--model", "ci", "--count", "60", "--seed", "3",
                  "--out", str(data_dir)]) == 0
@@ -62,15 +69,17 @@ def test_commands_other_than_train_kan_leave_scipy_unloaded(tmp_path):
     assert main(["train-kan", "--data", data, "--shape", "4,2,1", "--grid",
                  "5", "--steps", "5", "--no-symbolic",
                  "--out", str(kan_dir)]) == 0
+    dsr_argv = ["train-dsr", "--data", data, "--samples", "100", "--batch",
+                "100", "--min-len", "3"]
+    t = str(tmp_path)
+    assert main(dsr_argv + ["--out", f"{t}/dsr"]) == 0
     indoor = tmp_path / "indoor.csv"
     _indoor_csv(indoor)
 
-    t = str(tmp_path)
-    seen = _scipy_loaded_after([
+    # train-dsr goes last: it alone may load multiprocessing
+    seen = _loaded_after([
         ["gen-data", "--model", "ci", "--count", "60", "--seed", "4",
          "--out", f"{t}/gen"],
-        ["train-dsr", "--data", data, "--samples", "100", "--batch", "100",
-         "--min-len", "3", "--out", f"{t}/dsr"],
         ["eval", "--data", data, "--expr-json", f"{t}/dsr/expression.json",
          "--out", f"{t}/ev"],
         ["eval", "--data", data, "--checkpoint", str(kan_dir / "kan.npz"),
@@ -78,20 +87,23 @@ def test_commands_other_than_train_kan_leave_scipy_unloaded(tmp_path):
         ["baseline", "--data", str(indoor), "--which", "indoor",
          "--out", f"{t}/base"],
         ["report", "--runs", f"{t}/base", f"{t}/dsr", "--out", f"{t}/rep"],
+        dsr_argv + ["--out", f"{t}/dsr2"],
     ])
     assert len(seen) == 7
-    for step, code, loaded in seen:
+    for step, code, scipy, mp in seen:
         assert code == 0, step
-        assert not loaded, f"scipy loaded by {step}"
+        assert not scipy, f"scipy loaded by {step}"
+        assert not mp or step.startswith("train-dsr"), \
+            f"multiprocessing loaded by {step}"
 
 
 def test_train_kan_loads_scipy(tmp_path):
     data = str(tmp_path / "data" / "dataset.csv")
-    seen = _scipy_loaded_after([
+    seen = _loaded_after([
         ["gen-data", "--model", "ci", "--count", "60", "--seed", "3",
          "--out", str(tmp_path / "data")],
         ["train-kan", "--data", data, "--shape", "4,2,1", "--grid", "5",
          "--steps", "5", "--out", str(tmp_path / "kan")],
     ])
-    assert [(code, loaded) for _, code, loaded in seen] == [
+    assert [(code, scipy) for _, code, scipy, _ in seen] == [
         (0, False), (0, False), (0, True)]
