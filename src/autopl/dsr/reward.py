@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from autopl.errors import DataError
+from autopl.expr.constfit import _mse
 from autopl.expr.constraints import ConstraintSet, repeat_penalty
 from autopl.expr.tokens import Token
 from autopl.expr.tree import ExpressionTree, evaluate
@@ -42,15 +43,12 @@ def reward_from_mse(mse: float, sigma: float, tokens: Sequence[Token],
 def reward(e: ExpressionTree, train: Dataset, cs: ConstraintSet) -> float:
     """Squashed inverse NRMSE in [0, 1], discounted for unmet minimum
     token-repeat rules; any non-finite prediction zeroes the reward."""
-    y = train.y
-    sigma = float(np.std(y))
+    sigma = train.y_std
     if sigma == 0.0:
         raise DataError("target is constant, reward undefined")
     pred = evaluate(e, train.X)
-    if not np.all(np.isfinite(pred)):
-        return 0.0
-    # huge-but-finite predictions may overflow the square: an infinitely
-    # bad fit, as in nrmse
+    # a non-finite prediction, or a square that overflows, gives an
+    # infinite MSE, as it does in a constant fit
     with np.errstate(over="ignore"):
-        mse = float(np.mean((pred - y) ** 2))
+        mse = _mse(pred, train.y)
     return reward_from_mse(mse, sigma, e.tokens, cs)

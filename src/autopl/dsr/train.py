@@ -48,7 +48,6 @@ class TrainerConfig:
     sample_budget: int = 10000
     reward_threshold: float = 0.999
     hidden_size: int = 32
-    const_fit_iters: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class TrainerConfig:
             raise ValueError("sample_budget must cover one batch")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.const_fit_iters < 1:
-            raise ValueError("const_fit_iters must be positive")
 
 
 @dataclass
@@ -201,10 +198,10 @@ class DsrResult:
     samples_used: int = 0
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, fit_iters: int,
+def _fit_tree(X: np.ndarray, y: np.ndarray,
               tree: ExpressionTree) -> tuple[float, tuple[float, ...]]:
     """One structure's constant fit, as its MSE and fitted constants."""
-    fit = optimize_constants(tree, X, y, max_iter=fit_iters)
+    fit = optimize_constants(tree, X, y)
     return fit.mse, fit.tree.constants
 
 
@@ -213,9 +210,9 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, fit_iters: int,
 _worker_fit: Callable | None = None
 
 
-def _init_worker(X: np.ndarray, y: np.ndarray, fit_iters: int) -> None:
+def _init_worker(X: np.ndarray, y: np.ndarray) -> None:
     global _worker_fit
-    _worker_fit = functools.partial(_fit_tree, X, y, fit_iters)
+    _worker_fit = functools.partial(_fit_tree, X, y)
 
 
 def _fit_in_worker(tree: ExpressionTree) -> tuple[float, tuple[float, ...]]:
@@ -228,15 +225,14 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _start_pool(processes: int, X: np.ndarray, y: np.ndarray,
-                fit_iters: int):
+def _start_pool(processes: int, X: np.ndarray, y: np.ndarray):
     # fork, not spawn: the workers inherit the imported modules and the
     # rows, where spawn would import numpy and autopl again in every
     # worker of every call; the pool starts its own threads only after
     # forking them
     import multiprocessing
     return multiprocessing.get_context("fork").Pool(
-        processes, initializer=_init_worker, initargs=(X, y, fit_iters))
+        processes, initializer=_init_worker, initargs=(X, y))
 
 
 FitMap = Callable[[Iterable[ExpressionTree]],
@@ -244,7 +240,7 @@ FitMap = Callable[[Iterable[ExpressionTree]],
 
 
 @contextlib.contextmanager
-def _fitting(ds: Dataset, fit_iters: int) -> Iterator[FitMap]:
+def _fitting(ds: Dataset) -> Iterator[FitMap]:
     """Yield a map from structures to their fits' (mse, constants), in
     order.  The fits run in forked workers, one per available CPU up to
     `_MAX_WORKERS`, or through builtin `map` in this process when only
@@ -255,12 +251,11 @@ def _fitting(ds: Dataset, fit_iters: int) -> Iterator[FitMap]:
     pool = None
     if processes > 1:
         try:
-            pool = _start_pool(processes, ds.X, ds.y, fit_iters)
+            pool = _start_pool(processes, ds.X, ds.y)
         except OSError:  # from fork, or no semaphores to be had
             pass
     if pool is None:
-        yield functools.partial(map, functools.partial(_fit_tree, ds.X, ds.y,
-                                                       fit_iters))
+        yield functools.partial(map, functools.partial(_fit_tree, ds.X, ds.y))
         return
     try:
         yield functools.partial(pool.imap, _fit_in_worker)
@@ -275,7 +270,7 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
     through `fit_all`.  A fitted structure's reward comes from its fit's
     MSE (infinite when unfittable), which `reward` would compute again
     from the data."""
-    sigma = float(np.std(ds.y))
+    sigma = ds.y_std
     fitted: list[ExpressionTree | None] = [None] * batch.n
     todo: dict[tuple, list[int]] = {}
     rewards = np.zeros(batch.n)
@@ -309,7 +304,7 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
     threshold is reached; deterministic for a given config seed, and
     bit-identical whether the constant fits run in worker processes or
     in this one (see `_fitting`)."""
-    if float(np.std(train_ds.y)) == 0.0:
+    if train_ds.y_std == 0.0:
         raise DataError("target is constant")
     if vocab is None:
         vocab = Vocabulary.default(train_ds.feature_names)
@@ -327,7 +322,7 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
     history: list[dict] = []
     samples_used = 0
     step = 0
-    with _fitting(train_ds, config.const_fit_iters) as fit_all:
+    with _fitting(train_ds) as fit_all:
         while samples_used < config.sample_budget:
             want = min(config.batch_size, config.sample_budget - samples_used)
             batch = sample_batch(policy, want, cs, rng)

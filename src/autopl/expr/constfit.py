@@ -11,7 +11,7 @@ import numpy as np
 
 from autopl.expr.tree import ExpressionTree, evaluate, prepare
 
-_FIT_MAXITER = 200
+_FIT_MAXITER = 100  # Nelder-Mead iterations per search
 _XATOL, _FATOL = 1e-8, 1e-10
 _STARTS = (1.0, 0.1)  # every slot's value at each search's start
 _WITNESSES = 16  # most rows a dead-end check evaluates the path on
@@ -97,12 +97,12 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
 
 
 @functools.lru_cache(maxsize=64)
-def _dead_end_path(k: int, max_iter: int) -> np.ndarray:
+def _dead_end_path(k: int) -> np.ndarray:
     """Every distinct candidate both searches score when every score is
     inf, in the order first scored, as a read-only (m, k) matrix.  No
     score then beats another, so Nelder-Mead shrinks on every iteration
-    and never stops early: the path depends only on its start, k and
-    ``max_iter``, and is recorded by running the search itself."""
+    and never stops early: the path depends only on its start and k,
+    and is recorded by running the search itself."""
     seen: dict[bytes, None] = {}
 
     def record(c: np.ndarray) -> float:
@@ -110,7 +110,7 @@ def _dead_end_path(k: int, max_iter: int) -> np.ndarray:
         return math.inf
 
     for start in _STARTS:
-        _nelder_mead(record, np.full(k, start), max_iter, xatol=_XATOL,
+        _nelder_mead(record, np.full(k, start), _FIT_MAXITER, xatol=_XATOL,
                      fatol=_FATOL)
     return np.frombuffer(b"".join(seen), dtype=float).reshape(-1, k)
 
@@ -123,20 +123,21 @@ def _mse(pred: np.ndarray, y: np.ndarray) -> float:
     return mse if math.isfinite(mse) else math.inf
 
 
-def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
-                       max_iter: int = _FIT_MAXITER) -> FitResult:
+def optimize_constants(tree: ExpressionTree, X: np.ndarray,
+                       y: np.ndarray) -> FitResult:
     """Fit constant slots by derivative-free simplex search.
 
-    Runs Nelder-Mead from an all-ones start and once more from 0.1,
-    keeping the better minimum.  The constant-free subtrees are computed
-    once per fit, and each distinct candidate (by its exact bytes) is
-    scored once.  A tree whose predictions stay non-finite comes back
-    unfittable, for the caller to give the floor reward.  When the
-    tree's own constants leave rows non-finite, the points of
-    ``_dead_end_path`` are first evaluated at once on up to
-    ``_WITNESSES`` of those rows, and only the points finite on all of
-    them are scored; if none scores below inf, neither search could
-    either, and the fit returns without running them.
+    Runs Nelder-Mead for up to ``_FIT_MAXITER`` iterations from an
+    all-ones start and once more from 0.1, keeping the better minimum.
+    The constant-free subtrees are computed once per fit, and each
+    distinct candidate (by its exact bytes) is scored once.  A tree
+    whose predictions stay non-finite comes back unfittable, for the
+    caller to give the floor reward.  When the tree's own constants
+    leave rows non-finite, the points of ``_dead_end_path`` are first
+    evaluated at once on up to ``_WITNESSES`` of those rows, and only
+    the points finite on all of them are scored; if none scores below
+    inf, neither search could either, and the fit returns without
+    running them.
     """
     y = np.asarray(y, dtype=float)
     k = tree.n_constants
@@ -161,15 +162,15 @@ def optimize_constants(tree: ExpressionTree, X: np.ndarray, y: np.ndarray,
         # rows the start leaves non-finite; none if only the sum overflowed
         witnesses = np.flatnonzero(~np.isfinite(pred))[:_WITNESSES]
         if witnesses.size:
-            path = _dead_end_path(k, max_iter)
+            path = _dead_end_path(k)
             block = evaluate(tree, fixed.take(witnesses), path)
             settled = ~np.isfinite(block).all(axis=1)
             if all(objective(c) == math.inf for c in path[~settled]):
                 return FitResult(tree, math.inf, False)
             scores.update((c.tobytes(), math.inf) for c in path[settled])
         for start in _STARTS:
-            x, fun = _nelder_mead(objective, np.full(k, start), max_iter,
-                                  xatol=_XATOL, fatol=_FATOL)
+            x, fun = _nelder_mead(objective, np.full(k, start),
+                                  _FIT_MAXITER, xatol=_XATOL, fatol=_FATOL)
             if math.isfinite(fun) and fun < best_mse:
                 best_mse = fun
                 best_c = np.array(x)

@@ -4,10 +4,11 @@ Evaluation is vectorized over dataset rows and never raises on numeric
 trouble: division by zero, logs of non-positive values, and overflow
 flow through as inf/nan for the caller to score.
 
-A tree is evaluated in two stages.  The fixed stage computes its
-constant-free subtrees by walking a step list; the constant stage, which
-only a tree with a constant slot has, is generated source compiled once
-per token sequence and rerun for each candidate a constant fit scores.
+A tree is evaluated in two stages, each a list of steps that one
+interpreter walks over a register per token position.  The fixed stage
+computes the constant-free subtrees from X; the constant stage, which
+only a tree with a constant slot has, computes the nodes above a slot
+and is rerun for each candidate a constant fit scores.
 """
 
 from __future__ import annotations
@@ -22,33 +23,20 @@ import numpy as np
 
 from autopl.expr.tokens import BINARY_SYMBOLS, TRIG_NAMES, Token, TokenKind
 
-# templates for both stages: the constant stage's source and the fixed
-# stage's per-op functions; each operand is a name, so an operand used
-# twice (square) is still computed once
-_UNARY_SRC = {
-    "log10": "_log10({})",
-    "exp": "_exp({})",
-    "sin": "_sin({})",
-    "cos": "_cos({})",
-    "square": "{0} * {0}",
-    "sqrt": "_sqrt({})",
+# the function a step calls for each operator; square multiplies its
+# operand by itself, so the operand is computed once
+_OPS: dict[str, Callable] = {
+    "log10": np.log10,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "square": lambda a: a * a,
+    "sqrt": np.sqrt,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
 }
-
-_BINARY_SRC = {
-    "add": "{} + {}",
-    "sub": "{} - {}",
-    "mul": "{} * {}",
-    "div": "{} / {}",
-}
-
-_NAMESPACE = {"_log10": np.log10, "_exp": np.exp, "_sin": np.sin,
-              "_cos": np.cos, "_sqrt": np.sqrt}
-
-# the fixed stage's per-op functions, made from the same templates
-_UNARY_FN = {name: eval(f"lambda a: {src.format('a')}", dict(_NAMESPACE))
-             for name, src in _UNARY_SRC.items()}
-_BINARY_FN = {name: eval(f"lambda a, b: {src.format('a', 'b')}")
-              for name, src in _BINARY_SRC.items()}
 
 
 def _count_constants(tokens: Sequence[Token]) -> int | None:
@@ -109,100 +97,87 @@ class ExpressionTree:
         return tuple((t.name, t.kind.value, t.value) for t in self.tokens)
 
 
-def _walk(steps: tuple, literals: tuple, roots: tuple[int, ...],
-          X: np.ndarray) -> tuple:
-    # registers: X, the literals, then one value per step
-    r = [X, *literals]
-    for fn, a, b in steps:
-        r.append(fn(r[a]) if b is None else fn(r[a], r[b]))
-    return tuple([r[i] for i in roots])
+def _run(steps: tuple, r: list) -> list:
+    """Walk a step list over the registers r.  A step (pos, fn, a, b)
+    writes r[pos] = fn(r[a]), or fn(r[a], r[b]) when b is not None."""
+    for pos, fn, a, b in steps:
+        r[pos] = fn(r[a]) if b is None else fn(r[a], r[b])
+    return r
+
+
+def _fixed_stage(steps: tuple, seed: tuple, X: np.ndarray) -> tuple:
+    # X sits in the register past the last position
+    return tuple(_run(steps, [*seed, X])[:-1])
+
+
+def _constant_stage(steps: tuple, slots: tuple, c: np.ndarray,
+                    values: tuple):
+    r = list(values)
+    for pos, value in zip(slots, c):
+        r[pos] = value
+    return _run(steps, r)[0]
 
 
 @functools.lru_cache(maxsize=64)
 def _compile(tokens: tuple[Token, ...]):
-    """The two stages of a prefix sequence.
+    """The two stages of a prefix sequence, as step lists for `_run`
+    over one register per token position.
 
     Tokens are taken right to left, in the order a stack machine would
     evaluate them, so results match operation for operation.  Tokens
     whose subtree holds no constant slot form the fixed stage
-    ``fixed(X)``: a step list walked with per-op functions made from the
-    same templates, returning the roots of the largest such subtrees.
+    ``fixed(X)``: its registers start with the literals, as float64
+    scalars, and X, and it returns them with each constant-free
+    subtree's value at its root's position and None at the others.
     Only a tree with a constant slot gets a constant stage
-    ``varying(c, F)``, generated as straight-line source and ``exec``'d;
-    it reads the roots from F and slot j from c[j], slots in prefix
-    order.  A constant-free tree's value is its fixed stage's one root,
-    and its ``varying`` is None.  Literals are float64 scalars.  Returns
-    ``fixed``, ``varying`` and the variables' (name, column) pairs.
+    ``varying(c, F)``: it starts from those registers F with c[j] at
+    slot j's position, slots in prefix order, and returns position 0's
+    value.  A constant-free tree's value is its fixed stage's position
+    0, and its ``varying`` is None.  Returns ``fixed``, ``varying`` and
+    the variables' (name, column) pairs.
     """
-    n_literals = sum(1 for t in tokens if t.kind is TokenKind.LITERAL)
-    literals: list[np.float64] = []
-    steps: list[tuple] = []
-    register: dict[int, int] = {}  # position -> register, fixed stage
-    varying_lines: list[str] = []
-    hoisted: list[int] = []  # positions of the roots the constant stage reads
+    n = len(tokens)
+    seed: list = [None] * n
+    fixed_steps: list[tuple] = []
+    varying_steps: list[tuple] = []
+    slots: list[int] = []  # positions of the constant slots, last first
     stack: list[tuple[int, bool]] = []  # (position, its subtree holds a slot)
     variables: list[tuple[str, int]] = []
-    slot = sum(1 for t in tokens if t.kind is TokenKind.CONST)
-    for pos in range(len(tokens) - 1, -1, -1):
+    for pos in range(n - 1, -1, -1):
         t = tokens[pos]
         varying = t.kind is TokenKind.CONST
         if t.kind is TokenKind.VARIABLE:
             if t.var_index is None:
                 raise ValueError(f"variable {t.name!r} has no column index")
             variables.append((t.name, int(t.var_index)))
-            steps.append((operator.itemgetter((slice(None), int(t.var_index))),
-                          0, None))
+            fixed_steps.append(
+                (pos, operator.itemgetter((slice(None), int(t.var_index))),
+                 n, None))
         elif t.kind is TokenKind.LITERAL:
-            literals.append(np.float64(t.value))
-            register[pos] = len(literals)
+            seed[pos] = np.float64(t.value)
         elif varying:
-            slot -= 1
-            varying_lines.append(f"    t{pos} = c[{slot}]\n")
-        elif t.kind is TokenKind.UNARY:
-            a, varying = stack.pop()
-            if varying:
-                varying_lines.append(
-                    f"    t{pos} = {_UNARY_SRC[t.name].format(f't{a}')}\n")
-            else:
-                steps.append((_UNARY_FN[t.name], register[a], None))
+            slots.append(pos)
         else:
-            (a, a_varies), (b, b_varies) = stack.pop(), stack.pop()
+            a, a_varies = stack.pop()
+            b, b_varies = stack.pop() if t.arity == 2 else (None, False)
             varying = a_varies or b_varies
-            if varying:
-                # a constant-free operand of a varying node is a root
-                if not a_varies:
-                    hoisted.append(a)
-                if not b_varies:
-                    hoisted.append(b)
-                rhs = _BINARY_SRC[t.name].format(f"t{a}", f"t{b}")
-                varying_lines.append(f"    t{pos} = {rhs}\n")
-            else:
-                steps.append((_BINARY_FN[t.name], register[a], register[b]))
-        if not varying and t.kind is not TokenKind.LITERAL:
-            register[pos] = n_literals + len(steps)
+            steps = varying_steps if varying else fixed_steps
+            steps.append((pos, _OPS[t.name], a, b))
         stack.append((pos, varying))
+    constant_stage = None
     if stack[0][1]:
-        names = "".join(f"t{pos}, " for pos in hoisted)
-        source = ("def varying(c, F):\n"
-                  + (f"    {names}= F\n" if hoisted else "")
-                  + "".join(varying_lines) + "    return t0\n")
-        namespace = dict(_NAMESPACE)
-        exec(source, namespace)
-        constant_stage = namespace["varying"]
-    else:
-        constant_stage = None
-        hoisted.append(0)
-    fixed = functools.partial(_walk, tuple(steps), tuple(literals),
-                              tuple(register[pos] for pos in hoisted))
+        constant_stage = functools.partial(
+            _constant_stage, tuple(varying_steps), tuple(reversed(slots)))
+    fixed = functools.partial(_fixed_stage, tuple(fixed_steps), tuple(seed))
     return fixed, constant_stage, tuple(variables)
 
 
 @dataclass(frozen=True, slots=True)
 class Prepared:
     """The fixed stage of one tree over the rows of one feature matrix:
-    the values of its constant-free subtrees, ready for the constant
-    stage.  A constant fit holds one for the length of the fit and scores
-    every candidate against it."""
+    the values of its constant-free subtrees by token position, ready
+    for the constant stage.  A constant fit holds one for the length of
+    the fit and scores every candidate against it."""
 
     tokens: tuple[Token, ...]
     n_rows: int

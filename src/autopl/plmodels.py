@@ -16,6 +16,7 @@ train/test splitting.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -226,6 +227,11 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
+
+    @functools.cached_property
+    def y_std(self) -> float:
+        """Population std of the target, computed once."""
+        return float(np.std(self.y))
 
     def column(self, name: str) -> np.ndarray:
         try:

@@ -170,7 +170,7 @@ def test_fit_matches_stack_machine_reference_bit_for_bit():
                                 MUL, C, Token.literal(3)))
     fittable = 0
     for tree in [sqrt_edge] + _random_trees(rng, 100):
-        res = optimize_constants(tree, X, y, max_iter=100)
+        res = optimize_constants(tree, X, y)
         want_c, want_mse = _reference_fit(tree, X, y, max_iter=100)
         assert res.mse == want_mse, tree.tokens
         if res.fittable:
@@ -211,16 +211,16 @@ def _record_evaluate(monkeypatch):
     return evaluated, blocks
 
 
-def _record_dead_end_paths(max_iter):
+def _record_dead_end_paths():
     # the paths are recorded by running the search itself, so record them
     # before a test replaces it
     for k in range(1, 5):
-        constfit._dead_end_path(k, max_iter)
+        constfit._dead_end_path(k)
 
 
-def _record_searches(monkeypatch, max_iter):
+def _record_searches(monkeypatch):
     # one entry per Nelder-Mead run a fit starts
-    _record_dead_end_paths(max_iter)
+    _record_dead_end_paths()
     searches = []
     real_nelder_mead = constfit._nelder_mead
 
@@ -232,8 +232,8 @@ def _record_searches(monkeypatch, max_iter):
     return searches
 
 
-def _forbid_search(monkeypatch, max_iter):
-    _record_dead_end_paths(max_iter)
+def _forbid_search(monkeypatch):
+    _record_dead_end_paths()
 
     def no_search(*args, **kwargs):
         raise AssertionError("the fit ran a search")
@@ -264,8 +264,8 @@ def test_fit_settled_without_search(monkeypatch, tokens):
     _, want_mse = _reference_fit(tree, X, y, 100, scored)
     assert want_mse == float("inf")
     assert _reference_never_finite(tree, X, scored)
-    _forbid_search(monkeypatch, 100)
-    res = optimize_constants(tree, X, y, max_iter=100)
+    _forbid_search(monkeypatch)
+    res = optimize_constants(tree, X, y)
     assert (res.tree, res.mse, res.fittable) == (tree, float("inf"), False)
 
 
@@ -280,7 +280,7 @@ def test_fit_searches_when_inf_can_turn_finite(monkeypatch, tokens):
     scored = []
     want_c, want_mse = _reference_fit(tree, X, y, 100, scored)
     evaluated, _ = _record_evaluate(monkeypatch)
-    res = optimize_constants(tree, X, y, max_iter=100)
+    res = optimize_constants(tree, X, y)
     assert evaluated == list(dict.fromkeys(scored))
     assert res.fittable
     assert (res.tree.constants, res.mse) == (want_c, want_mse)
@@ -289,7 +289,7 @@ def test_fit_searches_when_inf_can_turn_finite(monkeypatch, tokens):
 def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
     rng, X, y = _fit_problem()
     evaluated, blocks = _record_evaluate(monkeypatch)
-    searches = _record_searches(monkeypatch, 100)
+    searches = _record_searches(monkeypatch)
     repeats = skipped = 0
     for tree in _random_trees(rng, 10):
         scored = []
@@ -299,7 +299,7 @@ def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
         evaluated.clear()
         blocks.clear()
         searches.clear()
-        res = optimize_constants(tree, X, y, max_iter=100)
+        res = optimize_constants(tree, X, y)
         assert res.mse == want_mse, tree.tokens
         want = list(dict.fromkeys(scored))
         # each candidate scored in full at most once, in scipy's order
@@ -330,7 +330,7 @@ def test_fit_scores_each_candidate_through_module_evaluate(monkeypatch):
     assert len(evaluated) == 1
 
 
-@pytest.mark.parametrize("max_iter", [100, constfit._FIT_MAXITER])
+@pytest.mark.parametrize("max_iter", [constfit._FIT_MAXITER])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_dead_end_path_is_what_scipy_scores_when_every_score_is_inf(k, max_iter):
     scored = []
@@ -344,7 +344,7 @@ def test_dead_end_path_is_what_scipy_scores_when_every_score_is_inf(k, max_iter)
         for x0 in (np.ones(k), np.full(k, 0.1)):
             optimize.minimize(inf_objective, x0, method="Nelder-Mead",
                               options=options)
-    path = constfit._dead_end_path(k, max_iter)
+    path = constfit._dead_end_path(k)
     assert path.shape[1] == k
     assert [c.tobytes() for c in path] == list(dict.fromkeys(scored))
 
@@ -373,10 +373,10 @@ def test_fit_scores_in_full_the_points_witnesses_leave(monkeypatch):
     _, want_mse = _reference_fit(tree, X, y, 100, scored)
     assert want_mse == float("inf")
     evaluated, blocks = _record_evaluate(monkeypatch)
-    _forbid_search(monkeypatch, 100)
-    res = optimize_constants(tree, X, y, max_iter=100)
+    _forbid_search(monkeypatch)
+    res = optimize_constants(tree, X, y)
     assert (res.tree, res.mse, res.fittable) == (tree, float("inf"), False)
-    assert blocks == [(len(constfit._dead_end_path(1, 100)), 16)]
+    assert blocks == [(len(constfit._dead_end_path(1)), 16)]
     # the start, then in scipy's order each point finite on all 16
     # witnesses: here those of the 0.1 start
     with np.errstate(all="ignore"):
@@ -392,8 +392,8 @@ def test_fit_non_finite_at_start_but_fittable_elsewhere(monkeypatch):
     scored = []
     want_c, want_mse = _reference_fit(tree, X, y, 100, scored)
     evaluated, blocks = _record_evaluate(monkeypatch)
-    searches = _record_searches(monkeypatch, 100)
-    res = optimize_constants(tree, X, y, max_iter=100)
+    searches = _record_searches(monkeypatch)
+    res = optimize_constants(tree, X, y)
     assert res.fittable and len(searches) == 2 and len(blocks) == 1
     # the ones start's points are settled by the witnesses and not scored
     # in full again when the search passes them
@@ -416,8 +416,8 @@ def test_fit_searches_when_only_the_mse_sum_overflows(monkeypatch):
         assert np.mean(evaluate(tree, X) ** 2) == float("inf")
     want_c, want_mse = _reference_fit(tree, X, y, 100)
     evaluated, blocks = _record_evaluate(monkeypatch)
-    searches = _record_searches(monkeypatch, 100)
-    res = optimize_constants(tree, X, y, max_iter=100)
+    searches = _record_searches(monkeypatch)
+    res = optimize_constants(tree, X, y)
     assert blocks == [] and len(searches) == 2
     assert res.fittable
     assert (res.tree.constants, res.mse) == (want_c, want_mse)
@@ -439,7 +439,7 @@ def test_fit_from_start_constants_other_than_ones(tokens, constants):
     rng, X, y = _fit_problem()
     tree = ExpressionTree(tokens, constants)
     want_c, want_mse = _reference_fit(tree, X, y, 100)
-    res = optimize_constants(tree, X, y, max_iter=100)
+    res = optimize_constants(tree, X, y)
     assert res.mse == want_mse
     assert res.tree.constants == (want_c if res.fittable else constants)
     assert res.fittable == (want_mse != float("inf"))

@@ -4,6 +4,8 @@ The infix renderer and the evaluator are cross-checked against sympy as
 an independent parser/evaluator.
 """
 
+import builtins
+
 import numpy as np
 import pytest
 import sympy
@@ -179,7 +181,8 @@ def test_evaluate_matches_stack_machine_bit_for_bit():
 
 
 def test_evaluate_deep_tree():
-    # nesting far beyond any parser limit on parenthesised source
+    # nesting far beyond the recursion limit: both stages walk a flat
+    # step list
     depth = 2000
     deep = (ADD, X0) * depth + (X1,)
     X = np.array([[0.5, 1.0]])
@@ -188,33 +191,30 @@ def test_evaluate_deep_tree():
     # slot at the top: the deep part is the walked fixed stage
     top = ExpressionTree((ADD, C) + deep, constants=(2.0,))
     assert evaluate(top, X)[0] == pytest.approx(depth * 0.5 + 3.0)
-    # slot at the bottom: the deep part is the compiled constant stage
+    # slot at the bottom: the deep part is the constant stage
     bottom = ExpressionTree((ADD, X0) * depth + (C,), constants=(2.0,))
     assert evaluate(bottom, X)[0] == pytest.approx(depth * 0.5 + 2.0)
 
 
-def test_only_the_constant_stage_is_compiled(monkeypatch):
-    sources = []
+def test_each_sequence_is_compiled_once_without_source(monkeypatch):
+    def no_source(*args, **kwargs):
+        raise AssertionError("the evaluator generated source")
 
-    def recording_exec(source, namespace):
-        sources.append(source)
-        exec(source, namespace)
-
-    monkeypatch.setattr(tree_module, "exec", recording_exec, raising=False)
+    monkeypatch.setattr(builtins, "exec", no_source)
+    monkeypatch.setattr(builtins, "eval", no_source)
     tree_module._compile.cache_clear()
     X = np.array([[2.0, 1.0], [10.0, 4.0]])
     free = ExpressionTree((ADD, LOG, X0, Token.literal(7)))
     for _ in range(2):
         assert np.array_equal(evaluate(free, X), np.log10(X[:, 0]) + 7.0)
-    assert sources == []
     slotted = ExpressionTree((ADD, MUL, C, LOG, X0, C), constants=(2.0, 3.0))
     evaluate(slotted, X)
     hits = tree_module._compile.cache_info().hits
     for c in ([1.0, 0.0], [-2.0, 5.0]):
         assert np.array_equal(evaluate(slotted, X, c),
                               c[0] * np.log10(X[:, 0]) + c[1])
-    assert len(sources) == 1
     assert tree_module._compile.cache_info().hits == hits + 2
+    assert tree_module._compile.cache_info().misses == 2
 
 
 def test_to_infix_formatting():
