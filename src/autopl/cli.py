@@ -32,6 +32,7 @@ from autopl.plmodels import (
     load_empirical_csv,
     normalize_max,
     read_csv,
+    read_norm,
     split,
     write_csv,
 )
@@ -453,8 +454,7 @@ def cmd_eval(args) -> int:
         sidecar = str(args.checkpoint) + ".norm.json"
         if os.path.exists(sidecar):
             # rescale into the units the net was trained under
-            with open(sidecar) as fh:
-                saved = {k: float(v) for k, v in json.load(fh).items()}
+            saved = read_norm(sidecar)
             cur = ds.norm or {}
             if cur != saved:
                 back = np.array([cur.get(n, 1.0) for n in ds.feature_names])
@@ -468,8 +468,7 @@ def cmd_eval(args) -> int:
     if runs > 1:
         report = eh.monte_carlo_eval(lambda _train: predictor, ds, runs=runs,
                                      train_fraction=float(cfg["split"]),
-                                     base_seed=int(cfg["seed"]),
-                                     keep_predictions=True)
+                                     base_seed=int(cfg["seed"]))
         rows = [eh.metrics_row(label, report, expression=expression,
                                valid=valid)]
         scatter = list(report.predictions)

@@ -1,42 +1,22 @@
+"""Policy-gradient symbolic regression: a recurrent policy samples prefix
+expressions under grammar constraints and is trained on their rewards."""
+
 from autopl.dsr.optim import Adam
 from autopl.dsr.policy import (
     PolicyNetwork,
     SampledBatch,
-    SequenceData,
-    masked_softmax,
-    policy_backward,
     sample_batch,
     surrogate_loss,
-    teacher_forward,
 )
-from autopl.dsr.reward import nrmse, reward
-from autopl.dsr.train import (
-    DsrResult,
-    MaxRewardPriorityQueue,
-    TrainerConfig,
-    pqt_step,
-    rspg_step,
-    train,
-    vpg_step,
-)
+from autopl.dsr.train import TrainerConfig, rspg_step, train
 
 __all__ = [
     "Adam",
-    "DsrResult",
-    "MaxRewardPriorityQueue",
     "PolicyNetwork",
     "SampledBatch",
-    "SequenceData",
     "TrainerConfig",
-    "masked_softmax",
-    "nrmse",
-    "policy_backward",
-    "pqt_step",
-    "reward",
     "rspg_step",
     "sample_batch",
     "surrogate_loss",
-    "teacher_forward",
     "train",
-    "vpg_step",
 ]

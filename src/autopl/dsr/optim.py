@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+_BETA1 = 0.9  # decay of the first-moment estimate
+_BETA2 = 0.999  # decay of the second-moment estimate
+_EPS = 1e-8  # keeps the step finite where the second moment is zero
+
 
 class Adam:
     """Per-parameter adaptive steps with bias-corrected moments.
@@ -12,14 +16,10 @@ class Adam:
     deterministic for a given seed.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -28,9 +28,8 @@ class Adam:
              grads: dict[str, np.ndarray]) -> None:
         """Apply one descent step of the given gradients in place."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1 = 1.0 - _BETA1 ** self.t
+        c2 = 1.0 - _BETA2 ** self.t
         for name in sorted(params):
             g = grads[name]
             if name not in self._m:
@@ -38,8 +37,8 @@ class Adam:
                 self._v[name] = np.zeros_like(g)
             m = self._m[name]
             v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            params[name] -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            params[name] -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + _EPS)

@@ -15,22 +15,6 @@ from autopl.expr.tree import ExpressionTree, evaluate
 from autopl.plmodels import Dataset
 
 
-def nrmse(pred: np.ndarray, y: np.ndarray) -> float:
-    """Root-mean-square error scaled by the population std of the target."""
-    pred = np.asarray(pred, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if pred.shape != y.shape or y.ndim != 1 or y.size == 0:
-        raise DataError("nrmse needs matching 1-d arrays")
-    sigma = float(np.std(y))
-    if sigma == 0.0:
-        raise DataError("target is constant, nrmse undefined")
-    # huge-but-finite predictions may overflow the square; that is just
-    # an infinitely bad fit, not an error
-    with np.errstate(over="ignore"):
-        rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
-    return rmse / sigma
-
-
 def reward_from_mse(mse: float, sigma: float, tokens: Sequence[Token],
                     cs: ConstraintSet) -> float:
     """`reward` of a tree with the given tokens whose predictions over

@@ -47,7 +47,6 @@ class TrainerConfig:
     queue_k: int = 10
     sample_budget: int = 10000
     reward_threshold: float = 0.999
-    hidden_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -309,8 +308,7 @@ def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
     if vocab is None:
         vocab = Vocabulary.default(train_ds.feature_names)
     seeds = np.random.SeedSequence(config.seed).spawn(2)
-    policy = PolicyNetwork(vocab, hidden_size=config.hidden_size,
-                           seed=seeds[0])
+    policy = PolicyNetwork(vocab, seed=seeds[0])
     rng = np.random.default_rng(seeds[1])
     opt = Adam(config.learning_rate)
     queue = MaxRewardPriorityQueue(config.queue_k)

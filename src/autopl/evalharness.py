@@ -104,11 +104,11 @@ class MetricsReport:
 
 def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]],
                      ds: Dataset, runs: int = 10, train_fraction: float = 0.8,
-                     base_seed: int = 0,
-                     keep_predictions: bool = False) -> MetricsReport:
+                     base_seed: int = 0) -> MetricsReport:
     """Repeated-shuffle evaluation: run i splits with seed base_seed + i,
     fits on the train side, and scores the returned predictor on the test
-    side.  Aggregates use the population std over successful runs.
+    side.  Aggregates use the population std over successful runs; each
+    successful run's (target, prediction) pair is kept in ``predictions``.
 
     A run that raises one of _RUN_ERRORS is recorded in ``failures`` with
     its reason; any other exception is a programming error and propagates.
@@ -131,8 +131,7 @@ def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]
             continue
         for m, v in row.items():
             per[m].append(v)
-        if keep_predictions:
-            predictions.append((test_ds.y.copy(), pred.copy()))
+        predictions.append((test_ds.y.copy(), pred.copy()))
     if len(failures) * 2 >= runs:
         raise TrainingError(
             f"{len(failures)} of {runs} evaluation runs failed; "
@@ -170,6 +169,10 @@ class ValidityReport:
         return self.verdict == "valid"
 
 
+_SWEEP_POINTS = 200  # values per variable's monotonicity sweep
+_MONOTONE_TOL = 1e-6  # largest step down a monotone sweep may take
+
+
 def _variable_indices(e: ExpressionTree) -> dict[str, int]:
     out: dict[str, int] = {}
     for t in e.tokens:
@@ -180,12 +183,13 @@ def _variable_indices(e: ExpressionTree) -> dict[str, int]:
 
 def check_validity(e: ExpressionTree, roles: Mapping[str, str],
                    ranges: Mapping[str, tuple[float, float]],
-                   medians: Mapping[str, float] | None = None,
-                   n_points: int = 200, tol: float = 1e-6) -> ValidityReport:
+                   medians: Mapping[str, float] | None = None) -> ValidityReport:
     """Large-scale propagation sanity: the expression must use every
     declared physical role, must not wrap distance or frequency in a
-    trigonometric term, and must be non-decreasing in each as probed on
-    a sorted sweep with the other features held at their medians.
+    trigonometric term, and must be non-decreasing in each (no step down
+    of more than _MONOTONE_TOL) as probed on a sorted sweep of
+    _SWEEP_POINTS values with the other features held at their medians;
+    a feature without a median is held at its range's midpoint.
     """
     scan = structural_scan(e)
     var_idx = _variable_indices(e)
@@ -229,19 +233,19 @@ def check_validity(e: ExpressionTree, roles: Mapping[str, str],
         ok = True
         for v in used:
             lo, hi = (float(x) for x in ranges[v])
-            grid = np.linspace(lo, hi, n_points)
-            X = np.tile(base, (n_points, 1))
+            grid = np.linspace(lo, hi, _SWEEP_POINTS)
+            X = np.tile(base, (_SWEEP_POINTS, 1))
             X[:, var_idx[v]] = grid
             with np.errstate(all="ignore"):
                 pred = evaluate(e, X)
             finite = np.isfinite(pred)
-            if finite.sum() <= 0.5 * n_points:
+            if finite.sum() <= 0.5 * _SWEEP_POINTS:
                 ok = False
                 reasons.append(
                     f"non-finite on most of the {v} sweep")
                 continue
             steps = np.diff(pred[finite])
-            if steps.size and float(steps.min()) < -tol:
+            if steps.size and float(steps.min()) < -_MONOTONE_TOL:
                 ok = False
                 reasons.append(f"not monotone in {v}")
         monotone[role] = ok
@@ -268,18 +272,12 @@ _OUTDOOR_COLUMNS = {"distance_m": "d_m", "height_m": "h_m",
                     "frequency_mhz": "f_mhz"}
 
 
-def baseline_table(ds: Dataset, which: str,
-                   columns: Mapping[str, str] | None = None) -> list[dict]:
+def baseline_table(ds: Dataset, which: str) -> list[dict]:
     """Deterministic metric rows for the closed-form reference models,
     with shadow terms at zero, scored on the full dataset."""
-    if which == "indoor":
-        cols = dict(_INDOOR_COLUMNS)
-    elif which == "outdoor":
-        cols = dict(_OUTDOOR_COLUMNS)
-    else:
+    cols = {"indoor": _INDOOR_COLUMNS, "outdoor": _OUTDOOR_COLUMNS}.get(which)
+    if cols is None:
         raise DataError(f"unknown baseline family {which!r}")
-    if columns:
-        cols.update(columns)
     missing = [c for c in cols.values() if c not in ds.feature_names]
     if missing:
         raise DataError(f"dataset lacks columns {missing}")

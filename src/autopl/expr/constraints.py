@@ -46,13 +46,10 @@ class ConstraintSet:
     forbid_inverse_unary_child: bool = True
     forbid_nested_trig: bool = True
     repeat_rules: Mapping[str, RepeatRule] = field(default_factory=dict)
-    soft_repeat_weight: float = 0.5
 
     def __post_init__(self):
         if not 1 <= self.min_length <= self.max_length:
             raise ValueError("need 1 <= min_length <= max_length")
-        if not 0.0 < self.soft_repeat_weight < 1.0:
-            raise ValueError("soft_repeat_weight must lie strictly in (0, 1)")
 
 
 _ROW = np.zeros(1, dtype=np.intp)  # the only row of a one-row batch
@@ -290,14 +287,17 @@ def valid_next_tokens(prefix: Sequence[Token] | PrefixState,
     return state.mask(cs, vocab)
 
 
+_SOFT_REPEAT_WEIGHT = 0.5  # reward share lost per missing occurrence
+
+
 def repeat_penalty(tokens: Sequence[Token], cs: ConstraintSet) -> float:
     """Multiplicative reward discount for unmet minimum-repeat rules.
 
     Each missing occurrence multiplies the reward by
-    (1 - soft_repeat_weight); a sequence meeting every minimum scores 1.
+    (1 - _SOFT_REPEAT_WEIGHT); a sequence meeting every minimum scores 1.
     """
     counts = Counter(t.name for t in tokens)
     deficit = 0
     for name, rule in cs.repeat_rules.items():
         deficit += max(0, rule.min_count - counts[name])
-    return (1.0 - cs.soft_repeat_weight) ** deficit
+    return (1.0 - _SOFT_REPEAT_WEIGHT) ** deficit

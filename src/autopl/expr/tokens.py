@@ -49,10 +49,6 @@ class Token:
         object.__setattr__(self, "arity", _ARITY[self.kind])
 
     @property
-    def is_operator(self) -> bool:
-        return self.arity > 0
-
-    @property
     def is_constant_leaf(self) -> bool:
         return self.kind in (TokenKind.CONST, TokenKind.LITERAL)
 
@@ -79,6 +75,8 @@ class Token:
     @staticmethod
     def literal(value: float) -> "Token":
         v = float(value)
+        if not np.isfinite(v):
+            raise ValueError(f"literal {v!r} is not finite")
         label = str(int(v)) if v == int(v) else repr(v)
         return Token(label, TokenKind.LITERAL, value=v)
 
@@ -108,16 +106,6 @@ class Vocabulary:
 
     def __iter__(self):
         return iter(self.tokens)
-
-    def by_name(self, name: str) -> Token:
-        try:
-            return self.tokens[self.index[name]]
-        except KeyError:
-            raise KeyError(f"token {name!r} not in vocabulary") from None
-
-    @property
-    def variables(self) -> tuple[Token, ...]:
-        return tuple(t for t in self.tokens if t.kind is TokenKind.VARIABLE)
 
     @classmethod
     def default(cls, feature_names: Iterable[str], *,

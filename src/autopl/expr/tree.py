@@ -53,11 +53,6 @@ def _count_constants(tokens: Sequence[Token]) -> int | None:
     return None if slots else n_const
 
 
-def is_complete(tokens: Sequence[Token]) -> bool:
-    """True when the prefix sequence closes exactly one expression."""
-    return _count_constants(tokens) is not None
-
-
 @dataclass(frozen=True)
 class ExpressionTree:
     """A complete prefix sequence plus values for its constant slots.
@@ -246,33 +241,24 @@ def _render_number(v: float) -> str:
 
 def to_infix(tree: ExpressionTree) -> str:
     """Human-readable infix string; fitted constants at 4 significant digits."""
-    # the walk meets the constant slots in prefix order
-    constants = iter(tree.constants)
-    pos = 0
-
-    def walk() -> str:
-        nonlocal pos
-        t = tree.tokens[pos]
-        pos += 1
+    # right to left, as `_compile` walks, so the constant slots come last
+    # first; a binary operator's left operand is on top of the stack
+    constants = reversed(tree.constants)
+    stack: list[str] = []
+    for t in reversed(tree.tokens):
         if t.kind is TokenKind.BINARY:
-            a = walk()
-            b = walk()
-            return f"({a} {BINARY_SYMBOLS[t.name]} {b})"
-        if t.kind is TokenKind.UNARY:
-            u = walk()
-            if t.name == "square":
-                return f"({u})^2"
-            return f"{t.name}({u})"
-        if t.kind is TokenKind.VARIABLE:
-            return t.name
-        if t.kind is TokenKind.LITERAL:
-            return _render_number(t.value)
-        return format(next(constants), ".4g")
-
-    out = walk()
-    if pos != len(tree.tokens):
-        raise ValueError("dangling tokens after expression")
-    return out
+            a = stack.pop()
+            stack.append(f"({a} {BINARY_SYMBOLS[t.name]} {stack.pop()})")
+        elif t.kind is TokenKind.UNARY:
+            u = stack.pop()
+            stack.append(f"({u})^2" if t.name == "square" else f"{t.name}({u})")
+        elif t.kind is TokenKind.VARIABLE:
+            stack.append(t.name)
+        elif t.kind is TokenKind.LITERAL:
+            stack.append(_render_number(t.value))
+        else:
+            stack.append(format(next(constants), ".4g"))
+    return stack[0]
 
 
 @dataclass(frozen=True)
@@ -285,20 +271,15 @@ def structural_scan(tree: ExpressionTree) -> ScanResult:
     """Which variables the tree reads, and which sit under sin/cos."""
     variables: set[str] = set()
     trig_variables: set[str] = set()
-
-    def walk(pos: int, in_trig: bool) -> int:
-        t = tree.tokens[pos]
-        nxt = pos + 1
+    # whether each open position sits under sin/cos; the next one last
+    under_trig = [False]
+    for t in tree.tokens:
+        in_trig = under_trig.pop()
         if t.kind is TokenKind.VARIABLE:
             variables.add(t.name)
             if in_trig:
                 trig_variables.add(t.name)
-        below = in_trig or t.name in TRIG_NAMES
-        for _ in range(t.arity):
-            nxt = walk(nxt, below)
-        return nxt
-
-    walk(0, False)
+        under_trig += [in_trig or t.name in TRIG_NAMES] * t.arity
     return ScanResult(frozenset(variables), frozenset(trig_variables))
 
 

@@ -2,35 +2,18 @@
 with pruning and symbolic read-out of the trained edge shapes."""
 
 from autopl.kan.bspline import BSplineBasis
-from autopl.kan.network import KanConfig, KanLayer, KanNetwork, build_network
-from autopl.kan.train import TrainResult, edge_importance, prune, train
-from autopl.kan.symbolic import (
-    EDGE_FAMILIES,
-    EdgeFit,
-    SymbolicEdge,
-    SymbolicKan,
-    auto_symbolic,
-    extract_expression,
-    fit_edge,
-    retrain_affine,
-)
+from autopl.kan.network import KanConfig, build_network
+from autopl.kan.train import edge_importance, prune, train
+from autopl.kan.symbolic import auto_symbolic, extract_expression, retrain_affine
 from autopl.kan.checkpoint import load_kan, save_kan
 
 __all__ = [
     "BSplineBasis",
-    "EDGE_FAMILIES",
-    "EdgeFit",
     "KanConfig",
-    "KanLayer",
-    "KanNetwork",
-    "SymbolicEdge",
-    "SymbolicKan",
-    "TrainResult",
     "auto_symbolic",
     "build_network",
     "edge_importance",
     "extract_expression",
-    "fit_edge",
     "load_kan",
     "prune",
     "retrain_affine",

@@ -85,7 +85,3 @@ class BSplineBasis:
     def design_matrix(self, x: np.ndarray) -> np.ndarray:
         """Basis values at x, shape (len(x), n_basis)."""
         return self.design_from_lower(self.lower(x), x)
-
-    def derivative_matrix(self, x: np.ndarray) -> np.ndarray:
-        """First derivatives of each basis function at x."""
-        return self.derivative_from_lower(self.lower(x))

@@ -297,18 +297,22 @@ class SymbolicKan:
         return SymbolicKan(self.shape, fits, [m.copy() for m in self.masks])
 
 
-def auto_symbolic(net: KanNetwork, X: np.ndarray,
-                  max_samples: int = 512,
-                  families: Sequence[str] | None = None) -> SymbolicKan:
-    """Fit a shape to every active edge from its observed input/output pairs.
+# a larger X is read out on this many evenly spaced rows, plus each
+# layer input's extreme rows
+_READOUT_ROWS = 512
+
+
+def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
+    """Fit a shape from the whole library to every active edge from its
+    observed input/output pairs.
 
     Edge inputs are taken after clamping, exactly as the spline saw them.
     Pruned edges become zero shapes.
     """
     X = np.asarray(X, dtype=float)
     _, caches = net.forward(X, want_caches=True)
-    if X.shape[0] > max_samples:
-        pick = np.linspace(0, X.shape[0] - 1, max_samples).astype(int)
+    if X.shape[0] > _READOUT_ROWS:
+        pick = np.linspace(0, X.shape[0] - 1, _READOUT_ROWS).astype(int)
         # keep every layer input's extreme rows: a shape fitted without
         # them can put its singularity between the sampled inputs' range
         # and the full one
@@ -326,7 +330,7 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray,
             row = []
             for j in range(layer.d_out):
                 if layer.prune_mask[i, j]:
-                    row.append(fit_edge(xc[:, i], edge[:, i, j], families))
+                    row.append(fit_edge(xc[:, i], edge[:, i, j]))
                 else:
                     row.append(EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0))
             layer_fits.append(row)

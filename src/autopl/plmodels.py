@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -144,37 +144,40 @@ def eval_ci(p: CiParams):
                 + np.asarray(p.chi_db))
 
 
-def eval_indoor_empirical(p: IndoorParams, constants: EmpiricalConstants = INDOOR_EMPIRICAL):
+def eval_indoor_empirical(p: IndoorParams):
     """Indoor empirical fit with a floor-count dependent penetration exponent."""
     _positive("d_m", p.d_m)
     _non_negative("n_walls", p.n_walls)
     _non_negative("n_floors", p.n_floors)
     d = np.asarray(p.d_m, float)
     nf = np.asarray(p.n_floors, float)
-    exponent = (nf + 2.0) / (nf + 1.0) - constants.b
-    floor_term = np.power(nf, exponent) * constants.l_f_db
-    return _ret(10.0 * constants.n * np.log10(d) + constants.pl0_db
-                + np.asarray(p.n_walls, float) * constants.l_w_db + floor_term)
+    c = INDOOR_EMPIRICAL
+    exponent = (nf + 2.0) / (nf + 1.0) - c.b
+    floor_term = np.power(nf, exponent) * c.l_f_db
+    return _ret(10.0 * c.n * np.log10(d) + c.pl0_db
+                + np.asarray(p.n_walls, float) * c.l_w_db + floor_term)
 
 
-def eval_mwf(p: IndoorParams, constants: EmpiricalConstants = INDOOR_EMPIRICAL):
+def eval_mwf(p: IndoorParams):
     """Multi-wall-floor model: penetration losses accumulate linearly."""
     _positive("d_m", p.d_m)
     _non_negative("n_walls", p.n_walls)
     _non_negative("n_floors", p.n_floors)
     d = np.asarray(p.d_m, float)
-    return _ret(10.0 * constants.n * np.log10(d) + constants.pl0_db
-                + np.asarray(p.n_walls, float) * constants.l_w_db
-                + np.asarray(p.n_floors, float) * constants.l_f_db)
+    c = INDOOR_EMPIRICAL
+    return _ret(10.0 * c.n * np.log10(d) + c.pl0_db
+                + np.asarray(p.n_walls, float) * c.l_w_db
+                + np.asarray(p.n_floors, float) * c.l_f_db)
 
 
-def eval_outdoor_empirical(p: OutdoorParams, constants: EmpiricalConstants = OUTDOOR_EMPIRICAL):
+def eval_outdoor_empirical(p: OutdoorParams):
     _positive("d_m", p.d_m)
     _positive("h_ed_m", p.h_ed_m)
     d = np.asarray(p.d_m, float)
     h = np.asarray(p.h_ed_m, float)
-    return _ret(10.0 * constants.n * np.log10(d) + constants.pl0_db
-                + constants.l_h_db * np.log10(h) + np.asarray(p.x_sigma_db))
+    c = OUTDOOR_EMPIRICAL
+    return _ret(10.0 * c.n * np.log10(d) + c.pl0_db
+                + c.l_h_db * np.log10(h) + np.asarray(p.x_sigma_db))
 
 
 def eval_fs(f_mhz, d_km):
@@ -265,31 +268,11 @@ CI_RANGES: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for a synthetic campaign: model kind, size, seed, ranges."""
+    """Recipe for a synthetic campaign: model kind, size, seed."""
 
     model_kind: str
     count: int = 1000
     seed: int = 0
-    ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-
-    def resolved_ranges(self) -> dict[str, tuple[float, float]]:
-        base = {"abg": ABG_RANGES, "ci": CI_RANGES}.get(self.model_kind)
-        if base is None:
-            raise DomainError(f"unknown synthetic model kind {self.model_kind!r}")
-        merged = dict(base)
-        for key, bounds in self.ranges.items():
-            if key not in base:
-                raise DomainError(f"unknown range key {key!r} for {self.model_kind}")
-            merged[key] = (float(bounds[0]), float(bounds[1]))
-        return merged
-
-
-def _uniform(rng: np.random.Generator, bounds: tuple[float, float], count: int,
-             name: str) -> np.ndarray:
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise DomainError(f"invalid range for {name}: ({lo}, {hi})")
-    return rng.uniform(lo, hi, size=count)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -302,37 +285,26 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """
     if spec.count < 1:
         raise DomainError("count must be at least 1")
-    ranges = spec.resolved_ranges()
+    ranges = {"abg": ABG_RANGES, "ci": CI_RANGES}.get(spec.model_kind)
+    if ranges is None:
+        raise DomainError(f"unknown synthetic model kind {spec.model_kind!r}")
     rng = np.random.default_rng(spec.seed)
     provenance = f"synthetic:{spec.model_kind}:seed={spec.seed}:count={spec.count}"
+    # one draw per parameter, in the ranges' order, then the fading
+    draw = {key: rng.uniform(lo, hi, size=spec.count)
+            for key, (lo, hi) in ranges.items()}
+    chi = rng.standard_normal(spec.count) * draw["sigma_db"]
 
     if spec.model_kind == "abg":
-        alpha = _uniform(rng, ranges["alpha"], spec.count, "alpha")
-        beta = _uniform(rng, ranges["beta"], spec.count, "beta")
-        gamma = _uniform(rng, ranges["gamma"], spec.count, "gamma")
-        f_ghz = _uniform(rng, ranges["f_ghz"], spec.count, "f_ghz")
-        d_m = _uniform(rng, ranges["d_m"], spec.count, "d_m")
-        sigma = _uniform(rng, ranges["sigma_db"], spec.count, "sigma_db")
-        if np.any(f_ghz <= 0) or np.any(d_m <= 0):
-            raise DomainError("frequency and distance ranges must stay positive")
-        chi = rng.standard_normal(spec.count) * sigma
-        X = np.column_stack([alpha, beta, gamma, f_ghz, d_m, chi])
-        y = eval_abg(AbgParams(alpha, beta, gamma, f_ghz, d_m, chi))
         names = ("alpha", "beta", "gamma", "f_ghz", "d_m", "chi_db")
+        cols = [draw[name] for name in names[:-1]] + [chi]
+        y = eval_abg(AbgParams(*cols))
     else:
-        f_ghz = _uniform(rng, ranges["f_ghz"], spec.count, "f_ghz")
-        n = _uniform(rng, ranges["n"], spec.count, "n")
-        d_m = _uniform(rng, ranges["d_m"], spec.count, "d_m")
-        sigma = _uniform(rng, ranges["sigma_db"], spec.count, "sigma_db")
-        if np.any(f_ghz <= 0) or np.any(d_m <= 0):
-            raise DomainError("frequency and distance ranges must stay positive")
-        chi = rng.standard_normal(spec.count) * sigma
-        f_hz = f_ghz * 1e9
-        X = np.column_stack([f_hz, n, d_m, chi])
-        y = eval_ci(CiParams(f_hz, n, d_m, chi))
         names = ("f_hz", "n", "d_m", "chi_db")
-
-    return Dataset(feature_names=names, X=X, y=y, provenance=provenance)
+        cols = [draw["f_ghz"] * 1e9, draw["n"], draw["d_m"], chi]
+        y = eval_ci(CiParams(*cols))
+    return Dataset(feature_names=names, X=np.column_stack(cols), y=y,
+                   provenance=provenance)
 
 
 def normalize_max(ds: Dataset) -> Dataset:
@@ -451,6 +423,15 @@ def write_csv(ds: Dataset, path) -> list[str]:
     return [str(path), sidecar]
 
 
+def read_norm(path) -> dict[str, float]:
+    """The feature divisors a ``.norm.json`` sidecar records."""
+    try:
+        with open(path) as fh:
+            return {k: float(v) for k, v in json.load(fh).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed norm file {path}: {exc}") from None
+
+
 def read_csv(path) -> Dataset:
     """Read a dataset written by `write_csv` (norm sidecar honoured)."""
     if not os.path.exists(path):
@@ -472,11 +453,8 @@ def read_csv(path) -> Dataset:
     if not rows:
         raise DataError("dataset CSV has no rows")
     arr = np.asarray(rows, dtype=float)
-    norm = None
     sidecar = str(path) + ".norm.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            norm = {k: float(v) for k, v in json.load(fh).items()}
+    norm = read_norm(sidecar) if os.path.exists(sidecar) else None
     return Dataset(
         feature_names=tuple(header[:-1]),
         X=arr[:, :-1],

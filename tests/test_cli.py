@@ -525,7 +525,10 @@ def test_malformed_dataset_csv_is_a_data_error(tmp_path, capsys, bad_row,
     '{"tokens": [',
     '{"tokens": [{"var": "d_m"}]}',
     '{"tokens": [{"op": "tan", "kind": "unary"}, {"var": "d_m", "i": 0}]}',
-], ids=["invalid-json", "var-without-index", "unknown-operator"])
+    '{"tokens": [{"lit": Infinity}]}',
+    '{"tokens": [{"lit": 1e400}]}',
+], ids=["invalid-json", "var-without-index", "unknown-operator",
+        "infinite-literal", "overflowing-literal"])
 def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
     data = _gen(tmp_path, "ci", count=40)
     expr = tmp_path / "expr.json"
@@ -536,4 +539,32 @@ def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
                "--out", str(out)])
     assert rc == 2
     assert f"malformed expression file {expr}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1.0]", '{"f_hz": "x"}'],
+                         ids=["invalid-json", "not-an-object", "not-a-number"])
+@pytest.mark.parametrize("owner", ["dataset", "checkpoint"])
+def test_malformed_norm_sidecar_is_a_data_error(tmp_path, capsys, owner,
+                                                text):
+    data = _gen(tmp_path, "ci", count=50)
+    if owner == "dataset":
+        sidecar = f"{data}.norm.json"
+        source = ["--expr-json", str(tmp_path / "expr.json")]
+        (tmp_path / "expr.json").write_text(
+            tree_to_json(ExpressionTree((Token.variable("f_hz", 0),))))
+    else:
+        kan_out = tmp_path / "k"
+        assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
+                     "--grid", "5", "--steps", "5", "--no-symbolic",
+                     "--out", str(kan_out)]) == 0
+        sidecar = f"{kan_out / 'kan.npz'}.norm.json"
+        source = ["--checkpoint", str(kan_out / "kan.npz")]
+    with open(sidecar, "w") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", str(data), *source, "--out", str(out)])
+    assert rc == 2
+    assert f"malformed norm file {sidecar}" in capsys.readouterr().err
     assert not out.exists()

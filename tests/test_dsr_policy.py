@@ -152,7 +152,7 @@ def test_sampled_sequences_respect_composition_rules():
                 parent = stack[-1][0]
                 assert not tok.is_constant_leaf
                 assert INVERSE_UNARY.get(parent.name) != tok.name
-            if tok.is_operator:
+            if tok.arity > 0:
                 stack.append([tok, tok.arity, True])
                 if tok.name in TRIG_NAMES:
                     trig_depth += 1

@@ -16,7 +16,7 @@ from autopl.expr.tree import ExpressionTree, evaluate
 from autopl.plmodels import Dataset
 from autopl.dsr.optim import Adam
 from autopl.dsr.policy import PolicyNetwork, SampledBatch, sample_batch
-from autopl.dsr.reward import nrmse, reward, reward_from_mse
+from autopl.dsr.reward import reward, reward_from_mse
 from autopl.dsr.train import (
     MaxRewardPriorityQueue,
     TrainerConfig,
@@ -39,17 +39,6 @@ def _sum_tree():
                            Token.variable("x1", 1)))
 
 
-def test_nrmse_perfect_and_constant_predictor():
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    assert nrmse(y, y) == 0.0
-    # predicting the mean gives exactly 1 under the population std
-    assert nrmse(np.full(4, y.mean()), y) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DataError):
-        nrmse(y, np.ones(4))
-    with pytest.raises(DataError):
-        nrmse(y[:3], y)
-
-
 def test_reward_values_and_zeroing():
     ds = _dataset()
     cs = ConstraintSet()
@@ -64,8 +53,7 @@ def test_reward_values_and_zeroing():
 
 def test_reward_applies_repeat_discount():
     ds = _dataset()
-    cs = ConstraintSet(repeat_rules={"x0": RepeatRule(min_count=2)},
-                       soft_repeat_weight=0.5)
+    cs = ConstraintSet(repeat_rules={"x0": RepeatRule(min_count=2)})
     assert reward(_sum_tree(), ds, cs) == pytest.approx(0.5)
 
 

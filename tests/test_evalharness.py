@@ -201,8 +201,7 @@ def test_monte_carlo_programming_errors_propagate():
 
 def test_monte_carlo_keep_predictions():
     ds = _toy_dataset()
-    rep = monte_carlo_eval(_lsq_fit, ds, runs=3, base_seed=2,
-                           keep_predictions=True)
+    rep = monte_carlo_eval(_lsq_fit, ds, runs=3, base_seed=2)
     assert len(rep.predictions) == 3
     y_true, y_pred = rep.predictions[0]
     assert y_true.shape == y_pred.shape
@@ -269,8 +268,7 @@ def test_validity_held_features_at_medians():
 def test_validity_nonfinite_majority_invalid():
     # log10(50 - d) over d in [1, 100]: more than half the sweep is nan
     e = _tree(ADD, LOG, SUB, Token.literal(50.0), _D, _F)
-    rep = check_validity(e, _ROLES, {"d": (1.0, 100.0), "f": (1.0, 10.0)},
-                         n_points=200)
+    rep = check_validity(e, _ROLES, {"d": (1.0, 100.0), "f": (1.0, 10.0)})
     assert rep.verdict == "invalid"
     assert any("non-finite" in r for r in rep.reasons)
 
@@ -347,21 +345,12 @@ def test_baseline_table_missing_columns():
         baseline_table(ds, "nowhere")
 
 
-def test_baseline_table_column_override():
-    base = _outdoor_dataset()
-    renamed = Dataset(("dist", "h_m", "f_mhz"), base.X, base.y, "test")
-    rows = baseline_table(renamed, "outdoor",
-                          columns={"distance_m": "dist"})
-    assert rows == baseline_table(base, "outdoor")
-
-
 # report emission ------------------------------------------------------------
 
 
 def test_table_rows_and_files(tmp_path):
     ds = _toy_dataset()
-    rep = monte_carlo_eval(_lsq_fit, ds, runs=4, base_seed=1,
-                           keep_predictions=True)
+    rep = monte_carlo_eval(_lsq_fit, ds, runs=4, base_seed=1)
     rows = [metrics_row("lsq", rep, expression="3*a+40", valid="valid"),
             single_row("fixed", {"mae": 1.0, "mse": 2.0, "mape": 3.0,
                                  "r2": 0.5})]

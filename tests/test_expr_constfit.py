@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from autopl.expr import (
-    ExpressionTree,
-    Token,
-    constfit,
-    evaluate,
-    optimize_constants,
-    prepare,
-)
+from autopl.expr import constfit
+from autopl.expr.constfit import optimize_constants
+from autopl.expr.tokens import Token
+from autopl.expr.tree import ExpressionTree, evaluate, prepare
 
 ADD = Token.binary("add")
 MUL = Token.binary("mul")

@@ -5,15 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from autopl.expr import (
+from autopl.expr.constraints import (
     ConstraintSet,
     PrefixState,
     RepeatRule,
-    Token,
-    Vocabulary,
     repeat_penalty,
     valid_next_tokens,
 )
+from autopl.expr.tokens import Token, Vocabulary
 
 VOCAB = Vocabulary.default(["d", "f"])
 CS = ConstraintSet()
@@ -25,7 +24,7 @@ def _allowed(prefix, cs=CS, vocab=VOCAB):
 
 
 def _tok(name):
-    return VOCAB.by_name(name)
+    return VOCAB[VOCAB.index[name]]
 
 
 def test_root_must_be_operator_under_min_length():
@@ -113,8 +112,7 @@ def test_repeat_max_count_is_hard():
 
 
 def test_repeat_penalty_soft_minimum():
-    cs = ConstraintSet(repeat_rules={"d": RepeatRule(min_count=2)},
-                       soft_repeat_weight=0.5)
+    cs = ConstraintSet(repeat_rules={"d": RepeatRule(min_count=2)})
     seq_zero = [_tok("add"), _tok("f"), _tok("f")]
     seq_one = [_tok("add"), _tok("d"), _tok("f")]
     seq_two = [_tok("add"), _tok("d"), _tok("d")]
@@ -123,8 +121,7 @@ def test_repeat_penalty_soft_minimum():
     assert repeat_penalty(seq_two, cs) == pytest.approx(1.0)
     # deficits accumulate across rules
     cs2 = ConstraintSet(repeat_rules={"d": RepeatRule(min_count=1),
-                                      "f": RepeatRule(min_count=1)},
-                        soft_repeat_weight=0.5)
+                                      "f": RepeatRule(min_count=1)})
     assert repeat_penalty([_tok("add"), _tok("3"), _tok("C")], cs2) == pytest.approx(0.25)
 
 
@@ -274,8 +271,6 @@ def test_constraint_set_validation():
         ConstraintSet(min_length=0)
     with pytest.raises(ValueError):
         ConstraintSet(min_length=10, max_length=5)
-    with pytest.raises(ValueError):
-        ConstraintSet(soft_repeat_weight=1.0)
     with pytest.raises(ValueError):
         RepeatRule(min_count=-1)
     with pytest.raises(ValueError):

@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autopl.expr.tree as tree_module
-from autopl.expr import (
+from autopl.expr.tokens import Token, TokenKind
+from autopl.expr.tree import (
     ExpressionTree,
-    Token,
-    TokenKind,
     evaluate,
-    is_complete,
     prepare,
     structural_scan,
     to_infix,
@@ -41,14 +39,12 @@ X1 = Token.variable("f", 1)
 
 
 def test_is_complete():
-    assert not is_complete(())
-    assert is_complete((X0,))
-    assert not is_complete((ADD,))
-    assert not is_complete((ADD, X0))
-    assert is_complete((ADD, X0, X1))
-    assert not is_complete((ADD, X0, X1, X0))  # trailing token
-    assert is_complete((ADD, MUL, X0, X1, LOG, X0))
-    assert not is_complete((X0, X1))
+    # a tree takes exactly the sequences that close one expression
+    for tokens in [(X0,), (ADD, X0, X1), (ADD, MUL, X0, X1, LOG, X0)]:
+        assert ExpressionTree(tokens).tokens == tokens
+    for tokens in [(), (ADD,), (ADD, X0), (ADD, X0, X1, X0), (X0, X1)]:
+        with pytest.raises(ValueError):
+            ExpressionTree(tokens)
 
 
 def test_tree_rejects_incomplete_sequences():
@@ -194,6 +190,12 @@ def test_evaluate_deep_tree():
     # slot at the bottom: the deep part is the constant stage
     bottom = ExpressionTree((ADD, X0) * depth + (C,), constants=(2.0,))
     assert evaluate(bottom, X)[0] == pytest.approx(depth * 0.5 + 2.0)
+    # rendering and scanning walk flat loops too
+    assert to_infix(top) == "(2 + " + "(d + " * depth + "f" + ")" * (depth + 1)
+    assert to_infix(bottom) == "(d + " * depth + "2" + ")" * depth
+    scan = structural_scan(ExpressionTree((SIN,) + deep))
+    assert scan.variables == scan.trig_variables == {"d", "f"}
+    assert structural_scan(bottom).trig_variables == frozenset()
 
 
 def test_each_sequence_is_compiled_once_without_source(monkeypatch):

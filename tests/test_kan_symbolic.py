@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 from autopl.expr.tree import evaluate, to_infix
 from autopl.kan import (
-    EDGE_FAMILIES,
-    EdgeFit,
     KanConfig,
-    SymbolicKan,
     auto_symbolic,
     build_network,
     extract_expression,
-    fit_edge,
     retrain_affine,
     train,
 )
 from autopl.kan import symbolic
+from autopl.kan.symbolic import EDGE_FAMILIES, EdgeFit, SymbolicKan, fit_edge
 from autopl.plmodels import SyntheticSpec, generate_synthetic, normalize_max
 
 
@@ -344,12 +341,12 @@ def test_auto_symbolic_keeps_extreme_rows_in_range():
     layer.w_base[:] = 0.0
     layer.w_spline[:] = 1.0
     layer.coeffs[0, 0, :] = coef
-    n, max_samples = 1000, 512
+    n = 1000
     X = np.random.default_rng(12).uniform(-0.9, 1.05, size=(n, 1))
-    picked = set(np.linspace(0, n - 1, max_samples).astype(int))
+    picked = set(np.linspace(0, n - 1, symbolic._READOUT_ROWS).astype(int))
     skipped = next(i for i in range(n) if i not in picked)
     X[skipped, 0] = -1.0
-    sym = auto_symbolic(net, X, max_samples=max_samples)
+    sym = auto_symbolic(net, X)
     assert np.all(np.isfinite(sym.predict(X)))
 
 
