@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -202,16 +201,13 @@ def _write_history_csv(path, rows, columns) -> None:
 
 
 def _validity_flag(tree, ds) -> str:
-    """Validity verdict over the feature ranges and medians, with any
-    normalization folded back."""
+    """Validity verdict over the feature ranges and medians."""
     roles = infer_roles(ds.feature_names)
     if not roles:
         return ""
-    div = ds.norm or {}
     ranges = {}
     medians = {}
-    for i, name in enumerate(ds.feature_names):
-        col = ds.X[:, i] * float(div.get(name, 1.0))
+    for name, col in zip(ds.feature_names, ds.X.T):
         ranges[name] = (float(col.min()), float(col.max()))
         medians[name] = float(np.median(col))
     return eh.check_validity(tree, roles, ranges, medians=medians).verdict
@@ -225,7 +221,7 @@ def cmd_gen_data(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _resolve(args, file_cfg, {"model": None, "input": None,
                                     "target": "pl_db", "count": 1000,
-                                    "seed": 0, "normalize": False})
+                                    "seed": 0})
     if (cfg["model"] is None) == (cfg["input"] is None):
         raise UsageError("gen-data needs exactly one of --model or --input")
     if cfg["model"] is not None:
@@ -244,11 +240,8 @@ def cmd_gen_data(args) -> int:
                  for c in header}
         ds, report = load_empirical_csv(cfg["input"], roles)
         print(f"ingested {report.kept_rows}/{report.total_rows} rows")
-    if cfg["normalize"]:
-        ds = normalize_max(ds)
     out_csv = run.path("dataset.csv")
-    for written in write_csv(ds, out_csv):
-        run.path(os.path.basename(written))
+    write_csv(ds, out_csv)
     run.finish(cfg, cfg["seed"])
     print(f"wrote {out_csv} ({ds.n_rows} rows, {len(ds.feature_names)} features)")
     return 0
@@ -307,11 +300,10 @@ def cmd_train_kan(args) -> int:
     if shape[0] != len(ds.feature_names):
         raise DataError(f"shape expects {shape[0]} features, dataset has "
                         f"{len(ds.feature_names)}")
-    if ds.norm is None:
-        # spline edges live on a fixed input interval
-        ds = normalize_max(ds)
+    # spline edges live on a fixed input interval
+    scaled = normalize_max(ds)
     seeds = _fan_out(int(cfg["seed"]), 2)
-    train_ds, test_ds = split(ds, float(cfg["split"]), seeds[0])
+    train_ds, test_ds = split(scaled, float(cfg["split"]), seeds[0])
 
     net = kan.build_network(kan.KanConfig(
         shape=shape, grid_size=int(cfg["grid"]), order=int(cfg["order"]),
@@ -323,8 +315,9 @@ def cmd_train_kan(args) -> int:
 
     kan.save_kan(net, run.path("kan.npz"), ds.feature_names)
     # record the input scaling the net was trained under, so eval can
-    # feed it raw-unit datasets later
-    run.text("kan.npz.norm.json", json.dumps(ds.norm, sort_keys=True) + "\n")
+    # feed it datasets in original units
+    run.text("kan.npz.norm.json",
+             json.dumps(scaled.norm, sort_keys=True) + "\n")
 
     pred_spline = net.predict(test_ds.X)
     rows = [eh.single_row("kan-spline", eh.score(pred_spline, test_ds.y))]
@@ -336,7 +329,7 @@ def cmd_train_kan(args) -> int:
     if not cfg["no_symbolic"]:
         sym = kan.auto_symbolic(net, train_ds.X)
         sym, _ = kan.retrain_affine(sym, train_ds.X, train_ds.y)
-        tree = kan.extract_expression(sym, ds.feature_names, ds.norm)
+        tree = kan.extract_expression(sym, ds.feature_names, scaled.norm)
         pred_sym = sym.predict(test_ds.X)
         infix = to_infix(tree)
         rows.append(eh.single_row(
@@ -424,7 +417,6 @@ def cmd_eval(args) -> int:
 
     run.input(args.data)
     ds = read_csv(args.data)
-    baseline_ds = ds
     tree = None
     if args.expr_json is not None:
         run.input(args.expr_json)
@@ -452,16 +444,15 @@ def cmd_eval(args) -> int:
         net = kan.load_kan(args.checkpoint, ds.feature_names)
         label = "checkpoint"
         sidecar = str(args.checkpoint) + ".norm.json"
+        saved = {}
         if os.path.exists(sidecar):
-            # rescale into the units the net was trained under
-            saved = read_norm(sidecar)
-            cur = ds.norm or {}
-            if cur != saved:
-                back = np.array([cur.get(n, 1.0) for n in ds.feature_names])
-                div = np.array([saved.get(n, 1.0) for n in ds.feature_names])
-                ds = replace(ds, X=ds.X * back / div, norm=dict(saved))
             run.input(sidecar)
-        predictor = net.predict
+            saved = read_norm(sidecar)
+        # the net was trained on columns divided by these
+        div = np.array([saved.get(n, 1.0) for n in ds.feature_names])
+
+        def predictor(X):
+            return net.predict(X / div)
 
     expression = to_infix(tree) if tree is not None else ""
     valid = _validity_flag(tree, ds) if tree is not None else ""
@@ -481,7 +472,7 @@ def cmd_eval(args) -> int:
         print(f"{label}: {valid}")
 
     if cfg["with_baselines"]:
-        for base in eh.baseline_table(baseline_ds, cfg["with_baselines"]):
+        for base in eh.baseline_table(ds, cfg["with_baselines"]):
             rows.append(eh.single_row(base["method"], base))
 
     eh.write_scatter_csv(run.path("scatter.csv"), scatter)
@@ -540,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="empirical CSV to ingest")
     p.add_argument("--target", help="target column for --input")
     p.add_argument("--count", type=int)
-    p.add_argument("--normalize", action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_gen_data)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from autopl.errors import TrainingError
-from autopl.expr.constraints import ConstraintSet, PrefixBatch, PrefixState
+from autopl.expr.constraints import ConstraintSet, PrefixBatch
 from autopl.expr.tokens import Vocabulary
 from autopl.expr.tree import ExpressionTree
 
@@ -98,13 +98,6 @@ class PolicyNetwork:
         x[rows, parent] = on
         x[rows, self.n_tokens + 1 + sibling] = on
         return x
-
-    def encode_step_input(self, state: PrefixState) -> np.ndarray:
-        """Parent/sibling one-hot pair for the next position of a prefix."""
-        parent, sibling = (
-            np.array([self.vocab.index[t.name] if t else self.n_tokens])
-            for t in (state.parent, state.sibling))
-        return self.encode_step_inputs(parent, sibling)[0]
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:

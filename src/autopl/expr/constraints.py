@@ -276,17 +276,6 @@ class PrefixState:
         return self._over(vocab).mask(cs)[0]
 
 
-def valid_next_tokens(prefix: Sequence[Token] | PrefixState,
-                      cs: ConstraintSet, vocab: Vocabulary) -> np.ndarray:
-    """Mask of admissible next tokens for a partial prefix sequence."""
-    if isinstance(prefix, PrefixState):
-        return prefix.mask(cs, vocab)
-    state = PrefixState(vocab)
-    for t in prefix:
-        state.push(t)
-    return state.mask(cs, vocab)
-
-
 _SOFT_REPEAT_WEIGHT = 0.5  # reward share lost per missing occurrence
 
 

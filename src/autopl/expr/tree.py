@@ -301,8 +301,13 @@ def tree_from_json(text: str) -> ExpressionTree:
     obj = json.loads(text)
     tokens: list[Token] = []
     for item in obj["tokens"]:
+        if not isinstance(item, dict):
+            raise ValueError(f"token {item!r} is not an object")
         if "var" in item:
-            tokens.append(Token.variable(item["var"], int(item["i"])))
+            i = item["i"]
+            if type(i) is not int:  # bool is an int subclass
+                raise ValueError(f"variable index {i!r} is not an integer")
+            tokens.append(Token.variable(item["var"], i))
         elif "lit" in item:
             tokens.append(Token.literal(item["lit"]))
         elif "const" in item:

@@ -197,9 +197,9 @@ def eval_fs(f_mhz, d_km):
 class Dataset:
     """Feature matrix plus pathloss target, all finite float64.
 
-    `norm` maps feature name to the divisor that was applied to that
-    column, composed across repeated normalization passes so it always
-    converts original units to stored units.
+    `norm` is set only by `normalize_max`: it maps feature name to the
+    divisor that was applied to that column.  `write_csv` does not store
+    it, and every dataset `read_csv` returns is in original units.
     """
 
     feature_names: tuple[str, ...]
@@ -319,8 +319,6 @@ def normalize_max(ds: Dataset) -> Dataset:
         if div == 0.0:
             raise DataError(f"cannot normalize: column {name!r} is all zero")
     norm = {n: float(d) for n, d in zip(ds.feature_names, divisors)}
-    if ds.norm is not None:
-        norm = {n: float(ds.norm.get(n, 1.0)) * norm[n] for n in norm}
     return replace(ds, X=ds.X / divisors, norm=norm)
 
 
@@ -404,23 +402,13 @@ def load_empirical_csv(path, roles: Mapping[str, str]) -> tuple[Dataset, LoadRep
     return ds, report
 
 
-def write_csv(ds: Dataset, path) -> list[str]:
-    """Write features plus a final pl_db target column, round-trip exact.
-
-    Returns the paths written: the CSV and, for a normalized dataset, its
-    norm sidecar.
-    """
+def write_csv(ds: Dataset, path) -> None:
+    """Write features plus a final pl_db target column, round-trip exact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + ["pl_db"])
         for i in range(ds.n_rows):
             writer.writerow(["%.17g" % v for v in ds.X[i]] + ["%.17g" % ds.y[i]])
-    if ds.norm is None:
-        return [str(path)]
-    sidecar = str(path) + ".norm.json"
-    with open(sidecar, "w") as fh:
-        json.dump(dict(ds.norm), fh, indent=1, sort_keys=True)
-    return [str(path), sidecar]
 
 
 def read_norm(path) -> dict[str, float]:
@@ -433,7 +421,12 @@ def read_norm(path) -> dict[str, float]:
 
 
 def read_csv(path) -> Dataset:
-    """Read a dataset written by `write_csv` (norm sidecar honoured)."""
+    """Read a dataset written by `write_csv`, in original units.
+
+    Earlier versions could store max-normalized columns with their
+    divisors in a ``.norm.json`` sidecar; such columns are multiplied
+    back here.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such dataset file: {path}")
     with open(path, newline="") as fh:
@@ -453,12 +446,15 @@ def read_csv(path) -> Dataset:
     if not rows:
         raise DataError("dataset CSV has no rows")
     arr = np.asarray(rows, dtype=float)
+    names = tuple(header[:-1])
+    X = arr[:, :-1]
     sidecar = str(path) + ".norm.json"
-    norm = read_norm(sidecar) if os.path.exists(sidecar) else None
+    if os.path.exists(sidecar):
+        norm = read_norm(sidecar)
+        X = X * np.array([norm.get(n, 1.0) for n in names])
     return Dataset(
-        feature_names=tuple(header[:-1]),
-        X=arr[:, :-1],
+        feature_names=names,
+        X=X,
         y=arr[:, -1],
         provenance=f"file:{os.path.basename(str(path))}",
-        norm=norm,
     )

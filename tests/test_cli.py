@@ -59,15 +59,25 @@ def test_gen_data_synthetic(tmp_path):
     assert _sha(out / "dataset.csv") == _sha(out2 / "dataset.csv")
 
 
-def test_gen_data_normalize_sidecar(tmp_path):
+def test_gen_data_normalize_is_a_usage_error(tmp_path, capsys):
+    # datasets are always written in original units
     out = tmp_path / "norm"
     rc = main(["gen-data", "--model", "ci", "--count", "50", "--seed", "0",
                "--normalize", "--out", str(out)])
-    assert rc == 0
-    assert (out / "dataset.csv.norm.json").exists()
-    ds = read_csv(out / "dataset.csv")
-    assert ds.norm is not None
-    assert np.max(np.abs(ds.X)) <= 1.0 + 1e-12
+    assert rc == 1
+    assert "--normalize" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _legacy_normalized_csv(tmp_path, data):
+    """The dataset at `data` as earlier versions' `gen-data --normalize`
+    wrote it: max-normalized columns plus their divisors in a sidecar."""
+    scaled = normalize_max(read_csv(data))
+    path = tmp_path / "legacy.csv"
+    write_csv(scaled, path)
+    with open(f"{path}.norm.json", "w") as fh:
+        json.dump(dict(scaled.norm), fh, indent=1, sort_keys=True)
+    return path, scaled
 
 
 def test_gen_data_ingest(tmp_path):
@@ -240,11 +250,7 @@ def test_eval_checkpoint_single_shot(tmp_path):
           "--grid", "5", "--steps", "5", "--no-symbolic",
           "--out", str(kan_out)])
     out = tmp_path / "ev"
-    # checkpoint was trained on normalized features; eval gets the same
-    norm_out = tmp_path / "nd"
-    main(["gen-data", "--model", "ci", "--count", "80", "--seed", "3",
-          "--normalize", "--out", str(norm_out)])
-    rc = main(["eval", "--data", str(norm_out / "dataset.csv"),
+    rc = main(["eval", "--data", str(data),
                "--checkpoint", str(kan_out / "kan.npz"),
                "--runs", "1", "--out", str(out)])
     assert rc == 0
@@ -255,8 +261,7 @@ def test_eval_checkpoint_single_shot(tmp_path):
 
 def test_eval_checkpoint_raw_units(tmp_path):
     # train-kan normalizes raw inputs internally; the sidecar it writes
-    # next to the checkpoint must make raw-unit evaluation equivalent to
-    # evaluating the pre-normalized dataset
+    # next to the checkpoint lets eval feed it original-unit datasets
     data = _gen(tmp_path, "ci", count=80)
     kan_out = tmp_path / "k"
     main(["train-kan", "--data", str(data), "--shape", "4,2,1",
@@ -271,19 +276,47 @@ def test_eval_checkpoint_raw_units(tmp_path):
                "--checkpoint", str(kan_out / "kan.npz"),
                "--out", str(out_raw)])
     assert rc == 0
-
-    norm_out = tmp_path / "nd"
-    main(["gen-data", "--model", "ci", "--count", "80", "--seed", "3",
-          "--normalize", "--out", str(norm_out)])
-    out_norm = tmp_path / "en"
-    main(["eval", "--data", str(norm_out / "dataset.csv"),
-          "--checkpoint", str(kan_out / "kan.npz"),
-          "--out", str(out_norm)])
-    raw = (out_raw / "metrics.csv").read_bytes()
-    norm = (out_norm / "metrics.csv").read_bytes()
-    assert raw == norm
     r2 = float(_read_metrics(out_raw / "metrics.csv")[0]["r2_mean"])
     assert r2 > 0.5
+
+    # a normalized CSV from an earlier version reads back in original
+    # units: the stored columns times the sidecar's divisors
+    legacy, scaled = _legacy_normalized_csv(tmp_path, data)
+    div = np.array([scaled.norm[n] for n in scaled.feature_names])
+    back = read_csv(legacy)
+    assert back.norm is None
+    assert back.X.tobytes() == (scaled.X * div).tobytes()
+    assert back.y.tobytes() == scaled.y.tobytes()
+
+
+def test_kan_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
+    data = _gen(tmp_path, "ci", count=300)
+    legacy, _ = _legacy_normalized_csv(tmp_path, data)
+    kan_out = tmp_path / "k"
+    assert main(["train-kan", "--data", str(legacy), "--model", "ci",
+                 "--steps", "30", "--out", str(kan_out)]) == 0
+    r2s = []
+    for csv_path in (legacy, data):
+        out = tmp_path / f"ev-{csv_path.stem}"
+        assert main(["eval", "--data", str(csv_path), "--expr-json",
+                     str(kan_out / "expression.json"), "--out", str(out)]) == 0
+        r2s.append(float(_read_metrics(out / "metrics.csv")[0]["r2_mean"]))
+    assert r2s[0] == pytest.approx(r2s[1], abs=1e-9)
+    assert r2s[1] > 0.5
+
+
+def test_dsr_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
+    data = _gen(tmp_path, "ci", count=300)
+    legacy, _ = _legacy_normalized_csv(tmp_path, data)
+    dsr_out = tmp_path / "d"
+    assert main(["train-dsr", "--data", str(legacy), "--samples", "200",
+                 "--batch", "100", "--seed", "1", "--out", str(dsr_out)]) == 0
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", str(data), "--expr-json",
+                 str(dsr_out / "expression.json"), "--out", str(out)]) == 0
+    row = _read_metrics(out / "metrics.csv")[0]
+    assert all(np.isfinite(float(row[f"{m}_mean"]))
+               for m in ("mae", "mse", "mape", "r2"))
 
 
 def test_eval_expression_rejects_reordered_columns(tmp_path, capsys):
@@ -449,11 +482,8 @@ def test_manifest_lists_exactly_the_run_files(tmp_path):
         assert set(os.listdir(out)) - {"manifest.json"} == set(m["outputs"])
         assert set(m["inputs"]) == {str(p) for p in inputs}
 
-    norm = tmp_path / "norm"
-    assert main(["gen-data", "--model", "ci", "--count", "60", "--seed", "3",
-                 "--normalize", "--out", str(norm)]) == 0
-    check(norm, [])
     data = _gen(tmp_path, "ci", count=60)
+    check(data.parent, [])
     for name, extra in (("kan", []), ("kan_ns", ["--no-symbolic"])):
         assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
                      "--grid", "5", "--steps", "5", "--out",
@@ -468,9 +498,9 @@ def test_manifest_lists_exactly_the_run_files(tmp_path):
                  "--out", str(tmp_path / "ev")]) == 0
     check(tmp_path / "ev", [data, expr])
     ckpt = tmp_path / "kan_ns" / "kan.npz"
-    assert main(["eval", "--data", str(norm / "dataset.csv"),
+    assert main(["eval", "--data", str(data),
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "ec")]) == 0
-    check(tmp_path / "ec", [norm / "dataset.csv", ckpt, f"{ckpt}.norm.json"])
+    check(tmp_path / "ec", [data, ckpt, f"{ckpt}.norm.json"])
 
     rng = np.random.default_rng(1)
     X = np.column_stack([rng.uniform(1.0, 50.0, 30),
@@ -527,8 +557,12 @@ def test_malformed_dataset_csv_is_a_data_error(tmp_path, capsys, bad_row,
     '{"tokens": [{"op": "tan", "kind": "unary"}, {"var": "d_m", "i": 0}]}',
     '{"tokens": [{"lit": Infinity}]}',
     '{"tokens": [{"lit": 1e400}]}',
+    '{"tokens": ["x"]}',
+    '{"tokens": [{"var": "f_hz", "i": 0.7}]}',
+    '{"tokens": [{"var": "f_hz", "i": true}]}',
 ], ids=["invalid-json", "var-without-index", "unknown-operator",
-        "infinite-literal", "overflowing-literal"])
+        "infinite-literal", "overflowing-literal", "token-not-an-object",
+        "fractional-index", "boolean-index"])
 def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
     data = _gen(tmp_path, "ci", count=40)
     expr = tmp_path / "expr.json"

@@ -13,7 +13,6 @@ from autopl.expr.constraints import (
     PrefixBatch,
     PrefixState,
     RepeatRule,
-    valid_next_tokens,
 )
 from autopl.expr.tokens import (
     BINARY_NAMES,
@@ -131,7 +130,7 @@ def test_sampled_sequences_pass_independent_replay():
     for seq in batch.sequences:
         state = PrefixState()
         for tok in seq.tokens:
-            mask = valid_next_tokens(state, cs, vocab)
+            mask = state.mask(cs, vocab)
             assert mask[vocab.index[tok.name]], seq.tokens
             state.push(tok)
         assert state.is_complete
@@ -264,10 +263,10 @@ def test_batched_masks_equal_valid_next_tokens_row_by_row(setup):
             state = PrefixState()
             for tok in prefix:
                 state.push(tok)
-            assert np.array_equal(masks[i], valid_next_tokens(prefix, cs, vocab))
             assert [vocab[j] if j < len(vocab) else None
                     for j in (parent[i], sibling[i])] == \
                 [state.parent, state.sibling]
+            assert np.array_equal(masks[i], state.mask(cs, vocab))
         rows = np.flatnonzero(masks.any(axis=1))
         if rows.size == 0:
             break
@@ -351,6 +350,14 @@ def test_sampling_pass_gives_the_replays_loss_and_gradients(
     assert _loss_bytes(*got) == _loss_bytes(*replayed)
 
 
+def _step_input(policy, state):
+    # parent/sibling one-hot pair for the next position of one prefix
+    parent, sibling = (
+        np.array([policy.vocab.index[t.name] if t else policy.n_tokens])
+        for t in (state.parent, state.sibling))
+    return policy.encode_step_inputs(parent, sibling)[0]
+
+
 def _reference_round(policy, m, cs, rng):
     # the sampling loop with log-prob and entropy summed row by row
     vocab = policy.vocab
@@ -366,7 +373,7 @@ def _reference_round(policy, m, cs, rng):
             dead[i] = not mk.any()
             if mk.any():
                 masks[i] = mk
-                x[i] = policy.encode_step_input(states[i])
+                x[i] = _step_input(policy, states[i])
         active = ~done & ~dead
         if not active.any():
             break

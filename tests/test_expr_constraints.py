@@ -10,7 +10,6 @@ from autopl.expr.constraints import (
     PrefixState,
     RepeatRule,
     repeat_penalty,
-    valid_next_tokens,
 )
 from autopl.expr.tokens import Token, Vocabulary
 
@@ -18,8 +17,16 @@ VOCAB = Vocabulary.default(["d", "f"])
 CS = ConstraintSet()
 
 
+def _valid_next_tokens(prefix, cs=CS, vocab=VOCAB):
+    # the mask after a whole prefix, rebuilt from a fresh one-row state
+    state = PrefixState(vocab)
+    for t in prefix:
+        state.push(t)
+    return state.mask(cs, vocab)
+
+
 def _allowed(prefix, cs=CS, vocab=VOCAB):
-    mask = valid_next_tokens(list(prefix), cs, vocab)
+    mask = _valid_next_tokens(prefix, cs, vocab)
     return {vocab[i].name for i in np.flatnonzero(mask)}
 
 
@@ -126,8 +133,8 @@ def test_repeat_penalty_soft_minimum():
 
 
 def test_mask_empty_once_complete():
-    mask = valid_next_tokens([_tok("add"), _tok("d"), _tok("log10"), _tok("f")],
-                             CS, VOCAB)
+    mask = _valid_next_tokens([_tok("add"), _tok("d"), _tok("log10"),
+                               _tok("f")])
     assert not mask.any()
 
 
@@ -166,7 +173,7 @@ def test_incremental_state_matches_rebuilt_mask():
             choices = np.flatnonzero(mask)
             assert choices.size > 0  # default grammar has no dead ends
             tok = VOCAB[int(rng.choice(choices))]
-            rebuilt = valid_next_tokens(prefix, CS, VOCAB)
+            rebuilt = _valid_next_tokens(prefix)
             assert np.array_equal(mask, rebuilt)
             st.push(tok)
             prefix.append(tok)

@@ -15,7 +15,9 @@ the BLAS kernel), so both sides run here, on the same machine, and no
 digest is stored.  The golden set covers every engine path: synthetic
 data, the three DSR policies with constant fits in worker processes and,
 pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
-three seeds; and ``eval`` of an expression and of a checkpoint.
+three seeds; and ``eval`` of a DSR expression, of a KAN expression and
+of a checkpoint.  At seed 3 each DSR policy improves on its first
+batch's best formula, so the search past the first batch is covered.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ for _policy in ("rspg", "vpg", "pqt"):
     for _tag, _prefix in (("", []), ("-one-cpu", _PIN)):
         GOLDEN.append((f"dsr-{_policy}{_tag}", _prefix,
                        ["train-dsr", *_DATA, "--policy", _policy,
-                        "--samples", "400", "--seed", "1",
+                        "--samples", "400", "--seed", "3",
                         "--out", f"runs/dsr-{_policy}{_tag}"]))
 for _seed in range(3):
     GOLDEN.append((f"kan-{_seed}", [],
@@ -48,6 +50,9 @@ GOLDEN += [
     ("eval-expr", [], ["eval", *_DATA, "--expr-json",
                        "runs/dsr-rspg/expression.json", "--runs", "3",
                        "--out", "runs/eval-expr"]),
+    ("eval-kan-expr", [], ["eval", *_DATA, "--expr-json",
+                           "runs/kan-0/expression.json", "--runs", "3",
+                           "--out", "runs/eval-kan-expr"]),
     ("eval-checkpoint", [], ["eval", *_DATA, "--checkpoint",
                              "runs/kan-0/kan.npz", "--runs", "10",
                              "--out", "runs/eval-checkpoint"]),
