@@ -29,9 +29,8 @@ from autopl.plmodels import (
     SyntheticSpec,
     generate_synthetic,
     load_empirical_csv,
-    normalize_max,
+    max_abs,
     read_csv,
-    read_norm,
     split,
     write_csv,
 )
@@ -147,7 +146,8 @@ class _RunDir:
     """One command's output directory and its manifest.
 
     Every file the command writes is named through `path`, so the
-    manifest's `outputs` are exactly the files this run wrote.
+    manifest's `outputs` are exactly the files this run wrote.  A
+    command prints only through `finish`, after all its files.
     """
 
     def __init__(self, args):
@@ -171,8 +171,9 @@ class _RunDir:
         with open(self.path(name), "w") as fh:
             fh.write(s)
 
-    def finish(self, config: dict, seed, rows=None) -> None:
-        """Write metrics.csv for `rows`, then manifest.json; print `rows`."""
+    def finish(self, config: dict, seed, rows=None, notes=()) -> None:
+        """Write metrics.csv for `rows`, then manifest.json; print each
+        of `notes` on its own line, then `rows`."""
         if rows is not None:
             eh.write_table_csv(self.path("metrics.csv"), rows)
         manifest = {
@@ -188,8 +189,16 @@ class _RunDir:
         with open(os.path.join(self.dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        text = "".join(f"{note}\n" for note in notes)
         if rows is not None:
-            print(eh.format_table(rows), end="")
+            text += eh.format_table(rows)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone and the files are written; point stdout
+            # at devnull so the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write_history_csv(path, rows, columns) -> None:
@@ -224,6 +233,7 @@ def cmd_gen_data(args) -> int:
                                     "seed": 0})
     if (cfg["model"] is None) == (cfg["input"] is None):
         raise UsageError("gen-data needs exactly one of --model or --input")
+    notes = []
     if cfg["model"] is not None:
         ds = generate_synthetic(SyntheticSpec(model_kind=cfg["model"],
                                               count=int(cfg["count"]),
@@ -239,11 +249,12 @@ def cmd_gen_data(args) -> int:
         roles = {c: ("target" if c == cfg["target"] else "feature")
                  for c in header}
         ds, report = load_empirical_csv(cfg["input"], roles)
-        print(f"ingested {report.kept_rows}/{report.total_rows} rows")
+        notes.append(f"ingested {report.kept_rows}/{report.total_rows} rows")
     out_csv = run.path("dataset.csv")
     write_csv(ds, out_csv)
-    run.finish(cfg, cfg["seed"])
-    print(f"wrote {out_csv} ({ds.n_rows} rows, {len(ds.feature_names)} features)")
+    notes.append(f"wrote {out_csv} ({ds.n_rows} rows, "
+                 f"{len(ds.feature_names)} features)")
+    run.finish(cfg, cfg["seed"], notes=notes)
     return 0
 
 
@@ -300,24 +311,21 @@ def cmd_train_kan(args) -> int:
     if shape[0] != len(ds.feature_names):
         raise DataError(f"shape expects {shape[0]} features, dataset has "
                         f"{len(ds.feature_names)}")
-    # spline edges live on a fixed input interval
-    scaled = normalize_max(ds)
+    # spline edges live on a fixed input interval: the net divides each
+    # feature by its largest magnitude
+    input_scale = max_abs(ds)
     seeds = _fan_out(int(cfg["seed"]), 2)
-    train_ds, test_ds = split(scaled, float(cfg["split"]), seeds[0])
+    train_ds, test_ds = split(ds, float(cfg["split"]), seeds[0])
 
     net = kan.build_network(kan.KanConfig(
         shape=shape, grid_size=int(cfg["grid"]), order=int(cfg["order"]),
         steps=int(cfg["steps"]), reg_lambda=float(cfg["lamb"]),
-        seed=seeds[1]))
+        seed=seeds[1]), input_scale)
     result = kan.train(net, train_ds.X, train_ds.y)
     if cfg["prune"] is not None:
         net = kan.prune(net, train_ds.X, float(cfg["prune"]))
 
     kan.save_kan(net, run.path("kan.npz"), ds.feature_names)
-    # record the input scaling the net was trained under, so eval can
-    # feed it datasets in original units
-    run.text("kan.npz.norm.json",
-             json.dumps(scaled.norm, sort_keys=True) + "\n")
 
     pred_spline = net.predict(test_ds.X)
     rows = [eh.single_row("kan-spline", eh.score(pred_spline, test_ds.y))]
@@ -329,7 +337,7 @@ def cmd_train_kan(args) -> int:
     if not cfg["no_symbolic"]:
         sym = kan.auto_symbolic(net, train_ds.X)
         sym, _ = kan.retrain_affine(sym, train_ds.X, train_ds.y)
-        tree = kan.extract_expression(sym, ds.feature_names, scaled.norm)
+        tree = kan.extract_expression(sym, ds.feature_names)
         pred_sym = sym.predict(test_ds.X)
         infix = to_infix(tree)
         rows.append(eh.single_row(
@@ -395,9 +403,9 @@ def cmd_train_dsr(args) -> int:
     eh.write_scatter_csv(run.path("scatter.csv"), [(test_ds.y, pred)])
     run.text("expressions.txt", infix + "\n")
     run.text("expression.json", tree_to_json(tree))
-    print(f"best reward {result.best_reward:.4f} after "
-          f"{result.samples_used} samples")
-    run.finish(cfg, cfg["seed"], rows)
+    run.finish(cfg, cfg["seed"], rows,
+               notes=[f"best reward {result.best_reward:.4f} after "
+                      f"{result.samples_used} samples"])
     return 0
 
 
@@ -441,18 +449,8 @@ def cmd_eval(args) -> int:
             return evaluate(tree, X)
     else:
         run.input(args.checkpoint)
-        net = kan.load_kan(args.checkpoint, ds.feature_names)
+        predictor = kan.load_kan(args.checkpoint, ds.feature_names).predict
         label = "checkpoint"
-        sidecar = str(args.checkpoint) + ".norm.json"
-        saved = {}
-        if os.path.exists(sidecar):
-            run.input(sidecar)
-            saved = read_norm(sidecar)
-        # the net was trained on columns divided by these
-        div = np.array([saved.get(n, 1.0) for n in ds.feature_names])
-
-        def predictor(X):
-            return net.predict(X / div)
 
     expression = to_infix(tree) if tree is not None else ""
     valid = _validity_flag(tree, ds) if tree is not None else ""
@@ -468,15 +466,14 @@ def cmd_eval(args) -> int:
         rows = [eh.single_row(label, eh.score(pred, ds.y),
                               expression=expression, valid=valid)]
         scatter = [(ds.y, pred)]
-    if valid:
-        print(f"{label}: {valid}")
 
     if cfg["with_baselines"]:
         for base in eh.baseline_table(ds, cfg["with_baselines"]):
             rows.append(eh.single_row(base["method"], base))
 
     eh.write_scatter_csv(run.path("scatter.csv"), scatter)
-    run.finish(cfg, cfg["seed"], rows)
+    run.finish(cfg, cfg["seed"], rows,
+               notes=[f"{label}: {valid}"] if valid else ())
     return 0
 
 
@@ -493,6 +490,12 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+# the columns the report table reads: the method, then every metric's
+# mean and std
+_REPORT_COLUMNS = ("method",) + tuple(f"{m}_{stat}" for m in eh.METRICS
+                                      for stat in ("mean", "std"))
+
+
 def cmd_report(args) -> int:
     run = _RunDir(args)
     rows = []
@@ -502,10 +505,18 @@ def cmd_report(args) -> int:
             raise DataError(f"no metrics.csv under {run_dir}")
         run.input(path)
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                for key in row:
-                    if key.endswith("_mean") or key.endswith("_std"):
+            reader = csv.DictReader(fh)
+            for key in _REPORT_COLUMNS:
+                if key not in (reader.fieldnames or ()):
+                    raise DataError(f"{path} has no {key!r} column")
+            for row in reader:
+                for key in _REPORT_COLUMNS[1:]:
+                    try:
                         row[key] = float(row[key])
+                    except (TypeError, ValueError):
+                        raise DataError(
+                            f"{path}, line {reader.line_num}: column {key!r} "
+                            f"holds {row[key]!r}, not a number") from None
                 rows.append(row)
     run.finish({"runs": list(args.runs)}, None, rows)
     return 0

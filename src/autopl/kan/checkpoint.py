@@ -1,8 +1,10 @@
 """Lossless persistence for spline-edge networks.
 
 Checkpoints are JSON: Python float repr round-trips doubles exactly, so
-a save/load cycle reproduces predictions bit for bit.  It may record
-the training data's feature names, for a load to check its columns by.
+a save/load cycle reproduces predictions bit for bit.  A checkpoint holds
+the whole network, its input scale included, so it is one self-contained
+file.  It may record the training data's feature names, for a load to
+check its columns by.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from autopl.kan.bspline import BSplineBasis
 from autopl.kan.network import KanConfig, KanLayer, KanNetwork
 
 _FORMAT = "kan-checkpoint"
-_VERSION = 1
+_VERSION = 2  # version 1 had no input scale
 
 
 def save_kan(net: KanNetwork, path, feature_names=None) -> None:
@@ -26,6 +28,7 @@ def save_kan(net: KanNetwork, path, feature_names=None) -> None:
         "format": _FORMAT,
         "version": _VERSION,
         "config": dataclasses.asdict(net.config),
+        "input_scale": net.input_scale.tolist(),
         "layers": [
             {
                 "w_base": layer.w_base.tolist(),
@@ -54,6 +57,9 @@ def load_kan(path, feature_names=None) -> KanNetwork:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise CheckpointError(f"not a network checkpoint: {path}")
+    if doc.get("version") == 1:
+        raise CheckpointError(f"checkpoint {path} predates stored input "
+                              f"scaling (version 1); rerun train-kan")
     if doc.get("version") != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
     saved = doc.get("features")
@@ -75,7 +81,8 @@ def load_kan(path, feature_names=None) -> KanNetwork:
                      np.asarray(entry["prune_mask"], dtype=bool))
             for entry in doc["layers"]
         ]
-        return KanNetwork(layers, cfg)
+        return KanNetwork(layers, cfg,
+                          np.asarray(doc["input_scale"], dtype=float))
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

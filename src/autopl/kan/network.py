@@ -4,7 +4,9 @@ An edge maps a scalar input x to w_base * silu(x) + w_spline * spline(x)
 where the spline is a B-spline curve over a fixed interval; layer inputs
 are clamped to that interval first.  Node values are plain sums of their
 incoming edge outputs, so the whole network is a composition of sums of
-univariate functions.
+univariate functions.  The network takes its inputs in original units:
+it divides each input column by its own scale before the first layer,
+so the spline interval sees columns of modest size.
 """
 
 from __future__ import annotations
@@ -145,7 +147,11 @@ class KanLayer:
 
 
 class KanNetwork:
-    def __init__(self, layers: Sequence[KanLayer], config: KanConfig):
+    """Spline layers behind a per-input divisor, `input_scale` (all ones
+    unless given)."""
+
+    def __init__(self, layers: Sequence[KanLayer], config: KanConfig,
+                 input_scale: Sequence[float] | None = None):
         self.layers = list(layers)
         self.config = config
         widths = [layers[0].d_in] + [l.d_out for l in layers]
@@ -154,24 +160,35 @@ class KanNetwork:
         for a, b in zip(layers, layers[1:]):
             if a.d_out != b.d_in:
                 raise ValueError("adjacent layer widths disagree")
+        s = np.array(np.ones(widths[0]) if input_scale is None
+                     else input_scale, dtype=float)
+        if s.shape != (widths[0],) or not np.all((s > 0) & (s < np.inf)):
+            raise ValueError("input_scale needs one finite positive "
+                             "divisor per input")
+        self.input_scale = s
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.config.shape
 
+    def prepare(self, X: np.ndarray) -> dict:
+        """`layers[0].prepare` of X divided by the input scale: the only
+        place the network scales its input."""
+        return self.layers[0].prepare(X / self.input_scale)
+
     def forward(self, X: np.ndarray, want_caches: bool = False,
                 first: dict | None = None):
         """Output (N, d_out); optionally every layer's cache.
 
-        `first` is `layers[0].prepare(X)`, for callers that evaluate the
-        same input under many parameter settings.
+        `first` is `prepare(X)`, for callers that evaluate the same input
+        under many parameter settings.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.shape[0]:
             raise ValueError(f"expected (n, {self.shape[0]}) input")
         caches = []
         h = X
-        prepared = first
+        prepared = self.prepare(X) if first is None else first
         for layer in self.layers:
             if want_caches:
                 h, cache = layer.forward(h, True, prepared)
@@ -188,7 +205,8 @@ class KanNetwork:
         return out[:, 0]
 
     def copy(self) -> "KanNetwork":
-        return KanNetwork([l.copy() for l in self.layers], self.config)
+        return KanNetwork([l.copy() for l in self.layers], self.config,
+                          self.input_scale)
 
     # flat parameter vector helpers for whole-network optimizers
     def get_params(self) -> np.ndarray:
@@ -208,11 +226,13 @@ class KanNetwork:
             raise ValueError("parameter vector length mismatch")
 
 
-def build_network(config: KanConfig) -> KanNetwork:
+def build_network(config: KanConfig,
+                  input_scale: Sequence[float] | None = None) -> KanNetwork:
     """Fresh network with small random spline curves.
 
     Base weights scale with 1/sqrt(fan-in) so node sums start modest;
     spline coefficients get low-amplitude noise to break symmetry.
+    `input_scale` divides each input column (default: all ones).
     """
     rng = np.random.default_rng(config.seed)
     basis = BSplineBasis(config.grid_size, config.order, config.lo, config.hi)
@@ -222,4 +242,4 @@ def build_network(config: KanConfig) -> KanNetwork:
         w_spline = np.ones((d_in, d_out))
         coeffs = rng.normal(0.0, 0.1, size=(d_in, d_out, basis.n_basis))
         layers.append(KanLayer(basis, w_base, w_spline, coeffs))
-    return KanNetwork(layers, config)
+    return KanNetwork(layers, config, input_scale)

@@ -21,7 +21,7 @@ with the analytic Jacobian.  Candidates are scored by R2 with a simplicity
 tie-break, fitted simplest first so that an edge stops at the first
 complexity level that must win; the surviving affine parameters can be
 retrained end to end, and the whole symbolic network flattens into one
-expression tree with dataset normalization folded back in.
+expression tree with the network's input scale folded back in.
 """
 
 from __future__ import annotations
@@ -276,14 +276,18 @@ def fit_edge(x: np.ndarray, y: np.ndarray,
 
 
 class SymbolicKan:
-    """A spline network with every edge replaced by a fitted shape."""
+    """A spline network with every edge replaced by a fitted shape; like
+    the network, it divides each input column by `input_scale` first."""
 
     def __init__(self, shape: tuple[int, ...],
                  fits: list[list[list[EdgeFit]]],
-                 masks: list[np.ndarray]):
+                 masks: list[np.ndarray],
+                 input_scale: Sequence[float] | None = None):
         self.shape = tuple(shape)
         self.fits = fits
         self.masks = [np.asarray(m, dtype=bool) for m in masks]
+        self.input_scale = (np.ones(self.shape[0]) if input_scale is None
+                            else np.array(input_scale, dtype=float))
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return _forward(self, X)[0][-1]
@@ -294,7 +298,8 @@ class SymbolicKan:
 
     def copy(self) -> "SymbolicKan":
         fits = [[[f for f in row] for row in layer] for layer in self.fits]
-        return SymbolicKan(self.shape, fits, [m.copy() for m in self.masks])
+        return SymbolicKan(self.shape, fits, [m.copy() for m in self.masks],
+                           self.input_scale)
 
 
 # a larger X is read out on this many evenly spaced rows, plus each
@@ -335,7 +340,8 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
                     row.append(EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0))
             layer_fits.append(row)
         fits.append(layer_fits)
-    return SymbolicKan(net.shape, fits, [l.prune_mask for l in net.layers])
+    return SymbolicKan(net.shape, fits, [l.prune_mask for l in net.layers],
+                       net.input_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +368,11 @@ def _unflatten(sym: SymbolicKan, theta: np.ndarray) -> None:
 
 
 def _forward(sym: SymbolicKan, X: np.ndarray):
-    """Node values of every layer, the input first and the output last,
-    and per layer the (u, f(u)) of each active edge keyed by (i, j), with
-    u = a*h + b; the only place the symbolic network evaluates its edges."""
-    hs = [np.asarray(X, dtype=float)]
+    """Node values of every layer, the scaled input first and the output
+    last, and per layer the (u, f(u)) of each active edge keyed by (i, j),
+    with u = a*h + b; the only place the symbolic network evaluates its
+    edges."""
+    hs = [np.asarray(X, dtype=float) / sym.input_scale]
     edges: list[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = []
     with np.errstate(all="ignore"):
         for fits_l, mask in zip(sym.fits, sym.masks):
@@ -532,17 +539,16 @@ def _edge_tokens(fit: EdgeFit, child: tuple[Token, ...],
     return body
 
 
-def extract_expression(sym: SymbolicKan, feature_names: Sequence[str],
-                       norm: dict[str, float] | None = None) -> ExpressionTree:
+def extract_expression(sym: SymbolicKan,
+                       feature_names: Sequence[str]) -> ExpressionTree:
     """Flatten a symbolic network into a single expression tree.
 
-    When the training data was max-normalized, passing its divisor map
-    folds the scaling into the first-layer coefficients so the tree
-    evaluates on original-unit features.
+    The network's input scale folds into the first-layer coefficients,
+    so the tree evaluates on original-unit features.
     """
     if len(feature_names) != sym.shape[0]:
         raise ValueError("feature name count does not match input width")
-    divisors = [float(norm.get(n, 1.0)) if norm else 1.0 for n in feature_names]
+    divisors = [float(v) for v in sym.input_scale]
     nodes: list[tuple[Token, ...]] = [
         (Token.variable(name, i),) for i, name in enumerate(feature_names)]
     for li, (fits_l, mask) in enumerate(zip(sym.fits, sym.masks)):

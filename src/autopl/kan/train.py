@@ -25,7 +25,7 @@ class TrainResult:
 def _loss_and_grad(net: KanNetwork, X: np.ndarray, y2d: np.ndarray,
                    lamb: float, first: dict | None = None):
     """Loss, flat gradient, MSE and penalty; `first` is
-    `net.layers[0].prepare(X)` when the caller has it."""
+    `net.prepare(X)` when the caller has it."""
     out, caches = net.forward(X, want_caches=True, first=first)
     n = X.shape[0]
     resid = out - y2d
@@ -102,9 +102,9 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
 
     history: list[dict] = []
     last: dict[str, float] = {}
-    # the first layer sees X on every evaluation: clamp it and build its
-    # basis once, for this fit only
-    first = net.layers[0].prepare(X)
+    # the first layer sees X on every evaluation: scale and clamp it and
+    # build its basis once, for this fit only
+    first = net.prepare(X)
 
     def objective(theta: np.ndarray):
         net.set_params(theta)

@@ -195,18 +195,12 @@ def eval_fs(f_mhz, d_km):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus pathloss target, all finite float64.
-
-    `norm` is set only by `normalize_max`: it maps feature name to the
-    divisor that was applied to that column.  `write_csv` does not store
-    it, and every dataset `read_csv` returns is in original units.
-    """
+    """Feature matrix plus pathloss target, all finite float64."""
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
     provenance: str
-    norm: Mapping[str, float] | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -307,19 +301,20 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                    provenance=provenance)
 
 
-def normalize_max(ds: Dataset) -> Dataset:
-    """Divide every feature column by its largest magnitude.
-
-    Keeps sign structure intact (columns land in [-1, 1]) and records
-    the divisors so extracted expressions can be folded back to original
-    units.  The target is never touched.
-    """
+def max_abs(ds: Dataset) -> np.ndarray:
+    """Each feature column's largest magnitude: the divisors that put the
+    columns in [-1, 1] with their signs intact."""
     divisors = np.max(np.abs(ds.X), axis=0)
     for name, div in zip(ds.feature_names, divisors):
         if div == 0.0:
             raise DataError(f"cannot normalize: column {name!r} is all zero")
-    norm = {n: float(d) for n, d in zip(ds.feature_names, divisors)}
-    return replace(ds, X=ds.X / divisors, norm=norm)
+    return divisors
+
+
+def normalize_max(ds: Dataset) -> Dataset:
+    """Divide every feature column by its largest magnitude; the target
+    is never touched."""
+    return replace(ds, X=ds.X / max_abs(ds))
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

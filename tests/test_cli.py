@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from autopl.plmodels import (
     Dataset,
     IndoorParams,
     eval_indoor_empirical,
+    max_abs,
     normalize_max,
     read_csv,
     split,
@@ -72,12 +76,14 @@ def test_gen_data_normalize_is_a_usage_error(tmp_path, capsys):
 def _legacy_normalized_csv(tmp_path, data):
     """The dataset at `data` as earlier versions' `gen-data --normalize`
     wrote it: max-normalized columns plus their divisors in a sidecar."""
-    scaled = normalize_max(read_csv(data))
+    ds = read_csv(data)
+    scaled, div = normalize_max(ds), max_abs(ds)
     path = tmp_path / "legacy.csv"
     write_csv(scaled, path)
     with open(f"{path}.norm.json", "w") as fh:
-        json.dump(dict(scaled.norm), fh, indent=1, sort_keys=True)
-    return path, scaled
+        json.dump(dict(zip(ds.feature_names, div.tolist())), fh, indent=1,
+                  sort_keys=True)
+    return path, scaled, div
 
 
 def test_gen_data_ingest(tmp_path):
@@ -151,7 +157,8 @@ def test_train_kan_prune_checkpoint_matches_outputs(tmp_path):
         assert mask[int(row["in_node"]), int(row["out_node"])] == \
             bool(int(row["active"]))
     # the checkpoint reproduces the kan-spline row on the CLI's test split
-    ds = normalize_max(read_csv(data))
+    # of the dataset as read
+    ds = read_csv(data)
     _, test_ds = split(ds, 0.8, _fan_out(1, 2)[0])
     spline = _read_metrics(out / "metrics.csv")[0]
     assert spline["method"] == "kan-spline"
@@ -260,16 +267,17 @@ def test_eval_checkpoint_single_shot(tmp_path):
 
 
 def test_eval_checkpoint_raw_units(tmp_path):
-    # train-kan normalizes raw inputs internally; the sidecar it writes
-    # next to the checkpoint lets eval feed it original-unit datasets
+    # the net scales its raw inputs itself: its checkpoint is the one
+    # file eval needs to feed it original-unit datasets
     data = _gen(tmp_path, "ci", count=80)
     kan_out = tmp_path / "k"
     main(["train-kan", "--data", str(data), "--shape", "4,2,1",
           "--grid", "5", "--steps", "25", "--no-symbolic",
           "--out", str(kan_out)])
-    assert (kan_out / "kan.npz.norm.json").exists()
+    assert not (kan_out / "kan.npz.norm.json").exists()
     manifest = json.loads((kan_out / "manifest.json").read_text())
-    assert "kan.npz.norm.json" in manifest["outputs"]
+    assert [f for f in manifest["outputs"] if f.startswith("kan")] == \
+        ["kan.npz"]
 
     out_raw = tmp_path / "er"
     rc = main(["eval", "--data", str(data),
@@ -281,17 +289,15 @@ def test_eval_checkpoint_raw_units(tmp_path):
 
     # a normalized CSV from an earlier version reads back in original
     # units: the stored columns times the sidecar's divisors
-    legacy, scaled = _legacy_normalized_csv(tmp_path, data)
-    div = np.array([scaled.norm[n] for n in scaled.feature_names])
+    legacy, scaled, div = _legacy_normalized_csv(tmp_path, data)
     back = read_csv(legacy)
-    assert back.norm is None
     assert back.X.tobytes() == (scaled.X * div).tobytes()
     assert back.y.tobytes() == scaled.y.tobytes()
 
 
 def test_kan_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
     data = _gen(tmp_path, "ci", count=300)
-    legacy, _ = _legacy_normalized_csv(tmp_path, data)
+    legacy, *_ = _legacy_normalized_csv(tmp_path, data)
     kan_out = tmp_path / "k"
     assert main(["train-kan", "--data", str(legacy), "--model", "ci",
                  "--steps", "30", "--out", str(kan_out)]) == 0
@@ -307,7 +313,7 @@ def test_kan_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
 
 def test_dsr_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
     data = _gen(tmp_path, "ci", count=300)
-    legacy, _ = _legacy_normalized_csv(tmp_path, data)
+    legacy, *_ = _legacy_normalized_csv(tmp_path, data)
     dsr_out = tmp_path / "d"
     assert main(["train-dsr", "--data", str(legacy), "--samples", "200",
                  "--batch", "100", "--seed", "1", "--out", str(dsr_out)]) == 0
@@ -500,7 +506,7 @@ def test_manifest_lists_exactly_the_run_files(tmp_path):
     ckpt = tmp_path / "kan_ns" / "kan.npz"
     assert main(["eval", "--data", str(data),
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "ec")]) == 0
-    check(tmp_path / "ec", [data, ckpt, f"{ckpt}.norm.json"])
+    check(tmp_path / "ec", [data, ckpt])
 
     rng = np.random.default_rng(1)
     X = np.column_stack([rng.uniform(1.0, 50.0, 30),
@@ -577,28 +583,113 @@ def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text", ["{bad", "[1.0]", '{"f_hz": "x"}'],
-                         ids=["invalid-json", "not-an-object", "not-a-number"])
-@pytest.mark.parametrize("owner", ["dataset", "checkpoint"])
-def test_malformed_norm_sidecar_is_a_data_error(tmp_path, capsys, owner,
-                                                text):
+                         ids=["dataset-invalid-json", "dataset-not-an-object",
+                              "dataset-not-a-number"])
+def test_malformed_norm_sidecar_is_a_data_error(tmp_path, capsys, text):
+    # a dataset's sidecar from an earlier version, the one .norm.json read
     data = _gen(tmp_path, "ci", count=50)
-    if owner == "dataset":
-        sidecar = f"{data}.norm.json"
-        source = ["--expr-json", str(tmp_path / "expr.json")]
-        (tmp_path / "expr.json").write_text(
-            tree_to_json(ExpressionTree((Token.variable("f_hz", 0),))))
-    else:
-        kan_out = tmp_path / "k"
-        assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
-                     "--grid", "5", "--steps", "5", "--no-symbolic",
-                     "--out", str(kan_out)]) == 0
-        sidecar = f"{kan_out / 'kan.npz'}.norm.json"
-        source = ["--checkpoint", str(kan_out / "kan.npz")]
+    sidecar = f"{data}.norm.json"
+    (tmp_path / "expr.json").write_text(
+        tree_to_json(ExpressionTree((Token.variable("f_hz", 0),))))
     with open(sidecar, "w") as fh:
         fh.write(text)
     capsys.readouterr()
     out = tmp_path / "ev"
-    rc = main(["eval", "--data", str(data), *source, "--out", str(out)])
+    rc = main(["eval", "--data", str(data), "--expr-json",
+               str(tmp_path / "expr.json"), "--out", str(out)])
     assert rc == 2
     assert f"malformed norm file {sidecar}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_copied_checkpoint_scores_as_in_place(tmp_path):
+    # the checkpoint carries its input scale: copied alone elsewhere, it
+    # scores the same bytes as in its run directory
+    data = _gen(tmp_path, "ci", count=300)
+    kan_out = tmp_path / "k"
+    assert main(["train-kan", "--data", str(data), "--model", "ci",
+                 "--steps", "30", "--no-symbolic", "--out", str(kan_out)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    shutil.copy(kan_out / "kan.npz", elsewhere / "kan.npz")
+    metrics = []
+    for ckpt in (kan_out / "kan.npz", elsewhere / "kan.npz"):
+        out = tmp_path / f"ev-{ckpt.parent.name}"
+        assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[0] == metrics[1]
+    row = _read_metrics(tmp_path / "ev-elsewhere" / "metrics.csv")[0]
+    assert float(row["r2_mean"]) > 0.9
+
+
+def test_version_1_checkpoint_is_refused(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=50)
+    kan_out = tmp_path / "k"
+    assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
+                 "--grid", "5", "--steps", "5", "--no-symbolic",
+                 "--out", str(kan_out)]) == 0
+    doc = json.loads((kan_out / "kan.npz").read_text())
+    assert doc["version"] == 2
+    del doc["input_scale"]
+    old = tmp_path / "old.npz"
+    old.write_text(json.dumps(dict(doc, version=1)))
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", str(data), "--checkpoint", str(old),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {old} predates stored input scaling" in err
+    assert "rerun train-kan" in err
+    assert not out.exists()
+
+
+def test_closed_stdout_keeps_every_run_file(tmp_path):
+    # each command runs in a child process whose stdout reader has gone
+    data = _gen(tmp_path, "ci", count=60)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    dsr = tmp_path / "dsr"
+    ev = tmp_path / "ev"
+    for out, argv in (
+            (dsr, ["train-dsr", "--data", str(data), "--samples", "100",
+                   "--batch", "100", "--min-len", "3", "--out", str(dsr)]),
+            (ev, ["eval", "--data", str(data), "--expr-json",
+                  str(dsr / "expression.json"), "--out", str(ev)])):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "autopl.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        m = json.load(open(out / "manifest.json"))
+        assert "metrics.csv" in m["outputs"]
+        assert set(os.listdir(out)) - {"manifest.json"} == set(m["outputs"])
+
+
+_METRICS_HEADER = ("method,mae_mean,mae_std,mse_mean,mse_std,mape_mean,"
+                   "mape_std,r2_mean,r2_std,expression,valid")
+
+
+@pytest.mark.parametrize("text, column", [
+    (f"{_METRICS_HEADER}\nfs,abc,0,1,0,1,0,0.5,0,,\n", "mae_mean"),
+    (f"{_METRICS_HEADER.replace(',r2_std', '')}\nfs,1,0,1,0,1,0,0.5,,\n",
+     "r2_std"),
+], ids=["non-numeric-mean", "missing-std-column"])
+def test_report_on_malformed_metrics_is_a_data_error(tmp_path, capsys, text,
+                                                     column):
+    src = tmp_path / "run"
+    src.mkdir()
+    (src / "metrics.csv").write_text(text)
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["report", "--runs", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(src / "metrics.csv") in err
+    assert f"'{column}'" in err
     assert not out.exists()

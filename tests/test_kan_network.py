@@ -379,19 +379,42 @@ def test_prune_refuses_to_empty_a_layer():
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    net = _toy_net(reg_lambda=0.002)
+    # a net with an input scale, fed inputs in original units
+    cfg = KanConfig(shape=(2, 3, 1), grid_size=5, order=3, steps=60,
+                    reg_lambda=0.002, seed=0)
+    net = build_network(cfg, [40.0, 0.3])
     rng = np.random.default_rng(9)
-    X = rng.uniform(-1, 1, (150, 2))
-    y = X[:, 0] * 3.0 + np.sin(3 * X[:, 1]) + 80.0
+    X = rng.uniform(-1, 1, (150, 2)) * [40.0, 0.3]
+    y = X[:, 0] / 13.0 + np.sin(10 * X[:, 1]) + 80.0
     train(net, X, y)
     net2 = prune(net, X, threshold=0.01)
+    assert net2.input_scale.tolist() == [40.0, 0.3]
     path = tmp_path / "net.json"
     save_kan(net2, path)
     back = load_kan(path)
     assert back.shape == net2.shape
+    assert back.input_scale.tobytes() == net2.input_scale.tobytes()
     assert np.array_equal(back.predict(X), net2.predict(X))
     assert all(np.array_equal(a.prune_mask, b.prune_mask)
                for a, b in zip(back.layers, net2.layers))
+
+
+def test_input_scale_divides_the_input_exactly():
+    # a scaled net on raw inputs trains and predicts bit for bit like an
+    # unscaled net on the inputs divided by hand
+    scale = np.array([250.0, 0.04])
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0.1, 1.0, (80, 2)) * scale
+    y = np.log10(X[:, 0]) * 20.0 + 30.0 * X[:, 1]
+    cfg = KanConfig(shape=(2, 3, 1), grid_size=5, order=3, steps=20, seed=4)
+    scaled, plain = build_network(cfg, scale), build_network(cfg)
+    hist = [train(scaled, X, y).history, train(plain, X / scale, y).history]
+    assert hist[0] == hist[1]
+    assert scaled.predict(X).tobytes() == plain.predict(X / scale).tobytes()
+    assert prune(scaled, X).input_scale.tobytes() == scale.tobytes()
+    for bad in ([1.0], [1.0, 0.0], [1.0, np.inf]):
+        with pytest.raises(ValueError):
+            build_network(cfg, bad)
 
 
 def test_checkpoint_errors(tmp_path):

@@ -407,12 +407,12 @@ def test_extract_expression_folds_normalization():
     rng = np.random.default_rng(7)
     X_orig = np.column_stack([rng.uniform(-2.5, 2.6, 200),
                               rng.uniform(-0.5, 0.52, 200)])
-    norm = {"a": 2.5, "b": 0.5}
-    X_norm = X_orig / np.array([2.5, 0.5])
-    sym = auto_symbolic(net, X_norm)
-    tree = extract_expression(sym, ["a", "b"], norm=norm)
+    scale = np.array([2.5, 0.5])
+    fitted = auto_symbolic(net, X_orig / scale)
+    sym = SymbolicKan(fitted.shape, fitted.fits, fitted.masks, scale)
+    tree = extract_expression(sym, ["a", "b"])
     pred_tree = evaluate(tree, X_orig)
-    pred_sym = sym.predict(X_norm)
+    pred_sym = sym.predict(X_orig)
     assert np.allclose(pred_tree, pred_sym, rtol=1e-10, atol=1e-10)
 
 
@@ -438,8 +438,8 @@ def _edge_fit(draw, lo, hi, families):
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_extract_expression_folds_normalization_for_every_family(data):
-    """The extracted tree on raw features equals the symbolic network on
-    the features divided by their divisors, for every edge family and
+    """The extracted tree on raw features equals the symbolic network
+    with those divisors as its input scale, for every edge family and
     random positive divisors; one feature has no divisor (1.0)."""
     draw = data.draw
     # layer 0 sees normalized inputs in [0.1, 1.05]; layer 1 sees hidden
@@ -452,14 +452,13 @@ def test_extract_expression_folds_normalization_for_every_family(data):
     masks = [np.array(draw(st.lists(st.booleans(), min_size=6, max_size=6)),
                       dtype=bool).reshape(3, 2),
              np.array([[True], [draw(st.booleans())]])]
-    sym = SymbolicKan((3, 2, 1), [fits0, fits1], masks)
     divisors = np.array([10.0 ** draw(st.floats(-3.0, 4.0)),
                          10.0 ** draw(st.floats(-3.0, 4.0)), 1.0])
-    norm = {"d_m": float(divisors[0]), "f_hz": float(divisors[1])}
+    sym = SymbolicKan((3, 2, 1), [fits0, fits1], masks, divisors)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     X_raw = rng.uniform(0.1, 1.05, size=(40, 3)) * divisors
-    tree = extract_expression(sym, ["d_m", "f_hz", "h_m"], norm)
-    want = sym.predict(X_raw / divisors)
+    tree = extract_expression(sym, ["d_m", "f_hz", "h_m"])
+    want = sym.predict(X_raw)
     got = evaluate(tree, X_raw)
     assert np.all(np.isfinite(want))
     scale = max(1.0, float(np.max(np.abs(want))))

@@ -191,14 +191,14 @@ def test_dataset_validation():
 def test_normalize_max_positive_column():
     ds = pl.normalize_max(_toy_dataset())
     assert np.allclose(ds.column("a"), [0.25, 0.5, 1.0])
-    assert ds.norm["a"] == pytest.approx(4.0)
+    assert pl.max_abs(_toy_dataset())[0] == 4.0
 
 
 def test_normalize_max_negative_column_uses_magnitude():
     ds = pl.normalize_max(_toy_dataset())
     # divisor is the largest magnitude, so signs survive and the column
     # stays inside [-1, 1]
-    assert ds.norm["b"] == pytest.approx(10.0)
+    assert pl.max_abs(_toy_dataset())[1] == 10.0
     assert np.allclose(ds.column("b"), [-1.0, -0.5, -0.1])
 
 
@@ -248,8 +248,7 @@ def test_csv_round_trip(tmp_path):
     assert back.feature_names == ds.feature_names
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
-    # the divisors are not persisted: a file holds its values as written
-    assert back.norm is None
+    # no divisors are persisted: a file holds its values as written
     assert os.listdir(tmp_path) == ["ds.csv"]
 
 

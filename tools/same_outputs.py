@@ -16,8 +16,9 @@ digest is stored.  The golden set covers every engine path: synthetic
 data, the three DSR policies with constant fits in worker processes and,
 pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
 three seeds; and ``eval`` of a DSR expression, of a KAN expression and
-of a checkpoint.  At seed 3 each DSR policy improves on its first
-batch's best formula, so the search past the first batch is covered.
+of a checkpoint, over 10 Monte-Carlo runs and in a single shot.  At
+seed 3 each DSR policy improves on its first batch's best formula, so
+the search past the first batch is covered.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ GOLDEN += [
     ("eval-checkpoint", [], ["eval", *_DATA, "--checkpoint",
                              "runs/kan-0/kan.npz", "--runs", "10",
                              "--out", "runs/eval-checkpoint"]),
+    ("eval-checkpoint-once", [], ["eval", *_DATA, "--checkpoint",
+                                  "runs/kan-0/kan.npz", "--runs", "1",
+                                  "--out", "runs/eval-checkpoint-once"]),
 ]
 
 _TIMES = ("started_utc", "finished_utc")
