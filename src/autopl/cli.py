@@ -23,7 +23,6 @@ from autopl import __version__, evalharness as eh, kan
 from autopl.dsr import TrainerConfig, train as dsr_train
 from autopl.errors import CheckpointError, DataError, DomainError, TrainingError
 from autopl.expr.constraints import ConstraintSet, RepeatRule
-from autopl.expr.tokens import Vocabulary
 from autopl.expr.tree import evaluate, to_infix, tree_from_json, tree_to_json
 from autopl.plmodels import (
     SyntheticSpec,
@@ -112,8 +111,6 @@ def _fan_out(seed: int, n: int) -> list[int]:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -122,6 +119,30 @@ def _load_config_file(path) -> dict:
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a flat JSON object")
     return cfg
+
+
+def _flag_value(key: str, value, flag: argparse.Action, default):
+    """A config-file value as its flag would give it (null passes where
+    the default is null); UsageError naming the key otherwise."""
+    if value is None and default is None:
+        return None
+    if flag.choices is not None:
+        ok, want = value in flag.choices, f"one of {', '.join(flag.choices)}"
+    elif flag.nargs == 0:  # a switch
+        ok, want = type(value) is bool, "true or false"
+    elif flag.type in (int, float):
+        ok = type(value) in (flag.type, int)
+        want = "an integer" if flag.type is int else "a number"
+    elif key == "shape":
+        ok = type(value) is str or (type(value) is list and all(
+            type(v) is int for v in value))
+        want = 'widths such as "4,4,1" or [4, 4, 1]'
+    else:
+        ok, want = type(value) is str, "a string"
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {want}, not "
+                         f"{json.dumps(value)}")
+    return float(value) if flag.type is float else value
 
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
@@ -136,7 +157,8 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
         if flag is not None:
             out[key] = flag
         elif key in file_cfg:
-            out[key] = file_cfg[key]
+            out[key] = _flag_value(key, file_cfg[key], args.flags[key],
+                                   default)
         else:
             out[key] = default
     return out
@@ -201,14 +223,6 @@ class _RunDir:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _write_history_csv(path, rows, columns) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def _validity_flag(tree, ds) -> str:
     """Validity verdict over the feature ranges and medians."""
     roles = infer_roles(ds.feature_names)
@@ -236,19 +250,11 @@ def cmd_gen_data(args) -> int:
     notes = []
     if cfg["model"] is not None:
         ds = generate_synthetic(SyntheticSpec(model_kind=cfg["model"],
-                                              count=int(cfg["count"]),
-                                              seed=int(cfg["seed"])))
+                                              count=cfg["count"],
+                                              seed=cfg["seed"]))
     else:
         run.input(cfg["input"])
-        with open(cfg["input"], newline="") as fh:
-            header = next(csv.reader(fh), None)
-        if not header:
-            raise DataError("input CSV has no header")
-        if cfg["target"] not in header:
-            raise DataError(f"target column {cfg['target']!r} not in input")
-        roles = {c: ("target" if c == cfg["target"] else "feature")
-                 for c in header}
-        ds, report = load_empirical_csv(cfg["input"], roles)
+        ds, report = load_empirical_csv(cfg["input"], cfg["target"])
         notes.append(f"ingested {report.kept_rows}/{report.total_rows} rows")
     out_csv = run.path("dataset.csv")
     write_csv(ds, out_csv)
@@ -263,11 +269,13 @@ def cmd_gen_data(args) -> int:
 
 def _parse_shape(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    try:
-        shape = tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError:
-        raise UsageError(f"bad shape {text!r}; expected e.g. 4,4,1") from None
+        shape = tuple(text)
+    else:
+        try:
+            shape = tuple(int(p) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise UsageError(f"bad shape {text!r}; expected e.g. "
+                             f"4,4,1") from None
     if len(shape) < 2:
         raise UsageError("shape needs at least input and output widths")
     return shape
@@ -314,16 +322,16 @@ def cmd_train_kan(args) -> int:
     # spline edges live on a fixed input interval: the net divides each
     # feature by its largest magnitude
     input_scale = max_abs(ds)
-    seeds = _fan_out(int(cfg["seed"]), 2)
-    train_ds, test_ds = split(ds, float(cfg["split"]), seeds[0])
+    seeds = _fan_out(cfg["seed"], 2)
+    train_ds, test_ds = split(ds, cfg["split"], seeds[0])
 
     net = kan.build_network(kan.KanConfig(
-        shape=shape, grid_size=int(cfg["grid"]), order=int(cfg["order"]),
-        steps=int(cfg["steps"]), reg_lambda=float(cfg["lamb"]),
-        seed=seeds[1]), input_scale)
+        shape=shape, grid_size=cfg["grid"], order=cfg["order"],
+        steps=cfg["steps"], reg_lambda=cfg["lamb"], seed=seeds[1]),
+        input_scale)
     result = kan.train(net, train_ds.X, train_ds.y)
     if cfg["prune"] is not None:
-        net = kan.prune(net, train_ds.X, float(cfg["prune"]))
+        net = kan.prune(net, train_ds.X, cfg["prune"])
 
     kan.save_kan(net, run.path("kan.npz"), ds.feature_names)
 
@@ -347,8 +355,8 @@ def cmd_train_kan(args) -> int:
         expressions = infix + "\n"
         run.text("expression.json", tree_to_json(tree))
 
-    _write_history_csv(run.path("history.csv"), result.history,
-                       ["step", "mse", "reg", "loss"])
+    eh.write_table_csv(run.path("history.csv"), result.history,
+                       ("step", "mse", "reg", "loss"))
     _write_graph_csv(run.path("graph.csv"), net, importance, sym)
     eh.write_scatter_csv(run.path("scatter.csv"), scatter)
     run.text("expressions.txt", expressions)
@@ -362,7 +370,10 @@ def cmd_train_kan(args) -> int:
 def cmd_train_dsr(args) -> int:
     run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
-    policy = args.policy or file_cfg.get("policy") or _DSR_DEFAULTS["policy"]
+    default = _DSR_DEFAULTS["policy"]
+    policy = args.policy or _flag_value("policy",
+                                        file_cfg.get("policy", default),
+                                        args.flags["policy"], default)
     preset = DSR_PRESETS.get((args.model, policy), {}) if args.model else {}
     defaults = dict(_DSR_DEFAULTS, **preset)
     defaults.update({"policy": policy, "seed": 0, "split": 0.8})
@@ -370,30 +381,25 @@ def cmd_train_dsr(args) -> int:
 
     run.input(args.data)
     ds = read_csv(args.data)
-    seeds = _fan_out(int(cfg["seed"]), 2)
-    train_ds, test_ds = split(ds, float(cfg["split"]), seeds[0])
+    seeds = _fan_out(cfg["seed"], 2)
+    train_ds, test_ds = split(ds, cfg["split"], seeds[0])
 
-    vocab = Vocabulary.default(ds.feature_names)
     roles = infer_roles(ds.feature_names)
     rules = {name: RepeatRule(min_count=1) for name in roles}
-    cs = ConstraintSet(min_length=int(cfg["min_len"]),
-                       max_length=int(cfg["max_len"]), repeat_rules=rules)
-    tc = TrainerConfig(policy_kind=cfg["policy"],
-                       batch_size=int(cfg["batch"]),
-                       learning_rate=float(cfg["lr"]),
-                       entropy_weight=float(cfg["entropy"]),
-                       epsilon=float(cfg["epsilon"]),
-                       ewma_alpha=float(cfg["alpha"]),
-                       queue_k=int(cfg["queue_k"]),
-                       sample_budget=int(cfg["samples"]),
-                       seed=seeds[1])
-    result = dsr_train(tc, train_ds, cs, vocab=vocab)
+    cs = ConstraintSet(min_length=cfg["min_len"], max_length=cfg["max_len"],
+                       repeat_rules=rules)
+    tc = TrainerConfig(policy_kind=cfg["policy"], batch_size=cfg["batch"],
+                       learning_rate=cfg["lr"],
+                       entropy_weight=cfg["entropy"], epsilon=cfg["epsilon"],
+                       ewma_alpha=cfg["alpha"], queue_k=cfg["queue_k"],
+                       sample_budget=cfg["samples"], seed=seeds[1])
+    result = dsr_train(tc, train_ds, cs)
 
     history_rows = [dict(r, best_expression_infix=r.get("best_expression", ""))
                     for r in result.history]
-    _write_history_csv(run.path("history.csv"), history_rows,
-                       ["step", "best_reward", "mean_reward",
-                        "best_expression_infix"])
+    eh.write_table_csv(run.path("history.csv"), history_rows,
+                       ("step", "best_reward", "mean_reward",
+                        "best_expression_infix"))
 
     tree = result.best_tree
     infix = to_infix(tree)
@@ -415,11 +421,10 @@ def cmd_train_dsr(args) -> int:
 def cmd_eval(args) -> int:
     run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
-    cfg = _resolve(args, file_cfg, {"runs": 1, "split": 0.8, "seed": 0,
-                                    "with_baselines": None})
+    cfg = _resolve(args, file_cfg, {"runs": 1, "split": 0.8, "seed": 0})
     if (args.expr_json is None) == (args.checkpoint is None):
         raise UsageError("eval needs exactly one of --expr-json or --checkpoint")
-    runs = int(cfg["runs"])
+    runs = cfg["runs"]
     if runs < 1:
         raise UsageError(f"--runs must be at least 1, got {runs}")
 
@@ -428,8 +433,6 @@ def cmd_eval(args) -> int:
     tree = None
     if args.expr_json is not None:
         run.input(args.expr_json)
-        if not os.path.exists(args.expr_json):
-            raise DataError(f"expression file not found: {args.expr_json}")
         with open(args.expr_json) as fh:
             text = fh.read()
         try:
@@ -456,8 +459,8 @@ def cmd_eval(args) -> int:
     valid = _validity_flag(tree, ds) if tree is not None else ""
     if runs > 1:
         report = eh.monte_carlo_eval(lambda _train: predictor, ds, runs=runs,
-                                     train_fraction=float(cfg["split"]),
-                                     base_seed=int(cfg["seed"]))
+                                     train_fraction=cfg["split"],
+                                     base_seed=cfg["seed"])
         rows = [eh.metrics_row(label, report, expression=expression,
                                valid=valid)]
         scatter = list(report.predictions)
@@ -466,10 +469,6 @@ def cmd_eval(args) -> int:
         rows = [eh.single_row(label, eh.score(pred, ds.y),
                               expression=expression, valid=valid)]
         scatter = [(ds.y, pred)]
-
-    if cfg["with_baselines"]:
-        for base in eh.baseline_table(ds, cfg["with_baselines"]):
-            rows.append(eh.single_row(base["method"], base))
 
     eh.write_scatter_csv(run.path("scatter.csv"), scatter)
     run.finish(cfg, cfg["seed"], rows,
@@ -525,10 +524,15 @@ def cmd_report(args) -> int:
 # parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, seed_default=None):
+def _add_common(sub):
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--config", help="JSON config file (flat keys)")
-    sub.add_argument("--seed", type=int, default=seed_default)
+    sub.add_argument("--seed", type=int)
+
+
+def _command(sub, func) -> None:
+    # a command checks its config-file values against its flags
+    sub.set_defaults(func=func, flags={a.dest: a for a in sub._actions})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target column for --input")
     p.add_argument("--count", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
+    _command(p, cmd_gen_data)
 
     p = subs.add_parser("train-kan", help="train a spline-edge network")
     p.add_argument("--data", required=True)
@@ -559,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-symbolic", action="store_true", default=None,
                    dest="no_symbolic")
     _add_common(p)
-    p.set_defaults(func=cmd_train_kan)
+    _command(p, cmd_train_kan)
 
     p = subs.add_parser("train-dsr", help="policy-gradient expression search")
     p.add_argument("--data", required=True)
@@ -576,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, dest="max_len")
     p.add_argument("--split", type=float)
     _add_common(p)
-    p.set_defaults(func=cmd_train_dsr)
+    _command(p, cmd_train_dsr)
 
     p = subs.add_parser("eval", help="evaluate an expression or checkpoint")
     p.add_argument("--data", required=True)
@@ -584,21 +588,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--runs", type=int)
     p.add_argument("--split", type=float)
-    p.add_argument("--with-baselines", dest="with_baselines",
-                   choices=("indoor", "outdoor"))
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    _command(p, cmd_eval)
 
     p = subs.add_parser("baseline", help="analytical baseline table")
     p.add_argument("--data", required=True)
     p.add_argument("--which", required=True, choices=("indoor", "outdoor"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_baseline)
+    _command(p, cmd_baseline)
 
     p = subs.add_parser("report", help="collate metrics from run directories")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
+    _command(p, cmd_report)
 
     return parser
 
@@ -608,7 +610,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (DomainError, DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DomainError, DataError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -297,16 +297,27 @@ def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
     return fitted  # same order as batch.sequences
 
 
-def train(config: TrainerConfig, train_ds: Dataset, cs: ConstraintSet,
-          vocab: Vocabulary | None = None) -> DsrResult:
+def _grammar(feature_names) -> Vocabulary:
+    """The default vocabulary with one variable per feature; DataError
+    naming a feature column that shares a token's name."""
+    tokens = Vocabulary.default(()).index
+    for name in feature_names:
+        if name in tokens:
+            raise DataError(f"feature column {name!r} has the name of a "
+                            f"grammar token; rename the column")
+    return Vocabulary.default(feature_names)
+
+
+def train(config: TrainerConfig, train_ds: Dataset,
+          cs: ConstraintSet) -> DsrResult:
     """Sample/score/update until the budget runs out or the reward
-    threshold is reached; deterministic for a given config seed, and
-    bit-identical whether the constant fits run in worker processes or
-    in this one (see `_fitting`)."""
+    threshold is reached, over the default vocabulary of the dataset's
+    features; deterministic for a given config seed, and bit-identical
+    whether the constant fits run in worker processes or in this one
+    (see `_fitting`)."""
     if train_ds.y_std == 0.0:
         raise DataError("target is constant")
-    if vocab is None:
-        vocab = Vocabulary.default(train_ds.feature_names)
+    vocab = _grammar(train_ds.feature_names)
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     policy = PolicyNetwork(vocab, seed=seeds[0])
     rng = np.random.default_rng(seeds[1])

@@ -331,12 +331,14 @@ def single_row(method: str, values: Mapping[str, float], expression: str = "",
     return row
 
 
-def write_table_csv(path, rows: Sequence[Mapping]) -> None:
+def write_table_csv(path, rows: Sequence[Mapping],
+                    columns: Sequence[str] = _TABLE_FIELDS) -> None:
+    """`columns` of each row, with missing ones empty and others left out."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_TABLE_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=columns, restval="",
+                                extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in _TABLE_FIELDS})
+        writer.writerows(rows)
 
 
 def format_table(rows: Sequence[Mapping]) -> str:

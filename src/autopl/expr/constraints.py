@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +42,11 @@ class RepeatRule:
 class ConstraintSet:
     min_length: int = 4
     max_length: int = 40
-    forbid_all_constant_children: bool = True
-    forbid_inverse_unary_child: bool = True
-    forbid_nested_trig: bool = True
     repeat_rules: Mapping[str, RepeatRule] = field(default_factory=dict)
+    # the rules every set enforces
+    forbid_all_constant_children: ClassVar[bool] = True
+    forbid_inverse_unary_child: ClassVar[bool] = True
+    forbid_nested_trig: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 1 <= self.min_length <= self.max_length:
@@ -161,15 +162,12 @@ class PrefixBatch:
         by_size &= (placed + 1 >= cs.min_length) | (slots - 1 + arity != 0)
         # indexed [parent, 2 * last child of all-constant frame + in trig]
         by_context = np.ones((len(vocab) + 1, 4, len(vocab)), dtype=bool)
-        if cs.forbid_nested_trig:
-            by_context[:, 1::2] &= ~vocab.is_trig
-        if cs.forbid_all_constant_children:
-            by_context[:, 2:] &= ~vocab.is_constant_leaf
-        if cs.forbid_inverse_unary_child:
-            for parent, t in enumerate(vocab):
-                inverse = vocab.index.get(INVERSE_UNARY.get(t.name))
-                if t.arity == 1 and inverse is not None:
-                    by_context[parent, :, inverse] = False
+        by_context[:, 1::2] &= ~vocab.is_trig
+        by_context[:, 2:] &= ~vocab.is_constant_leaf
+        for parent, t in enumerate(vocab):
+            inverse = vocab.index.get(INVERSE_UNARY.get(t.name))
+            if t.arity == 1 and inverse is not None:
+                by_context[parent, :, inverse] = False
         self._rules = (cs, by_size, by_context)
         return by_size, by_context
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 
@@ -48,8 +47,6 @@ def save_kan(net: KanNetwork, path, feature_names=None) -> None:
 def load_kan(path, feature_names=None) -> KanNetwork:
     """Read a checkpoint; DataError if it records feature names other
     than ``feature_names``, the columns it will be fed."""
-    if not os.path.exists(path):
-        raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -83,7 +80,5 @@ def load_kan(path, feature_names=None) -> KanNetwork:
         ]
         return KanNetwork(layers, cfg,
                           np.asarray(doc["input_scale"], dtype=float))
-    except CheckpointError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc

@@ -11,7 +11,7 @@ so the spline interval sees columns of modest size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -94,11 +94,6 @@ class EdgeFit:
     def complexity(self) -> int:
         return EDGE_FAMILIES[self.name].complexity
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        fam = EDGE_FAMILIES[self.name]
-        with np.errstate(all="ignore"):
-            return self.c * fam.fn(self.a * np.asarray(x, float) + self.b) + self.d
-
 
 def _r2(pred: np.ndarray, y: np.ndarray) -> float:
     sst = float(np.sum((y - y.mean()) ** 2))

@@ -21,7 +21,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -342,41 +341,29 @@ class LoadReport:
     dropped_rows: int
 
 
-def load_empirical_csv(path, roles: Mapping[str, str]) -> tuple[Dataset, LoadReport]:
-    """Read a measurement CSV given a column-name to role map.
-
-    Roles are 'feature' or 'target' (exactly one target).  Rows with a
-    missing, unparsable, or non-finite value in any mapped column are
-    dropped and counted; unmapped columns are ignored entirely.
-    """
-    targets = [c for c, r in roles.items() if r == "target"]
-    features = [c for c, r in roles.items() if r == "feature"]
-    bad_roles = {r for r in roles.values() if r not in ("feature", "target")}
-    if bad_roles:
-        raise DataError(f"unknown column roles: {sorted(bad_roles)}")
-    if len(targets) != 1:
-        raise DataError("role map must name exactly one target column")
-    if not features:
-        raise DataError("role map must name at least one feature column")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such dataset file: {path}")
-
+def load_empirical_csv(path, target: str) -> tuple[Dataset, LoadReport]:
+    """Read a measurement CSV whose column `target` holds the pathloss;
+    every other column is a feature, in file order.  Rows with a missing,
+    unparsable, or non-finite value in any column are dropped and
+    counted."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in roles if c not in header]
-        if missing:
-            raise DataError(f"missing columns in {os.path.basename(str(path))}: {missing}")
-        # keep file column order for the feature matrix
-        ordered_features = [c for c in header if c in features]
+        header = reader.fieldnames
+        if not header:
+            raise DataError("input CSV has no header")
+        if target not in header:
+            raise DataError(f"target column {target!r} not in input")
+        features = [c for c in header if c != target]
+        if not features:
+            raise DataError(f"input CSV has no column besides {target!r}")
         rows: list[list[float]] = []
         targets_col: list[float] = []
         total = 0
         for record in reader:
             total += 1
             try:
-                values = [float(record[c]) for c in ordered_features]
-                t = float(record[targets[0]])
+                values = [float(record[c]) for c in features]
+                t = float(record[target])
             except (TypeError, ValueError):
                 continue
             if not all(math.isfinite(v) for v in values) or not math.isfinite(t):
@@ -389,7 +376,7 @@ def load_empirical_csv(path, roles: Mapping[str, str]) -> tuple[Dataset, LoadRep
     report = LoadReport(total_rows=total, kept_rows=len(rows),
                         dropped_rows=total - len(rows))
     ds = Dataset(
-        feature_names=tuple(ordered_features),
+        feature_names=tuple(features),
         X=np.asarray(rows, dtype=float),
         y=np.asarray(targets_col, dtype=float),
         provenance=f"file:{os.path.basename(str(path))}",
@@ -422,8 +409,6 @@ def read_csv(path) -> Dataset:
     divisors in a ``.norm.json`` sidecar; such columns are multiplied
     back here.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such dataset file: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -220,6 +220,8 @@ def test_train_dsr_run(tmp_path):
 
 
 def test_eval_expression_and_baselines(tmp_path):
+    # the analytical baselines come from `baseline`, collated with the
+    # expression's row by `report`
     rng = np.random.default_rng(5)
     n = 80
     d = rng.uniform(1.0, 50.0, n)
@@ -238,16 +240,38 @@ def test_eval_expression_and_baselines(tmp_path):
     out = tmp_path / "ev"
     rc = main(["eval", "--data", str(data),
                "--expr-json", str(dsr_out / "expression.json"),
-               "--runs", "3", "--with-baselines", "indoor",
-               "--out", str(out)])
+               "--runs", "3", "--out", str(out)])
     assert rc == 0
-    rows = _read_metrics(out / "metrics.csv")
+    base = tmp_path / "base"
+    assert main(["baseline", "--data", str(data), "--which", "indoor",
+                 "--out", str(base)]) == 0
+    rep = tmp_path / "rep"
+    assert main(["report", "--runs", str(out), str(base),
+                 "--out", str(rep)]) == 0
+    rows = _read_metrics(rep / "metrics.csv")
     assert [r["method"] for r in rows] == ["expression", "mwf",
                                            "indoor-empirical"]
     assert float(rows[1]["mae_std"]) == 0.0
     sc = (out / "scatter.csv").read_text().splitlines()
     assert sc[0] == "run,true_db,predicted_db"
     assert len(sc) > 3
+
+
+def test_eval_with_baselines_is_gone(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=40)
+    expr = tmp_path / "expr.json"
+    i = read_csv(data).feature_names.index("d_m")
+    expr.write_text(tree_to_json(ExpressionTree((Token.variable("d_m", i),))))
+    argv = ["eval", "--data", str(data), "--expr-json", str(expr),
+            "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv + ["--with-baselines", "indoor"]) == 1
+    assert "--with-baselines" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"with_baselines": "indoor"}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "with_baselines" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_checkpoint_single_shot(tmp_path):
@@ -692,4 +716,145 @@ def test_report_on_malformed_metrics_is_a_data_error(tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert str(src / "metrics.csv") in err
     assert f"'{column}'" in err
+    assert not out.exists()
+
+
+def _unopenable(tmp_path, which):
+    """argv for a small eval or train-dsr run, with the path named by
+    `which` (--data, --expr-json, --config or --out) one that cannot be
+    opened as the command needs: a directory, or for --out a file."""
+    data = _gen(tmp_path, "ci", count=40)
+    expr = tmp_path / "expr.json"
+    i = read_csv(data).feature_names.index("d_m")
+    expr.write_text(tree_to_json(ExpressionTree((Token.variable("d_m", i),))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    paths = {"--data": data, "--expr-json": expr, "--config": cfg,
+             "--out": tmp_path / "out"}
+    bad = tmp_path / "bad"
+    if which == "--out":
+        bad.write_text("a file, not a directory\n")
+    else:
+        bad.mkdir()
+    paths[which] = bad
+    return paths, bad
+
+
+@pytest.mark.parametrize("command, which", [
+    ("eval", "--data"), ("eval", "--expr-json"), ("eval", "--config"),
+    ("eval", "--out"), ("train-dsr", "--data"), ("train-dsr", "--config"),
+    ("train-dsr", "--out"),
+])
+def test_unopenable_path_is_a_data_error(tmp_path, capsys, command, which):
+    paths, bad = _unopenable(tmp_path, which)
+    argv = [command]
+    for flag in ("--data", "--config", "--out"):
+        argv += [flag, str(paths[flag])]
+    if command == "eval":
+        argv += ["--expr-json", str(paths["--expr-json"])]
+    else:
+        argv += ["--samples", "100", "--batch", "100", "--min-len", "3"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_files_are_data_errors(tmp_path, capsys):
+    data = _gen(tmp_path, "ci", count=40)
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+            ["eval", "--data", missing, "--expr-json", missing],
+            ["eval", "--data", str(data), "--expr-json", missing],
+            ["eval", "--data", str(data), "--checkpoint", missing],
+            ["eval", "--data", str(data), "--expr-json", missing,
+             "--config", missing],
+            ["gen-data", "--input", missing]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2, argv
+        assert missing in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["eval", "--expr-json"], {"runs": 2.9}, "runs"),
+    (["eval", "--expr-json"], {"runs": True}, "runs"),
+    (["eval", "--expr-json"], {"split": "0.5"}, "split"),
+    (["train-kan", "--shape", "4,2,1", "--steps", "5"],
+     {"no_symbolic": "false"}, "no_symbolic"),
+    (["train-kan", "--steps", "5"], {"shape": [4, 2.5, 1]}, "shape"),
+    (["train-kan", "--shape", "4,2,1", "--steps", "5"], {"seed": None},
+     "seed"),
+    (["gen-data", "--model", "ci"], {"seed": True}, "seed"),
+    (["gen-data", "--count", "30"], {"model": "indoor"}, "model"),
+    (["train-dsr", "--samples", "100"], {"policy": ["rspg"]}, "policy"),
+], ids=["fractional-int", "boolean-int", "string-float", "string-switch",
+        "fractional-shape", "null-seed", "boolean-seed", "unknown-choice",
+        "list-choice"])
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
+                                                          argv, cfg, key):
+    data = _gen(tmp_path, "ci", count=40)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    if argv[-1] == "--expr-json":
+        expr = tmp_path / "expr.json"
+        i = read_csv(data).feature_names.index("d_m")
+        expr.write_text(tree_to_json(ExpressionTree(
+            (Token.variable("d_m", i),))))
+        argv = argv + [str(expr)]
+    if argv[0] != "gen-data":
+        argv = argv + ["--data", str(data)]
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [[], [4], ""], ids=["empty-list",
+                                                       "one-width", "empty"])
+def test_shape_without_two_widths_is_a_usage_error(tmp_path, capsys, shape):
+    data = _gen(tmp_path, "ci", count=40)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"shape": shape}))
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["train-kan", "--data", str(data), "--config", str(cfg_path),
+                 "--steps", "5", "--out", str(out)]) == 1
+    assert "shape needs at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_take_every_form_their_flags_give(tmp_path):
+    data = _gen(tmp_path, "ci", count=60)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"shape": [4, 2, 1], "grid": 5,
+                                    "steps": 5, "lamb": 0, "prune": None,
+                                    "no_symbolic": True, "seed": 1}))
+    out = tmp_path / "k"
+    assert main(["train-kan", "--data", str(data), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["lamb"] == 0.0 and isinstance(config["lamb"], float)
+    assert config["shape"] == [4, 2, 1] and config["prune"] is None
+    flags = tmp_path / "f"
+    assert main(["train-kan", "--data", str(data), "--shape", "4,2,1",
+                 "--grid", "5", "--steps", "5", "--lamb", "0",
+                 "--no-symbolic", "--seed", "1", "--out", str(flags)]) == 0
+    assert (out / "kan.npz").read_bytes() == (flags / "kan.npz").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["sin", "C", "3"])
+def test_column_named_like_a_token_is_a_data_error(tmp_path, capsys, name):
+    X = np.random.default_rng(0).uniform(1.0, 50.0, (40, 2))
+    data = tmp_path / "tok.csv"
+    write_csv(Dataset(("d_m", name), X, 20.0 * np.log10(X[:, 0]) + X[:, 1],
+                      "test"), data)
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["train-dsr", "--data", str(data), "--samples", "100",
+                 "--batch", "100", "--out", str(out)]) == 2
+    assert f"feature column {name!r}" in capsys.readouterr().err
     assert not out.exists()

@@ -225,12 +225,8 @@ def _sampling_setups(draw, dead_ends=False):
         max_length = draw(st.integers(min_length, min_length + 3))
         rules.update((f"x{i}", RepeatRule(max_count=draw(st.integers(1, 2))))
                      for i in range(n_vars))
-    cs = ConstraintSet(
-        min_length=min_length, max_length=max_length,
-        forbid_all_constant_children=draw(st.booleans()),
-        forbid_inverse_unary_child=draw(st.booleans()),
-        forbid_nested_trig=draw(st.booleans()),
-        repeat_rules=rules)
+    cs = ConstraintSet(min_length=min_length, max_length=max_length,
+                       repeat_rules=rules)
     policy = PolicyNetwork(vocab, hidden_size=draw(st.integers(1, 8)),
                            seed=draw(st.integers(0, 2 ** 16)))
     return policy, cs, draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 16))

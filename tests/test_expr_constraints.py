@@ -247,10 +247,7 @@ def _reference_mask(tokens, cs, vocab):
                   repeat_rules={"exp": RepeatRule(max_count=1),
                                 "d": RepeatRule(min_count=1, max_count=2),
                                 "nope": RepeatRule(max_count=1)}),
-    ConstraintSet(min_length=6, max_length=20,
-                  forbid_all_constant_children=False,
-                  forbid_inverse_unary_child=False,
-                  forbid_nested_trig=False),
+    ConstraintSet(min_length=6, max_length=20),
 ])
 def test_mask_matches_rule_by_rule_reference(cs):
     vocab = Vocabulary.default(["d", "f"], unary=("log10", "exp", "sin",

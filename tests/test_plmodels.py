@@ -253,35 +253,39 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_load_empirical_csv(tmp_path):
+    # every column but the target is a feature, in file order
     path = tmp_path / "meas.csv"
     path.write_text(
-        "site,dist,floors,rssi,pl\n"
-        "a,10.0,1,-80,120.5\n"
-        "b,20.0,2,-90,not_a_number\n"
-        "c,30.0,,-95,140.0\n"
-        "d,40.0,3,-99,inf\n"
-        "e,50.0,1,-70,150.25\n")
-    roles = {"dist": "feature", "floors": "feature", "pl": "target"}
-    ds, report = pl.load_empirical_csv(path, roles)
+        "dist,pl,floors,rssi\n"
+        "10.0,120.5,1,-80\n"
+        "20.0,not_a_number,2,-90\n"
+        "30.0,140.0,,-95\n"
+        "40.0,inf,3,-99\n"
+        "50.0,150.25,1,-70\n")
+    ds, report = pl.load_empirical_csv(path, "pl")
     assert report.total_rows == 5
     assert report.kept_rows == 2 and report.dropped_rows == 3
-    assert ds.feature_names == ("dist", "floors")
-    assert np.allclose(ds.X, [[10.0, 1.0], [50.0, 1.0]])
+    assert ds.feature_names == ("dist", "floors", "rssi")
+    assert np.allclose(ds.X, [[10.0, 1.0, -80.0], [50.0, 1.0, -70.0]])
     assert np.allclose(ds.y, [120.5, 150.25])
 
 
 def test_load_empirical_csv_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
-        pl.load_empirical_csv(tmp_path / "missing.csv", {"a": "feature", "pl": "target"})
+        pl.load_empirical_csv(tmp_path / "missing.csv", "pl")
     path = tmp_path / "m.csv"
     path.write_text("a,pl\n1.0,2.0\n")
-    with pytest.raises(DataError):
-        pl.load_empirical_csv(path, {"a": "feature"})  # no target
-    with pytest.raises(DataError):
-        pl.load_empirical_csv(path, {"a": "feature", "pl": "target", "x": "oops"})
-    with pytest.raises(DataError, match="missing"):
-        pl.load_empirical_csv(path, {"zz": "feature", "pl": "target"})
+    with pytest.raises(DataError, match="target column 'zz' not in input"):
+        pl.load_empirical_csv(path, "zz")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(DataError, match="no header"):
+        pl.load_empirical_csv(empty, "pl")
+    alone = tmp_path / "alone.csv"
+    alone.write_text("pl\n1.0\n")
+    with pytest.raises(DataError, match="no column besides 'pl'"):
+        pl.load_empirical_csv(alone, "pl")
     bad = tmp_path / "allbad.csv"
     bad.write_text("a,pl\nx,1.0\n2.0,nan\n")
     with pytest.raises(DataError):
-        pl.load_empirical_csv(bad, {"a": "feature", "pl": "target"})
+        pl.load_empirical_csv(bad, "pl")

@@ -15,10 +15,11 @@ the BLAS kernel), so both sides run here, on the same machine, and no
 digest is stored.  The golden set covers every engine path: synthetic
 data, the three DSR policies with constant fits in worker processes and,
 pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
-three seeds; and ``eval`` of a DSR expression, of a KAN expression and
-of a checkpoint, over 10 Monte-Carlo runs and in a single shot.  At
-seed 3 each DSR policy improves on its first batch's best formula, so
-the search past the first batch is covered.
+three seeds; ``eval`` of a DSR expression, of a KAN expression and of a
+checkpoint, over 10 Monte-Carlo runs and in a single shot; the ingest
+of a CSV (``gen-data --input``); and a ``report`` over a KAN, a DSR and
+an eval run.  At seed 3 each DSR policy improves on its first batch's
+best formula, so the search past the first batch is covered.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ GOLDEN += [
     ("eval-checkpoint-once", [], ["eval", *_DATA, "--checkpoint",
                                   "runs/kan-0/kan.npz", "--runs", "1",
                                   "--out", "runs/eval-checkpoint-once"]),
+    ("ingest", [], ["gen-data", "--input", "data/dataset.csv", "--target",
+                    "pl_db", "--out", "runs/ingest"]),
+    ("report", [], ["report", "--runs", "runs/kan-0", "runs/dsr-rspg",
+                    "runs/eval-expr", "--out", "runs/report"]),
 ]
 
 _TIMES = ("started_utc", "finished_utc")
