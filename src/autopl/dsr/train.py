@@ -8,14 +8,13 @@ of the best sequences seen so far.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from autopl import workers
 from autopl.errors import DataError
 from autopl.expr.constfit import optimize_constants
 from autopl.expr.constraints import ConstraintSet
@@ -33,7 +32,6 @@ from autopl.dsr.policy import (
 from autopl.dsr.reward import reward, reward_from_mse
 
 POLICY_KINDS = ("rspg", "vpg", "pqt")
-_MAX_WORKERS = 8  # most fitting processes one train() call starts
 
 
 @dataclass(frozen=True)
@@ -204,63 +202,8 @@ def _fit_tree(X: np.ndarray, y: np.ndarray,
     return fit.mse, fit.tree.constants
 
 
-# `_fit_tree` bound to the training rows, set by `_init_worker` in each
-# fitting worker process only
-_worker_fit: Callable | None = None
-
-
-def _init_worker(X: np.ndarray, y: np.ndarray) -> None:
-    global _worker_fit
-    _worker_fit = functools.partial(_fit_tree, X, y)
-
-
-def _fit_in_worker(tree: ExpressionTree) -> tuple[float, tuple[float, ...]]:
-    return _worker_fit(tree)
-
-
-def _available_cpus() -> int:
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _start_pool(processes: int, X: np.ndarray, y: np.ndarray):
-    # fork, not spawn: the workers inherit the imported modules and the
-    # rows, where spawn would import numpy and autopl again in every
-    # worker of every call; the pool starts its own threads only after
-    # forking them
-    import multiprocessing
-    return multiprocessing.get_context("fork").Pool(
-        processes, initializer=_init_worker, initargs=(X, y))
-
-
 FitMap = Callable[[Iterable[ExpressionTree]],
                   Iterator[tuple[float, tuple[float, ...]]]]
-
-
-@contextlib.contextmanager
-def _fitting(ds: Dataset) -> Iterator[FitMap]:
-    """Yield a map from structures to their fits' (mse, constants), in
-    order.  The fits run in forked workers, one per available CPU up to
-    `_MAX_WORKERS`, or through builtin `map` in this process when only
-    one CPU is available or the pool cannot start.  Either way a fit is
-    the same pure function of the structure and the rows, so the
-    results are bit-identical; the workers are gone on exit."""
-    processes = min(_available_cpus(), _MAX_WORKERS)
-    pool = None
-    if processes > 1:
-        try:
-            pool = _start_pool(processes, ds.X, ds.y)
-        except OSError:  # from fork, or no semaphores to be had
-            pass
-    if pool is None:
-        yield functools.partial(map, functools.partial(_fit_tree, ds.X, ds.y))
-        return
-    try:
-        yield functools.partial(pool.imap, _fit_in_worker)
-    finally:
-        pool.terminate()
-        pool.join()
 
 
 def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
@@ -314,7 +257,7 @@ def train(config: TrainerConfig, train_ds: Dataset,
     threshold is reached, over the default vocabulary of the dataset's
     features; deterministic for a given config seed, and bit-identical
     whether the constant fits run in worker processes or in this one
-    (see `_fitting`)."""
+    (see `workers.ordered_map`)."""
     if train_ds.y_std == 0.0:
         raise DataError("target is constant")
     vocab = _grammar(train_ds.feature_names)
@@ -331,7 +274,8 @@ def train(config: TrainerConfig, train_ds: Dataset,
     history: list[dict] = []
     samples_used = 0
     step = 0
-    with _fitting(train_ds) as fit_all:
+    with workers.ordered_map(
+            functools.partial(_fit_tree, train_ds.X, train_ds.y)) as fit_all:
         while samples_used < config.sample_budget:
             want = min(config.batch_size, config.sample_budget - samples_used)
             batch = sample_batch(policy, want, cs, rng)

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from autopl import workers
 from autopl.expr.tokens import Token
 from autopl.expr.tree import ExpressionTree
 from autopl.kan.network import KanNetwork
@@ -307,7 +308,8 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
     observed input/output pairs.
 
     Edge inputs are taken after clamping, exactly as the spline saw them.
-    Pruned edges become zero shapes.
+    Each layer's active edges are fitted through `workers.ordered_map`,
+    on every available CPU; pruned edges become zero shapes.
     """
     X = np.asarray(X, dtype=float)
     _, caches = net.forward(X, want_caches=True)
@@ -321,20 +323,22 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
         pick = np.union1d(pick, np.concatenate(ends))
     else:
         pick = np.arange(X.shape[0])
+    rows = [(cache["xc"][pick], cache["edge"][pick]) for cache in caches]
+
+    def fit(key: tuple[int, int, int]) -> EdgeFit:
+        layer, i, j = key
+        xc, edge = rows[layer]
+        return fit_edge(xc[:, i], edge[:, i, j])
+
     fits: list[list[list[EdgeFit]]] = []
-    for layer, cache in zip(net.layers, caches):
-        xc = cache["xc"][pick]
-        edge = cache["edge"][pick]
-        layer_fits = []
-        for i in range(layer.d_in):
-            row = []
-            for j in range(layer.d_out):
-                if layer.prune_mask[i, j]:
-                    row.append(fit_edge(xc[:, i], edge[:, i, j]))
-                else:
-                    row.append(EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0))
-            layer_fits.append(row)
-        fits.append(layer_fits)
+    with workers.ordered_map(fit) as fit_all:
+        for li, layer in enumerate(net.layers):
+            mask = layer.prune_mask
+            fitted = fit_all([(li, i, j) for i, j in np.argwhere(mask)])
+            fits.append([[next(fitted) if mask[i, j]
+                          else EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0)
+                          for j in range(layer.d_out)]
+                         for i in range(layer.d_in)])
     return SymbolicKan(net.shape, fits, [l.prune_mask for l in net.layers],
                        net.input_scale)
 

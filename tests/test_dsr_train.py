@@ -327,43 +327,17 @@ def _train_fit_case(kind):
     return cfg, ds, cs
 
 
-def _force_pool(monkeypatch):
-    # two workers, even where only one CPU is available; returns the
-    # sizes of the pools train() starts
-    train_module = importlib.import_module("autopl.dsr.train")
-    start = train_module._start_pool
-    started = []
-
-    def spy(processes, *args):
-        started.append(processes)
-        return start(processes, *args)
-
-    monkeypatch.setattr(train_module, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(train_module, "_start_pool", spy)
-    return started
-
-
 @pytest.mark.parametrize("kind", ["rspg", "vpg", "pqt"])
-def test_train_in_workers_matches_in_process(kind, monkeypatch):
+def test_train_in_workers_matches_in_process(kind, forced_pool, in_process):
     # the fits run in-process when the pool cannot start, and when only
     # one CPU is available, where no pool is tried
-    train_module = importlib.import_module("autopl.dsr.train")
     cfg, ds, cs = _train_fit_case(kind)
-    started = _force_pool(monkeypatch)
+    started = forced_pool
     pooled = train(cfg, ds, cs)
     assert started == [2]
-
-    def no_semaphores(*args):
-        raise OSError("no semaphores")
-
-    monkeypatch.setattr(train_module, "_start_pool", no_semaphores)
+    in_process("no-pool")
     no_pool = train(cfg, ds, cs)
-
-    def unreachable(*args):
-        raise AssertionError("a pool was started with one CPU available")
-
-    monkeypatch.setattr(train_module, "_available_cpus", lambda: 1)
-    monkeypatch.setattr(train_module, "_start_pool", unreachable)
+    in_process("one-cpu")
     one_cpu = train(cfg, ds, cs)
     for alone in (no_pool, one_cpu):
         assert pooled.history == alone.history
@@ -371,10 +345,10 @@ def test_train_in_workers_matches_in_process(kind, monkeypatch):
             (alone.best_tree, alone.best_reward)
 
 
-def test_no_worker_outlives_train(monkeypatch):
+def test_no_worker_outlives_train(monkeypatch, forced_pool):
     train_module = importlib.import_module("autopl.dsr.train")
     cfg, ds, cs = _train_fit_case("rspg")
-    started = _force_pool(monkeypatch)
+    started = forced_pool
     train(cfg, ds, cs)
     assert multiprocessing.active_children() == []
 

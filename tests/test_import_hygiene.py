@@ -1,7 +1,8 @@
-"""Only train-kan loads scipy, and only train-dsr loads multiprocessing:
-importing the CLI and running any other command leaves them out of the
-process, so those commands do not pay for them at start-up.  Each check
-runs in a fresh interpreter."""
+"""Only train-kan loads scipy, and only train-dsr and train-kan's
+symbolic read-out load multiprocessing: importing the CLI and running
+any other command (for multiprocessing, train-kan --no-symbolic too)
+leaves them out of the process, so those commands do not pay for them
+at start-up.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -107,3 +108,10 @@ def test_train_kan_loads_scipy(tmp_path):
     ])
     assert [(code, scipy) for _, code, scipy, _ in seen] == [
         (0, False), (0, False), (0, True)]
+    # without the read-out, train-kan starts no worker
+    seen = _loaded_after([
+        ["train-kan", "--data", data, "--shape", "4,2,1", "--grid", "5",
+         "--steps", "5", "--no-symbolic", "--out", str(tmp_path / "plain")],
+    ])
+    assert [(code, scipy, mp) for _, code, scipy, mp in seen] == [
+        (0, False, False), (0, True, False)]

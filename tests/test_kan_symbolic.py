@@ -1,5 +1,6 @@
 """Edge shape fitting, symbolic read-out, affine retraining, extraction."""
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -609,14 +610,56 @@ def _fit_bytes(sym):
 
 
 @pytest.fixture(scope="module")
-def ci_readout():
-    """A [4, 4, 1] read-out of a briefly trained close-in net."""
+def ci_net():
+    """A [4, 4, 1] net briefly trained on close-in data, with its rows."""
     ds = normalize_max(generate_synthetic(SyntheticSpec("ci", count=300,
                                                         seed=7)))
     net = build_network(KanConfig(shape=(4, 4, 1), grid_size=8, steps=40,
                                   reg_lambda=0.002, seed=1))
     train(net, ds.X, ds.y)
-    return auto_symbolic(net, ds.X), ds.X, ds.y
+    return net, ds.X, ds.y
+
+
+@pytest.fixture(scope="module")
+def ci_readout(ci_net):
+    """A [4, 4, 1] read-out of a briefly trained close-in net."""
+    net, X, y = ci_net
+    return auto_symbolic(net, X), X, y
+
+
+def test_auto_symbolic_in_workers_matches_in_process(ci_net, forced_pool,
+                                                      in_process):
+    # one layer-0 edge pruned, so a zero shape sits between the fits
+    net, X, _ = ci_net
+    net = net.copy()
+    net.layers[0].prune_mask[1, 2] = False
+    readouts = []
+    for path in ("pooled", "no-pool", "one-cpu"):
+        if path != "pooled":
+            in_process(path)
+        readouts.append(auto_symbolic(net, X))
+    assert forced_pool == [2]
+    pooled = readouts[0]
+    assert pooled.fits[0][1][2] == EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0)
+    for alone in readouts[1:]:
+        assert alone.fits == pooled.fits
+        assert _fit_bytes(alone) == _fit_bytes(pooled)
+
+
+def test_no_worker_outlives_auto_symbolic(ci_net, forced_pool, monkeypatch):
+    net, X, _ = ci_net
+    auto_symbolic(net, X)
+    assert multiprocessing.active_children() == []
+
+    def broken(x, y):
+        raise ValueError("edge fit failed")
+
+    # the workers are forked after this, so they inherit it
+    monkeypatch.setattr(symbolic, "fit_edge", broken)
+    with pytest.raises(ValueError, match="edge fit failed"):
+        auto_symbolic(net, X)
+    assert forced_pool == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def _reference_nets(ci_readout):
