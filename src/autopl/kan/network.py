@@ -80,8 +80,8 @@ class KanLayer:
 
     def prepare(self, X: np.ndarray) -> dict:
         """The parameter-free part of a forward pass over X: the clamped
-        input, its SiLU, the design matrix and the order-(k-1) basis the
-        input gradient is taken from."""
+        input, its SiLU, the design matrix and the order-(k-1) basis
+        window the input gradient is taken from."""
         X = np.asarray(X, dtype=float)
         xc = np.clip(X, self.basis.lo, self.basis.hi)
         n, d_in = xc.shape

@@ -27,13 +27,14 @@ expression tree with the network's input scale folded back in.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from autopl import workers
 from autopl.expr.tokens import Token
 from autopl.expr.tree import ExpressionTree
+from autopl.kan import lsq
 from autopl.kan.network import KanNetwork
 
 _LN10 = float(np.log(10.0))
@@ -201,11 +202,9 @@ def _refine(fam: SymbolicEdge, x, y, start):
             jac[~np.isfinite(p[2] * fu + p[3])] = 0.0
         return np.where(np.isfinite(jac), jac, 0.0)
 
-    from scipy import optimize  # loaded here: only train-kan needs scipy
-
     try:
-        res = optimize.least_squares(residual, np.array([a0, b0, c0, d0]),
-                                     jac=jacobian, max_nfev=200)
+        res = lsq.least_squares(residual, jacobian,
+                                np.array([a0, b0, c0, d0]), max_nfev=200)
     except (ValueError, np.linalg.LinAlgError):
         return None
     with np.errstate(all="ignore"):
@@ -307,9 +306,11 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
     """Fit a shape from the whole library to every active edge from its
     observed input/output pairs.
 
-    Edge inputs are taken after clamping, exactly as the spline saw them.
-    Each layer's active edges are fitted through `workers.ordered_map`,
-    on every available CPU; pruned edges become zero shapes.
+    Edge inputs are taken after clamping, exactly as the spline saw them,
+    so a hidden layer's edges are fitted on the spline network's own
+    values and need not wait for the layers before them: every active
+    edge of every layer goes through one `workers.ordered_map` call, on
+    every available CPU; pruned edges become zero shapes.
     """
     X = np.asarray(X, dtype=float)
     _, caches = net.forward(X, want_caches=True)
@@ -330,17 +331,15 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
         xc, edge = rows[layer]
         return fit_edge(xc[:, i], edge[:, i, j])
 
-    fits: list[list[list[EdgeFit]]] = []
+    masks = [layer.prune_mask for layer in net.layers]
     with workers.ordered_map(fit) as fit_all:
-        for li, layer in enumerate(net.layers):
-            mask = layer.prune_mask
-            fitted = fit_all([(li, i, j) for i, j in np.argwhere(mask)])
-            fits.append([[next(fitted) if mask[i, j]
-                          else EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0)
-                          for j in range(layer.d_out)]
-                         for i in range(layer.d_in)])
-    return SymbolicKan(net.shape, fits, [l.prune_mask for l in net.layers],
-                       net.input_scale)
+        fitted = fit_all([(li, i, j) for li, mask in enumerate(masks)
+                          for i, j in np.argwhere(mask)])
+        fits = [[[next(fitted) if mask[i, j]
+                  else EdgeFit("zero", 0.0, 0.0, 0.0, 0.0, 1.0)
+                  for j in range(mask.shape[1])]
+                 for i in range(mask.shape[0])] for mask in masks]
+    return SymbolicKan(net.shape, fits, masks, net.input_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -366,69 +365,122 @@ def _unflatten(sym: SymbolicKan, theta: np.ndarray) -> None:
                 pos += 4
 
 
-def _forward(sym: SymbolicKan, X: np.ndarray):
-    """Node values of every layer, the scaled input first and the output
-    last, and per layer the (u, f(u)) of each active edge keyed by (i, j),
-    with u = a*h + b; the only place the symbolic network evaluates its
-    edges."""
-    hs = [np.asarray(X, dtype=float) / sym.input_scale]
-    edges: list[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = []
+class _Edges(NamedTuple):
+    """One layer's edges as (d_in, d_out, rows) arrays: u = a*h_i + b,
+    f(u), zero on pruned edges, and each family with the flat indices of
+    its active edges."""
+
+    families: list[tuple[SymbolicEdge, np.ndarray]]
+    u: np.ndarray
+    fu: np.ndarray
+
+
+def _layer_params(sym: SymbolicKan, theta: np.ndarray) -> list[np.ndarray]:
+    """Each layer's (d_in, d_out, 4) view of (a, b, c, d) in `theta`."""
+    out, pos = [], 0
+    for mask in sym.masks:
+        size = mask.size * 4
+        out.append(theta[pos:pos + size].reshape(mask.shape + (4,)))
+        pos += size
+    return out
+
+
+def _by_family(fn: str, u: np.ndarray, families) -> np.ndarray:
+    """`fn` (or `dfn`) of every active edge's u, one call per family;
+    zero on pruned edges."""
+    out = np.zeros_like(u)
+    flat_u, flat_out = u.reshape(-1, u.shape[-1]), out.reshape(-1, u.shape[-1])
+    for fam, idx in families:
+        flat_out[idx] = getattr(fam, fn)(flat_u[idx])
+    return out
+
+
+def _forward(sym: SymbolicKan, X: np.ndarray,
+             theta: np.ndarray | None = None):
+    """Node values of every layer, (rows, width), the scaled input first
+    and the output last, and per layer its `_Edges`; the edge parameters
+    come from `theta`, laid out as `_flatten` lays them out (default:
+    `_flatten(sym)`).  The only place the symbolic network evaluates its
+    edges: one call of each family's function per layer, and each node
+    sums its edges from zero in `i` order.  A pruned edge adds +0.0,
+    which leaves a sum that starts from +0.0 bit for bit unchanged."""
+    if theta is None:
+        theta = _flatten(sym)
+    # node values are kept as (width, rows), so that every edge's rows
+    # are contiguous
+    h = np.ascontiguousarray((np.asarray(X, dtype=float) / sym.input_scale).T)
+    hs = [h]
+    layers: list[_Edges] = []
     with np.errstate(all="ignore"):
-        for fits_l, mask in zip(sym.fits, sym.masks):
-            h = hs[-1]
+        for fits_l, mask, p in zip(sym.fits, sym.masks,
+                                   _layer_params(sym, theta)):
             d_in, d_out = mask.shape
-            out = np.zeros((h.shape[0], d_out))
-            layer = {}
-            for j in range(d_out):
-                for i in range(d_in):
-                    if mask[i, j]:
-                        f = fits_l[i][j]
-                        u = f.a * h[:, i] + f.b
-                        fu = EDGE_FAMILIES[f.name].fn(u)
-                        out[:, j] += f.c * fu + f.d
-                        layer[i, j] = (u, fu)
-            hs.append(out)
-            edges.append(layer)
-    return hs, edges
+            names = [fits_l[i][j].name if mask[i, j] else None
+                     for i in range(d_in) for j in range(d_out)]
+            families = [(EDGE_FAMILIES[name],
+                         np.array([e for e, n in enumerate(names) if n == name]))
+                        for name in dict.fromkeys(names) if name is not None]
+            u = p[..., 0, None] * h[:, None, :] + p[..., 1, None]
+            fu = _by_family("fn", u, families)
+            term = p[..., 2, None] * fu + p[..., 3, None]
+            term[~mask] = 0.0
+            h = np.zeros((d_out, h.shape[1]))
+            for i in range(d_in):
+                h += term[i]
+            hs.append(h)
+            layers.append(_Edges(families, u, fu))
+    return [h.T for h in hs], layers
 
 
-def _mse_and_grad(sym: SymbolicKan, X: np.ndarray, y: np.ndarray):
-    hs, edges = _forward(sym, X)
+def _mse_and_grad(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
+                  theta: np.ndarray | None = None):
+    """Training MSE and its gradient in `theta` (default: `_flatten(sym)`),
+    each edge's (a, b, c, d) in `_flatten`'s order."""
+    if theta is None:
+        theta = _flatten(sym)
+    hs, layers = _forward(sym, X, theta)
+    params = _layer_params(sym, theta)
     pred = hs[-1][:, 0]
     if not np.all(np.isfinite(pred)):
-        return 1e30, np.zeros(_flatten(sym).size)
+        return 1e30, np.zeros(theta.size)
     n = y.size
     mse = float(np.mean((pred - y) ** 2))
-    d_h = (2.0 / n) * (hs[-1] - y[:, None])
-    layer_grads = []
+    d_h = (2.0 / n) * (hs[-1].T - y)
+    grads = []
     with np.errstate(all="ignore"):
         for li in range(len(sym.fits) - 1, -1, -1):
-            h = hs[li]
-            g_layer = np.zeros(sym.masks[li].shape + (4,))
-            d_prev = np.zeros_like(h)
+            families, u, fu = layers[li]
+            p, mask = params[li], sym.masks[li]
+            dfu = _by_family("dfn", u, families)
+            # w * c * dfu, the chain factor shared by a, b and the input
+            wcd = d_h * p[..., 2, None] * dfu
+            g = np.empty(p.shape)
+            # each edge's sum runs along its contiguous rows, pairwise,
+            # as a 1-d nansum of those rows does
+            g[..., 0] = np.nansum(wcd * hs[li].T[:, None, :], axis=-1)
+            g[..., 1] = np.nansum(wcd, axis=-1)
+            g[..., 2] = np.nansum(d_h * fu, axis=-1)
+            g[..., 3] = np.sum(d_h, axis=-1)
+            g[~mask] = 0.0
+            grads.append(g)
+            back = wcd * p[..., 0, None]
+            back[~mask] = 0.0
+            d_h = np.zeros((p.shape[0], n))
             # j outer, i inner, as in the forward pass
-            for (i, j), (u, fu) in edges[li].items():
-                f = sym.fits[li][i][j]
-                dfu = EDGE_FAMILIES[f.name].dfn(u)
-                w = d_h[:, j]
-                g_layer[i, j, 0] = np.nansum(w * f.c * dfu * h[:, i])
-                g_layer[i, j, 1] = np.nansum(w * f.c * dfu)
-                g_layer[i, j, 2] = np.nansum(w * fu)
-                g_layer[i, j, 3] = np.sum(w)
-                d_prev[:, i] += w * f.c * dfu * f.a
-            layer_grads.append(g_layer)
-            d_h = d_prev
-    return mse, np.concatenate([g.ravel() for g in reversed(layer_grads)])
+            for j in range(p.shape[1]):
+                d_h += back[:, j]
+    return mse, np.concatenate([g.ravel() for g in reversed(grads)])
 
 
 def _polish_last_layer(sym: SymbolicKan, X: np.ndarray, y: np.ndarray) -> None:
     """Closed-form refit of the output layer's scale and offset terms."""
-    _, edges = _forward(sym, X)
+    _, layers = _forward(sym, X)
     fits_l, mask = sym.fits[-1], sym.masks[-1]
     cols, idxs = [], []
-    for (i, j), (_, fu) in edges[-1].items():
-        if j != 0 or fits_l[i][0].name == "zero":
+    for i in range(mask.shape[0]):
+        if not mask[i, 0] or fits_l[i][0].name == "zero":
             continue
+        fu = layers[-1].fu[i, 0]
         if not np.all(np.isfinite(fu)):
             return
         cols.append(fu)
@@ -472,8 +524,7 @@ def retrain_affine(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
     work = sym.copy()
 
     def objective(theta):
-        _unflatten(work, theta)
-        return _mse_and_grad(work, X, y)
+        return _mse_and_grad(work, X, y, theta)
 
     from scipy import optimize
 

@@ -9,6 +9,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 from autopl.kan import BSplineBasis
+from bspline_reference import full_derivative, full_orders
 
 
 @pytest.mark.parametrize("grid,order", [(5, 1), (5, 2), (8, 3), (10, 3), (3, 4), (50, 3)])
@@ -78,17 +79,42 @@ def test_basis_split_matches_full_recursion(order):
     x = np.concatenate([x, np.clip([-3.0, 2.0], b.lo, b.hi), [-3.0, 2.0]])
     lower = b.lower(x)
     design = b.design_from_lower(lower, x)
-    assert design.tobytes() == b._orders(x, order).tobytes()
+    assert design.tobytes() == full_orders(b, x, order).tobytes()
     assert b.design_matrix(x).tobytes() == design.tobytes()
-    # the derivative formula over a separately computed order-(k-1) basis
-    t, k = b.knots, order
-    if k == 1:
-        want = np.zeros((x.shape[0], b.n_basis))
-    else:
-        low = b._orders(x, k - 1)
-        want = (k - 1) * (low[:, :-1] / (t[k - 1:-1] - t[:-k])
-                          - low[:, 1:] / (t[k:] - t[1:-k + 1]))
-    assert b.derivative_from_lower(lower).tobytes() == want.tobytes()
+    assert b.derivative_from_lower(lower).tobytes() == \
+        full_derivative(b, x).tobytes()
+
+
+@pytest.mark.parametrize("grid", [1, 5, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_window_matches_full_recursion_at_every_knot(grid, order):
+    # the interval's ends, every knot and the float just below each, the
+    # knot span's own ends and points beyond them, and NaN: a zero outside
+    # a window is +0.0 in the full recursion, and a NaN row stays NaN
+    b = BSplineBasis(grid, order)
+    t = b.knots
+    x = np.concatenate([[b.lo, b.hi, np.nextafter(b.hi, -np.inf)], t,
+                        np.nextafter(t, -np.inf),
+                        [t[0] - 0.5, t[-1] + 0.5, -40.0, 40.0, np.nan]])
+    design = b.design_matrix(x)
+    assert design.tobytes() == full_orders(b, x, order).tobytes()
+    assert b.derivative_from_lower(b.lower(x)).tobytes() == \
+        full_derivative(b, x).tobytes()
+    beyond = ((x < t[0]) | (x >= t[-1])) & (x != b.hi)
+    assert beyond[-5:-1].all() and not design[beyond].any()
+    assert np.isnan(design[-1]).all() == (order > 1)
+    assert not np.signbit(design[design == 0.0]).any()
+
+
+def test_window_of_an_infinite_input_is_nan_like_the_full_recursion():
+    # (inf - t) * 0 is a NaN whose bits differ from np.nan's
+    b = BSplineBasis(5, 3)
+    x = np.array([-np.inf, 0.2, np.inf])
+    with np.errstate(invalid="ignore"):
+        want = full_orders(b, x, 3), full_derivative(b, x)
+        got = b.design_matrix(x), b.derivative_from_lower(b.lower(x))
+    for w, g in zip(want, got):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_local_support():

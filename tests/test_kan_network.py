@@ -19,6 +19,7 @@ from autopl.kan import (
     train,
 )
 from autopl.kan.network import silu, silu_prime
+from bspline_reference import full_derivative, full_orders
 from autopl.kan.train import (
     _loss_and_grad,
     _scale_output,
@@ -186,7 +187,7 @@ def _reference_layer_forward(layer, X):
     xc = np.clip(X, layer.basis.lo, layer.basis.hi)
     n, d_in = xc.shape
     s = silu(xc)
-    flat = layer.basis._orders(xc.ravel(), layer.basis.order)
+    flat = full_orders(layer.basis, xc.ravel(), layer.basis.order)
     b = flat.reshape(n, d_in, layer.basis.n_basis)
     spl = np.einsum("nim,ijm->nij", b, layer.coeffs)
     edge = layer.prune_mask * (layer.w_base * s[:, :, None]
@@ -207,14 +208,8 @@ def _reference_layer_backward(layer, cache, d_out, d_edge_extra):
     g_wb = np.einsum("nij,ni->ij", d_edge, s)
     g_ws = np.einsum("nij,nij->ij", d_edge, spl)
     g_c = np.einsum("nij,nim->ijm", d_edge * layer.w_spline, b)
-    basis, x = layer.basis, xc.ravel()
-    k, t = basis.order, basis.knots
-    if k == 1:
-        flat_d = np.zeros((x.shape[0], basis.n_basis))
-    else:
-        lower = basis._orders(x, k - 1)
-        flat_d = (k - 1) * (lower[:, :-1] / (t[k - 1:-1] - t[:-k])
-                            - lower[:, 1:] / (t[k:] - t[1:-k + 1]))
+    basis = layer.basis
+    flat_d = full_derivative(basis, xc.ravel())
     db = flat_d.reshape(xc.shape[0], layer.d_in, basis.n_basis)
     dspl_dx = np.einsum("nim,ijm->nij", db, layer.coeffs)
     d_xc = silu_prime(xc) * np.einsum("nij,ij->ni", d_edge, layer.w_base)
@@ -274,19 +269,19 @@ def test_prepared_first_layer_matches_recompute_reference(shape, order,
 
 @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 2, 2, 1)])
 def test_train_builds_first_layer_basis_once(monkeypatch, shape):
-    orders, losses = [], []
-    real_orders = BSplineBasis._orders
+    lowers, losses = [], []
+    real_lower = BSplineBasis.lower
 
-    def counted_orders(self, x, up_to):
-        orders.append(1)
-        return real_orders(self, x, up_to)
+    def counted_lower(self, x):
+        lowers.append(1)
+        return real_lower(self, x)
 
     def counted_loss(*args):
         losses.append(1)
         return _loss_and_grad(*args)
 
     kan_train = importlib.import_module("autopl.kan.train")
-    monkeypatch.setattr(BSplineBasis, "_orders", counted_orders)
+    monkeypatch.setattr(BSplineBasis, "lower", counted_lower)
     monkeypatch.setattr(kan_train, "_loss_and_grad", counted_loss)
     rng = np.random.default_rng(12)
     X = rng.uniform(-1, 1, (100, 2))
@@ -296,7 +291,7 @@ def test_train_builds_first_layer_basis_once(monkeypatch, shape):
     assert len(losses) >= 10
     # the first layer's basis once per fit, each hidden layer's once per
     # evaluation, and every layer's for each of train's two predictions
-    assert len(orders) == 1 + hidden * len(losses) + 2 * n_layers
+    assert len(lowers) == 1 + hidden * len(losses) + 2 * n_layers
 
 
 def test_train_continues_without_degrading():

@@ -603,6 +603,11 @@ def _ref_polish_last_layer(sym, X, y):
         fits_l[i][0] = replace(f, c=new_c, d=share)
 
 
+def _unflattened(sym, theta):
+    symbolic._unflatten(sym, theta)
+    return sym
+
+
 def _fit_bytes(sym):
     """Every edge's family and parameters, bit for bit."""
     names = [f.name for layer in sym.fits for row in layer for f in row]
@@ -676,8 +681,15 @@ def _reference_nets(ci_readout):
     h = _ref_forward(broken, X)[1][:, 0]
     broken.fits[1][0][0] = EdgeFit("log10", 1.0, -float(np.median(h)),
                                    1.0, 0.0, 1.0)
+    # sqrt of an output-layer input shifted to reach exactly 0 on one row:
+    # the derivative is inf there, and the zero edge into that hidden node
+    # makes the chain NaN (inf * 0), which the gradient's sums skip
+    nan_chain = zeroed.copy()
+    h = _ref_forward(nan_chain, X)[1][:, 1]
+    nan_chain.fits[1][1][0] = EdgeFit("sqrt", 1.0, -float(h.min()),
+                                      1.0, 0.0, 1.0)
     return {"trained": sym.copy(), "pruned": pruned, "zeroed": zeroed,
-            "non-finite": broken}
+            "non-finite": broken, "nan-in-chain": nan_chain}
 
 
 def test_one_pass_mse_and_grad_match_recompute_reference(ci_readout):
@@ -705,6 +717,41 @@ def test_one_pass_mse_and_grad_match_recompute_reference(ci_readout):
                 [h.tobytes() for h in _ref_forward(sym, X)], label
 
 
+def test_deep_mse_and_grad_match_recompute_reference(ci_readout):
+    # three layers, so that the middle layer's input gradient (summed over
+    # its three outputs in j order) reaches the first layer's gradient
+    _, X, y = ci_readout
+    rng = np.random.default_rng(8)
+    shape = (4, 3, 3, 1)
+    names = ["identity", "square", "cube", "exp", "sin", "cos"]
+    fits = [[[EdgeFit(str(rng.choice(names)), *rng.normal(0.0, 0.6, 4), 1.0)
+              for _ in range(d_out)] for _ in range(d_in)]
+            for d_in, d_out in zip(shape[:-1], shape[1:])]
+    masks = [np.ones((d_in, d_out), dtype=bool)
+             for d_in, d_out in zip(shape[:-1], shape[1:])]
+    # a pruned middle edge into a node whose output edge is sqrt reaching
+    # exactly 0 on one row: the chain into that node is inf there, and
+    # the pruned edge must still add nothing
+    masks[1][2, 0] = False
+    plain = SymbolicKan(shape, fits, masks)
+    chain = plain.copy()
+    h = _ref_forward(chain, X)[2][:, 0]
+    chain.fits[2][0][0] = EdgeFit("sqrt", 1.0, -float(h.min()), 0.8, 0.1,
+                                  1.0)
+    for sym in (plain, chain):
+        mse, grad = symbolic._mse_and_grad(sym, X, y)
+        assert mse < 1e30 and np.isinf(grad).any() == (sym is chain)
+        for point in (symbolic._flatten(sym), symbolic._flatten(sym) * 0.97):
+            symbolic._unflatten(sym, point)
+            mse, grad = symbolic._mse_and_grad(sym, X, y)
+            ref_mse, ref_grad = _ref_mse_and_grad(sym, X, y)
+            assert np.float64(mse).tobytes() == \
+                np.float64(ref_mse).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert [h.tobytes() for h in symbolic._forward(sym, X)[0]] == \
+                [h.tobytes() for h in _ref_forward(sym, X)]
+
+
 def test_one_pass_polish_matches_recompute_reference(ci_readout):
     _, X, y = ci_readout
     for label, sym in _reference_nets(ci_readout).items():
@@ -723,7 +770,11 @@ def test_retrain_affine_matches_recompute_reference(ci_readout, monkeypatch):
         sym = _reference_nets(ci_readout)[label]
         got, got_mse = retrain_affine(sym, X, y, steps=60)
         with monkeypatch.context() as m:
-            m.setattr(symbolic, "_mse_and_grad", _ref_mse_and_grad)
+            # the objective reads its parameters from the vector the
+            # optimizer hands it; the reference reads them from the net
+            m.setattr(symbolic, "_mse_and_grad",
+                      lambda sym, X, y, theta: _ref_mse_and_grad(
+                          _unflattened(sym, theta), X, y))
             m.setattr(symbolic, "_polish_last_layer", _ref_polish_last_layer)
             m.setattr(SymbolicKan, "forward",
                       lambda self, X: _ref_forward(self, X)[-1])

@@ -16,11 +16,13 @@ digest is stored.  The golden set covers every engine path: synthetic
 data, the three DSR policies with constant fits in worker processes and,
 pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
 three seeds with the read-out's edge fits in worker processes, and on
-seed 0 pinned to one CPU, in-process; ``eval`` of a DSR expression, of
-a KAN expression and of a checkpoint, over 10 Monte-Carlo runs and in a
-single shot; the ingest of a CSV (``gen-data --input``); and a
-``report`` over a KAN, a DSR and an eval run.  At seed 3 each DSR policy improves on its first batch's
-best formula, so the search past the first batch is covered.
+seed 0 pinned to one CPU, in-process; a pruned KAN run; a KAN run on ABG
+data whose formula is non-finite on test rows (NaN test metrics);
+``eval`` of a DSR expression, of a KAN expression and of a checkpoint,
+over 10 Monte-Carlo runs and in a single shot; the ingest of a CSV
+(``gen-data --input``); and a ``report`` over a KAN, a DSR and an eval
+run.  At seed 3 each DSR policy improves on its first batch's best
+formula, so the search past the first batch is covered.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ _PIN = ["taskset", "-c", "0"]
 GOLDEN: list[tuple[str, list[str], list[str]]] = [
     ("gen-data", [], ["gen-data", "--model", "ci", "--count", "1000",
                       "--seed", "7", "--out", "data"]),
+    ("gen-data-abg", [], ["gen-data", "--model", "abg", "--count", "1000",
+                          "--seed", "7", "--out", "data-abg"]),
 ]
 for _policy in ("rspg", "vpg", "pqt"):
     for _tag, _prefix in (("", []), ("-one-cpu", _PIN)):
@@ -51,6 +55,13 @@ for _name, _prefix, _seed in (("kan-0", [], 0), ("kan-0-one-cpu", _PIN, 0),
                    ["train-kan", *_DATA, "--model", "ci", "--seed", str(_seed),
                     "--out", f"runs/{_name}"]))
 GOLDEN += [
+    # pruned edges: zero shapes between the fitted ones
+    ("kan-3-prune", [], ["train-kan", *_DATA, "--model", "ci", "--seed", "3",
+                         "--prune", "0.1", "--out", "runs/kan-3-prune"]),
+    # NaN test metrics: the non-finite branches of retraining and polish
+    ("kan-abg-0", [], ["train-kan", "--data", "data-abg/dataset.csv",
+                       "--model", "abg", "--seed", "0",
+                       "--out", "runs/kan-abg-0"]),
     ("eval-expr", [], ["eval", *_DATA, "--expr-json",
                        "runs/dsr-rspg/expression.json", "--runs", "3",
                        "--out", "runs/eval-expr"]),
