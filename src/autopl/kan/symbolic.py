@@ -26,8 +26,9 @@ expression tree with the network's input scale folded back in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+import copy
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -272,29 +273,82 @@ def fit_edge(x: np.ndarray, y: np.ndarray,
 
 class SymbolicKan:
     """A spline network with every edge replaced by a fitted shape; like
-    the network, it divides each input column by `input_scale` first."""
+    the network, it divides each input column by `input_scale` first.
+
+    Immutable, and held as arrays per layer: `families[l]` and `r2[l]`
+    give each edge's family name and read-out R2, `(d_in, d_out)`, and
+    `params[l]` is the `(d_in, d_out, 4)` view of each edge's (a, b, c, d)
+    in `theta`, one read-only vector laid out by layer, then i, then j.
+    `fits` reads the same edges back as nested tuples of `EdgeFit`s.
+    """
 
     def __init__(self, shape: tuple[int, ...],
-                 fits: list[list[list[EdgeFit]]],
-                 masks: list[np.ndarray],
+                 fits: Sequence[Sequence[Sequence[EdgeFit]]],
+                 masks: Sequence[np.ndarray],
                  input_scale: Sequence[float] | None = None):
         self.shape = tuple(shape)
-        self.fits = fits
-        self.masks = [np.asarray(m, dtype=bool) for m in masks]
-        self.input_scale = (np.ones(self.shape[0]) if input_scale is None
-                            else np.array(input_scale, dtype=float))
+        self.masks = tuple(_read_only(np.array(m, dtype=bool)) for m in masks)
+        widths = list(zip(self.shape[:-1], self.shape[1:]))
+        if (len(fits) != len(widths) or len(self.masks) != len(widths)
+                or any(m.shape != w or len(grid) != w[0]
+                       or any(len(row) != w[1] for row in grid)
+                       for m, w, grid in zip(self.masks, widths, fits))):
+            raise ValueError(f"edge fits and masks do not chain the "
+                             f"widths {self.shape}")
+        self.families = tuple(
+            _read_only(np.array([[f.name for f in row] for row in grid]))
+            for grid in fits)
+        self.r2 = tuple(
+            _read_only(np.array([[f.r2 for f in row] for row in grid],
+                                dtype=float)) for grid in fits)
+        # each layer's active edges by family, in order of first
+        # appearance: family and the flat indices of its edges
+        self.groups = tuple(
+            tuple((EDGE_FAMILIES[name],
+                   np.flatnonzero(mask.ravel() & (names.ravel() == name)))
+                  for name in dict.fromkeys(names[mask].tolist()))
+            for names, mask in zip(self.families, self.masks))
+        self.input_scale = _read_only(
+            np.ones(self.shape[0]) if input_scale is None
+            else np.array(input_scale, dtype=float))
+        self._set_theta([(f.a, f.b, f.c, f.d) for grid in fits
+                         for row in grid for f in row])
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return _forward(self, X)[0][-1]
+    def _set_theta(self, theta) -> None:
+        self.theta = _read_only(np.array(theta, dtype=float).reshape(-1))
+        self.params = tuple(self.split(self.theta))
+        self._fits = tuple(
+            tuple(tuple(EdgeFit(str(n), *map(float, q), float(r))
+                        for n, q, r in zip(*row))
+                  for row in zip(names, p, r2))
+            for names, p, r2 in zip(self.families, self.params, self.r2))
+
+    def split(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Each layer's (d_in, d_out, 4) view of a vector laid out as
+        `theta`."""
+        ends = np.cumsum([m.size * 4 for m in self.masks])[:-1]
+        return [part.reshape(m.shape + (4,))
+                for part, m in zip(np.split(theta, ends), self.masks)]
+
+    def with_theta(self, theta: np.ndarray) -> "SymbolicKan":
+        """This network with its edge parameters read from a copy of
+        `theta`, laid out as `self.theta`."""
+        new = copy.copy(self)
+        new._set_theta(theta)
+        return new
+
+    @property
+    def fits(self) -> tuple[tuple[tuple[EdgeFit, ...], ...], ...]:
+        """Every edge as an `EdgeFit`, indexed [layer][i][j]."""
+        return self._fits
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = self.forward(X)
-        return out[:, 0]
+        return _forward(self, X)[0][-1][:, 0]
 
-    def copy(self) -> "SymbolicKan":
-        fits = [[[f for f in row] for row in layer] for layer in self.fits]
-        return SymbolicKan(self.shape, fits, [m.copy() for m in self.masks],
-                           self.input_scale)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # a larger X is read out on this many evenly spaced rows, plus each
@@ -346,112 +400,65 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
 # affine retraining
 
 
-def _flatten(sym: SymbolicKan) -> np.ndarray:
-    vals = []
-    for layer in sym.fits:
-        for row in layer:
-            for f in row:
-                vals += [f.a, f.b, f.c, f.d]
-    return np.asarray(vals)
-
-
-def _unflatten(sym: SymbolicKan, theta: np.ndarray) -> None:
-    pos = 0
-    for layer in sym.fits:
-        for row in layer:
-            for idx, f in enumerate(row):
-                row[idx] = replace(f, a=float(theta[pos]), b=float(theta[pos + 1]),
-                                   c=float(theta[pos + 2]), d=float(theta[pos + 3]))
-                pos += 4
-
-
-class _Edges(NamedTuple):
-    """One layer's edges as (d_in, d_out, rows) arrays: u = a*h_i + b,
-    f(u), zero on pruned edges, and each family with the flat indices of
-    its active edges."""
-
-    families: list[tuple[SymbolicEdge, np.ndarray]]
-    u: np.ndarray
-    fu: np.ndarray
-
-
-def _layer_params(sym: SymbolicKan, theta: np.ndarray) -> list[np.ndarray]:
-    """Each layer's (d_in, d_out, 4) view of (a, b, c, d) in `theta`."""
-    out, pos = [], 0
-    for mask in sym.masks:
-        size = mask.size * 4
-        out.append(theta[pos:pos + size].reshape(mask.shape + (4,)))
-        pos += size
-    return out
-
-
-def _by_family(fn: str, u: np.ndarray, families) -> np.ndarray:
+def _by_family(fn: str, u: np.ndarray, groups) -> np.ndarray:
     """`fn` (or `dfn`) of every active edge's u, one call per family;
     zero on pruned edges."""
     out = np.zeros_like(u)
     flat_u, flat_out = u.reshape(-1, u.shape[-1]), out.reshape(-1, u.shape[-1])
-    for fam, idx in families:
+    for fam, idx in groups:
         flat_out[idx] = getattr(fam, fn)(flat_u[idx])
     return out
 
 
 def _forward(sym: SymbolicKan, X: np.ndarray,
-             theta: np.ndarray | None = None):
+             params: Sequence[np.ndarray] | None = None):
     """Node values of every layer, (rows, width), the scaled input first
-    and the output last, and per layer its `_Edges`; the edge parameters
-    come from `theta`, laid out as `_flatten` lays them out (default:
-    `_flatten(sym)`).  The only place the symbolic network evaluates its
-    edges: one call of each family's function per layer, and each node
-    sums its edges from zero in `i` order.  A pruned edge adds +0.0,
-    which leaves a sum that starts from +0.0 bit for bit unchanged."""
-    if theta is None:
-        theta = _flatten(sym)
+    and the output last, and per layer its edges' u = a*h_i + b and f(u),
+    (d_in, d_out, rows), f(u) zero on pruned edges; the edge parameters
+    come from `params`, laid out as `sym.params` (default: those).  The
+    only place the symbolic network evaluates its edges: one call of each
+    family's function per layer, and each node sums its edges from zero
+    in `i` order.  A pruned edge adds +0.0, which leaves a sum that starts
+    from +0.0 bit for bit unchanged."""
+    if params is None:
+        params = sym.params
     # node values are kept as (width, rows), so that every edge's rows
     # are contiguous
     h = np.ascontiguousarray((np.asarray(X, dtype=float) / sym.input_scale).T)
     hs = [h]
-    layers: list[_Edges] = []
+    layers = []
     with np.errstate(all="ignore"):
-        for fits_l, mask, p in zip(sym.fits, sym.masks,
-                                   _layer_params(sym, theta)):
-            d_in, d_out = mask.shape
-            names = [fits_l[i][j].name if mask[i, j] else None
-                     for i in range(d_in) for j in range(d_out)]
-            families = [(EDGE_FAMILIES[name],
-                         np.array([e for e, n in enumerate(names) if n == name]))
-                        for name in dict.fromkeys(names) if name is not None]
+        for groups, mask, p in zip(sym.groups, sym.masks, params):
             u = p[..., 0, None] * h[:, None, :] + p[..., 1, None]
-            fu = _by_family("fn", u, families)
+            fu = _by_family("fn", u, groups)
             term = p[..., 2, None] * fu + p[..., 3, None]
             term[~mask] = 0.0
-            h = np.zeros((d_out, h.shape[1]))
-            for i in range(d_in):
+            h = np.zeros((mask.shape[1], h.shape[1]))
+            for i in range(mask.shape[0]):
                 h += term[i]
             hs.append(h)
-            layers.append(_Edges(families, u, fu))
+            layers.append((u, fu))
     return [h.T for h in hs], layers
 
 
 def _mse_and_grad(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
                   theta: np.ndarray | None = None):
-    """Training MSE and its gradient in `theta` (default: `_flatten(sym)`),
-    each edge's (a, b, c, d) in `_flatten`'s order."""
-    if theta is None:
-        theta = _flatten(sym)
-    hs, layers = _forward(sym, X, theta)
-    params = _layer_params(sym, theta)
+    """Training MSE and its gradient in `theta`, laid out as `sym.theta`
+    (default: that)."""
+    params = sym.params if theta is None else sym.split(theta)
+    hs, layers = _forward(sym, X, params)
     pred = hs[-1][:, 0]
     if not np.all(np.isfinite(pred)):
-        return 1e30, np.zeros(theta.size)
+        return 1e30, np.zeros(sym.theta.size)
     n = y.size
     mse = float(np.mean((pred - y) ** 2))
     d_h = (2.0 / n) * (hs[-1].T - y)
     grads = []
     with np.errstate(all="ignore"):
-        for li in range(len(sym.fits) - 1, -1, -1):
-            families, u, fu = layers[li]
+        for li in range(len(params) - 1, -1, -1):
+            u, fu = layers[li]
             p, mask = params[li], sym.masks[li]
-            dfu = _by_family("dfn", u, families)
+            dfu = _by_family("dfn", u, sym.groups[li])
             # w * c * dfu, the chain factor shared by a, b and the input
             wcd = d_h * p[..., 2, None] * dfu
             g = np.empty(p.shape)
@@ -472,37 +479,33 @@ def _mse_and_grad(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
     return mse, np.concatenate([g.ravel() for g in reversed(grads)])
 
 
-def _polish_last_layer(sym: SymbolicKan, X: np.ndarray, y: np.ndarray) -> None:
-    """Closed-form refit of the output layer's scale and offset terms."""
+def _polish_last_layer(sym: SymbolicKan, X: np.ndarray,
+                       y: np.ndarray) -> SymbolicKan:
+    """Closed-form refit of the output layer's scale and offset terms; `sym`
+    itself when an output edge is non-finite or none is fitted."""
     _, layers = _forward(sym, X)
-    fits_l, mask = sym.fits[-1], sym.masks[-1]
-    cols, idxs = [], []
-    for i in range(mask.shape[0]):
-        if not mask[i, 0] or fits_l[i][0].name == "zero":
-            continue
-        fu = layers[-1].fu[i, 0]
-        if not np.all(np.isfinite(fu)):
-            return
-        cols.append(fu)
-        idxs.append(i)
-    if not cols:
-        return
+    mask = sym.masks[-1][:, 0]
+    fitted = np.flatnonzero(mask & (sym.families[-1][:, 0] != "zero"))
+    cols = list(layers[-1][1][fitted, 0])
+    if not cols or not np.all(np.isfinite(cols)):
+        return sym
     design = np.column_stack(cols + [np.ones(y.size)])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     # keep the total offset: spread the fitted intercept over the active
     # edges and zero the rest
-    active = [i for i in range(mask.shape[0]) if mask[i, 0]]
-    share = float(sol[-1]) / len(active)
-    for i in active:
-        f = fits_l[i][0]
-        new_c = f.c
-        if i in idxs:
-            new_c = float(sol[idxs.index(i)])
-        fits_l[i][0] = replace(f, c=new_c, d=share)
+    active = np.flatnonzero(mask)
+    params = [p.copy() for p in sym.params]
+    params[-1][fitted, 0, 2] = sol[:-1]
+    params[-1][active, 0, 3] = float(sol[-1]) / active.size
+    return sym.with_theta(np.concatenate([p.ravel() for p in params]))
 
 
-def retrain_affine(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
-                   steps: int = 200) -> tuple[SymbolicKan, float]:
+# L-BFGS-B iterations of the joint retune
+_RETRAIN_STEPS = 200
+
+
+def retrain_affine(sym: SymbolicKan, X: np.ndarray,
+                   y: np.ndarray) -> tuple[SymbolicKan, float]:
     """Re-fit every edge's (a, b, c, d) jointly against the target.
 
     Tries a gradient refinement plus a closed-form polish of the output
@@ -518,26 +521,20 @@ def retrain_affine(sym: SymbolicKan, X: np.ndarray, y: np.ndarray,
             return float("inf")
         return float(np.mean((pred - y) ** 2))
 
-    best = sym.copy()
-    best_mse = mse_of(best)
-
-    work = sym.copy()
-
-    def objective(theta):
-        return _mse_and_grad(work, X, y, theta)
+    best, best_mse = sym, mse_of(sym)
 
     from scipy import optimize
 
-    res = optimize.minimize(objective, _flatten(work), jac=True,
-                            method="L-BFGS-B",
-                            options={"maxiter": steps, "ftol": 1e-14})
-    _unflatten(work, res.x)
+    res = optimize.minimize(lambda theta: _mse_and_grad(sym, X, y, theta),
+                            sym.theta, jac=True, method="L-BFGS-B",
+                            options={"maxiter": _RETRAIN_STEPS,
+                                     "ftol": 1e-14})
+    work = sym.with_theta(res.x)
     work_mse = mse_of(work)
     if work_mse < best_mse:
         best, best_mse = work, work_mse
 
-    polished = best.copy()
-    _polish_last_layer(polished, X, y)
+    polished = _polish_last_layer(best, X, y)
     polished_mse = mse_of(polished)
     if polished_mse < best_mse:
         best, best_mse = polished, polished_mse

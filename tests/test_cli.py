@@ -18,7 +18,7 @@ from autopl.expr.tree import (
     tree_from_json,
     tree_to_json,
 )
-from autopl.kan import load_kan
+from autopl.kan import auto_symbolic, load_kan
 from autopl.plmodels import (
     Dataset,
     IndoorParams,
@@ -147,19 +147,26 @@ def test_train_kan_prune_checkpoint_matches_outputs(tmp_path):
     out = tmp_path / "kp"
     rc = main(["train-kan", "--data", str(data), "--shape", "4,2,1",
                "--grid", "5", "--steps", "25", "--prune", "0.1",
-               "--seed", "1", "--no-symbolic", "--out", str(out)])
+               "--seed", "1", "--out", str(out)])
     assert rc == 0
     net = load_kan(out / "kan.npz")
+    ds = read_csv(data)
+    train_ds, test_ds = split(ds, 0.8, _fan_out(1, 2)[0])
+    # the graph's family and r2 columns are the read-out of the saved
+    # net on the CLI's training split, edge for edge; pruned edges read
+    # zero
+    fits = auto_symbolic(net, train_ds.X).fits
     graph = _read_metrics(out / "graph.csv")
     assert any(row["active"] == "0" for row in graph)
     for row in graph:
-        mask = net.layers[int(row["layer"])].prune_mask
-        assert mask[int(row["in_node"]), int(row["out_node"])] == \
-            bool(int(row["active"]))
+        layer, i, j = (int(row[k]) for k in ("layer", "in_node", "out_node"))
+        active = net.layers[layer].prune_mask[i, j]
+        assert active == bool(int(row["active"]))
+        fit = fits[layer][i][j]
+        assert (row["family"], row["r2"]) == (fit.name, f"{fit.r2:.6f}")
+        assert active or row["family"] == "zero"
     # the checkpoint reproduces the kan-spline row on the CLI's test split
     # of the dataset as read
-    ds = read_csv(data)
-    _, test_ds = split(ds, 0.8, _fan_out(1, 2)[0])
     spline = _read_metrics(out / "metrics.csv")[0]
     assert spline["method"] == "kan-spline"
     assert float(spline["r2_mean"]) == r2(net.predict(test_ds.X), test_ds.y)

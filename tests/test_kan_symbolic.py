@@ -388,11 +388,8 @@ def test_retrain_affine_never_worse_and_repairs_perturbation():
 
     # knock the scale of one edge off and retrain: most of the damage
     # must be recovered
-    from dataclasses import replace
-
-    broken = sym.copy()
-    f = broken.fits[0][0][0]
-    broken.fits[0][0][0] = replace(f, c=1.3 * f.c)
+    f = sym.fits[0][0][0]
+    broken = _with_fits(sym, {(0, 0, 0): replace(f, c=1.3 * f.c)})
     broken_mse = mse(broken)
     repaired, repaired_mse = retrain_affine(broken, X, y)
     assert broken_mse > 10.0 * base
@@ -490,15 +487,53 @@ def test_extract_expression_feature_count_mismatch():
         extract_expression(sym, ["only_one"])
 
 
-def test_symbolic_copy_is_independent():
+def _with_fits(sym, edits=(), masks=None):
+    """`sym` rebuilt with the edge fits of `edits`, {(layer, i, j):
+    EdgeFit}, in place of its own, and with `masks` if given."""
+    fits = [[list(row) for row in layer] for layer in sym.fits]
+    for (layer, i, j), fit in dict(edits).items():
+        fits[layer][i][j] = fit
+    return SymbolicKan(sym.shape, fits,
+                       sym.masks if masks is None else masks, sym.input_scale)
+
+
+def test_symbolic_kan_is_immutable():
     net = _library_net()
     X = np.random.default_rng(10).uniform(-1.0, 1.05, size=(50, 2))
     sym = auto_symbolic(net, X)
-    dup = sym.copy()
-    from dataclasses import replace
+    with pytest.raises(TypeError):
+        sym.fits[0][0][0] = replace(sym.fits[0][0][0], c=0.0)
+    for array in (sym.theta, sym.params[0], sym.masks[0]):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the net's own mask stays its own
+    net.layers[0].prune_mask[1, 0] = False
+    assert sym.masks[0].all()
+    before = sym.theta.tobytes()
+    moved = sym.with_theta(sym.theta * 1.5 + 0.1)
+    assert sym.theta.tobytes() == before
+    assert moved.theta.tobytes() != before
+    assert sym.with_theta(sym.theta).fits == sym.fits
+    assert _with_fits(sym).theta.tobytes() == before
 
-    dup.fits[0][0][0] = replace(dup.fits[0][0][0], c=0.0)
-    assert sym.fits[0][0][0].c != 0.0
+
+@pytest.mark.parametrize("case", ["one edge short", "wrong width"])
+def test_symbolic_kan_checks_its_shapes(case):
+    shape = (3, 2, 1)
+    edge = EdgeFit("identity", 1.0, 0.0, 1.0, 0.0, 1.0)
+    widths = list(zip(shape[:-1], shape[1:]))
+    fits = [[[edge] * d_out for _ in range(d_in)] for d_in, d_out in widths]
+    masks = [np.ones(w, dtype=bool) for w in widths]
+    SymbolicKan(shape, fits, masks)
+    if case == "one edge short":
+        fits[0][2] = fits[0][2][:1]
+    else:
+        # the output layer reads three inputs where the hidden layer
+        # writes two
+        fits[1] = [[edge]] * 3
+        masks[1] = np.ones((3, 1), dtype=bool)
+    with pytest.raises(ValueError, match="do not chain"):
+        SymbolicKan(shape, fits, masks)
 
 
 def test_edge_family_table_is_consistent():
@@ -534,7 +569,7 @@ def _ref_mse_and_grad(sym, X, y):
     hs = _ref_forward(sym, X)
     pred = hs[-1][:, 0]
     if not np.all(np.isfinite(pred)):
-        return 1e30, np.zeros(symbolic._flatten(sym).size)
+        return 1e30, np.zeros(sym.theta.size)
     n = y.size
     mse = float(np.mean((pred - y) ** 2))
     d_h = (2.0 / n) * (hs[-1] - y[:, None])
@@ -575,6 +610,7 @@ def _ref_mse_and_grad(sym, X, y):
 def _ref_polish_last_layer(sym, X, y):
     h = _ref_forward(sym, X)[-2]
     fits_l, mask = sym.fits[-1], sym.masks[-1]
+    edits = {}
     d_in = mask.shape[0]
     cols = []
     idxs = []
@@ -586,11 +622,11 @@ def _ref_polish_last_layer(sym, X, y):
             fam = EDGE_FAMILIES[f.name]
             col = fam.fn(f.a * h[:, i] + f.b)
             if not np.all(np.isfinite(col)):
-                return
+                return sym
             cols.append(col)
             idxs.append(i)
     if not cols:
-        return
+        return sym
     design = np.column_stack(cols + [np.ones(y.size)])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     active = [i for i in range(d_in) if mask[i, 0]]
@@ -600,18 +636,14 @@ def _ref_polish_last_layer(sym, X, y):
         new_c = f.c
         if i in idxs:
             new_c = float(sol[idxs.index(i)])
-        fits_l[i][0] = replace(f, c=new_c, d=share)
-
-
-def _unflattened(sym, theta):
-    symbolic._unflatten(sym, theta)
-    return sym
+        edits[len(sym.fits) - 1, i, 0] = replace(f, c=new_c, d=share)
+    return _with_fits(sym, edits)
 
 
 def _fit_bytes(sym):
     """Every edge's family and parameters, bit for bit."""
     names = [f.name for layer in sym.fits for row in layer for f in row]
-    return names, symbolic._flatten(sym).tobytes()
+    return names, sym.theta.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -671,24 +703,23 @@ def _reference_nets(ci_readout):
     """The trained read-out, one with a pruned edge, one with active
     zero-family edges in both layers, and one non-finite on some rows."""
     sym, X, _ = ci_readout
-    pruned = sym.copy()
-    pruned.masks[0][1, 2] = False
-    zeroed = sym.copy()
-    zeroed.fits[0][2][1] = EdgeFit("zero", 0.0, 0.0, 0.0, 0.4, 1.0)
-    zeroed.fits[1][3][0] = EdgeFit("zero", 0.0, 0.0, 0.0, -0.7, 1.0)
+    masks = [m.copy() for m in sym.masks]
+    masks[0][1, 2] = False
+    pruned = _with_fits(sym, masks=masks)
+    zeroed = _with_fits(sym, {
+        (0, 2, 1): EdgeFit("zero", 0.0, 0.0, 0.0, 0.4, 1.0),
+        (1, 3, 0): EdgeFit("zero", 0.0, 0.0, 0.0, -0.7, 1.0)})
     # log10 of a last-layer input shifted below zero on part of the rows
-    broken = sym.copy()
-    h = _ref_forward(broken, X)[1][:, 0]
-    broken.fits[1][0][0] = EdgeFit("log10", 1.0, -float(np.median(h)),
-                                   1.0, 0.0, 1.0)
+    h = _ref_forward(sym, X)[1][:, 0]
+    broken = _with_fits(sym, {(1, 0, 0): EdgeFit(
+        "log10", 1.0, -float(np.median(h)), 1.0, 0.0, 1.0)})
     # sqrt of an output-layer input shifted to reach exactly 0 on one row:
     # the derivative is inf there, and the zero edge into that hidden node
     # makes the chain NaN (inf * 0), which the gradient's sums skip
-    nan_chain = zeroed.copy()
-    h = _ref_forward(nan_chain, X)[1][:, 1]
-    nan_chain.fits[1][1][0] = EdgeFit("sqrt", 1.0, -float(h.min()),
-                                      1.0, 0.0, 1.0)
-    return {"trained": sym.copy(), "pruned": pruned, "zeroed": zeroed,
+    h = _ref_forward(zeroed, X)[1][:, 1]
+    nan_chain = _with_fits(zeroed, {(1, 1, 0): EdgeFit(
+        "sqrt", 1.0, -float(h.min()), 1.0, 0.0, 1.0)})
+    return {"trained": sym, "pruned": pruned, "zeroed": zeroed,
             "non-finite": broken, "nan-in-chain": nan_chain}
 
 
@@ -702,19 +733,22 @@ def test_one_pass_mse_and_grad_match_recompute_reference(ci_readout):
             assert mse == 1e30 and not grad.any()
         else:
             assert mse < 1e30 and grad.any()
-        # at the read-out's parameters, then away from them
-        for theta in (symbolic._flatten(sym),
-                      symbolic._flatten(sym) * 1.01 + 0.003):
-            symbolic._unflatten(sym, theta)
-            mse, grad = symbolic._mse_and_grad(sym, X, y)
-            ref_mse, ref_grad = _ref_mse_and_grad(sym, X, y)
+        # at the read-out's parameters, then away from them; the
+        # optimizer's vector gives what a net holding it gives
+        for theta in (sym.theta, sym.theta * 1.01 + 0.003):
+            moved = sym.with_theta(theta)
+            mse, grad = symbolic._mse_and_grad(moved, X, y)
+            ref_mse, ref_grad = _ref_mse_and_grad(moved, X, y)
             assert np.float64(mse).tobytes() == \
                 np.float64(ref_mse).tobytes(), label
             assert grad.dtype == ref_grad.dtype, label
             assert grad.tobytes() == ref_grad.tobytes(), label
-            hs = symbolic._forward(sym, X)[0]
+            assert [np.float64(mse).tobytes(), grad.tobytes()] == [
+                np.float64(v).tobytes() for v in
+                symbolic._mse_and_grad(sym, X, y, theta)], label
+            hs = symbolic._forward(moved, X)[0]
             assert [h.tobytes() for h in hs] == \
-                [h.tobytes() for h in _ref_forward(sym, X)], label
+                [h.tobytes() for h in _ref_forward(moved, X)], label
 
 
 def test_deep_mse_and_grad_match_recompute_reference(ci_readout):
@@ -734,51 +768,51 @@ def test_deep_mse_and_grad_match_recompute_reference(ci_readout):
     # the pruned edge must still add nothing
     masks[1][2, 0] = False
     plain = SymbolicKan(shape, fits, masks)
-    chain = plain.copy()
-    h = _ref_forward(chain, X)[2][:, 0]
-    chain.fits[2][0][0] = EdgeFit("sqrt", 1.0, -float(h.min()), 0.8, 0.1,
-                                  1.0)
+    h = _ref_forward(plain, X)[2][:, 0]
+    chain = _with_fits(plain, {(2, 0, 0): EdgeFit(
+        "sqrt", 1.0, -float(h.min()), 0.8, 0.1, 1.0)})
     for sym in (plain, chain):
         mse, grad = symbolic._mse_and_grad(sym, X, y)
         assert mse < 1e30 and np.isinf(grad).any() == (sym is chain)
-        for point in (symbolic._flatten(sym), symbolic._flatten(sym) * 0.97):
-            symbolic._unflatten(sym, point)
-            mse, grad = symbolic._mse_and_grad(sym, X, y)
-            ref_mse, ref_grad = _ref_mse_and_grad(sym, X, y)
+        for point in (sym.theta, sym.theta * 0.97):
+            moved = sym.with_theta(point)
+            mse, grad = symbolic._mse_and_grad(moved, X, y)
+            ref_mse, ref_grad = _ref_mse_and_grad(moved, X, y)
             assert np.float64(mse).tobytes() == \
                 np.float64(ref_mse).tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
-            assert [h.tobytes() for h in symbolic._forward(sym, X)[0]] == \
-                [h.tobytes() for h in _ref_forward(sym, X)]
+            assert [h.tobytes() for h in symbolic._forward(moved, X)[0]] == \
+                [h.tobytes() for h in _ref_forward(moved, X)]
 
 
 def test_one_pass_polish_matches_recompute_reference(ci_readout):
     _, X, y = ci_readout
     for label, sym in _reference_nets(ci_readout).items():
-        polished, ref = sym.copy(), sym.copy()
-        symbolic._polish_last_layer(polished, X, y)
-        _ref_polish_last_layer(ref, X, y)
+        polished = symbolic._polish_last_layer(sym, X, y)
+        ref = _ref_polish_last_layer(sym, X, y)
         assert _fit_bytes(polished) == _fit_bytes(ref), label
         # a non-finite output column leaves the net as it was
         unchanged = _fit_bytes(polished) == _fit_bytes(sym)
         assert unchanged == (label == "non-finite"), label
+        assert (polished is sym) == unchanged, label
 
 
 def test_retrain_affine_matches_recompute_reference(ci_readout, monkeypatch):
     _, X, y = ci_readout
+    monkeypatch.setattr(symbolic, "_RETRAIN_STEPS", 60)
     for label in ("trained", "zeroed"):
         sym = _reference_nets(ci_readout)[label]
-        got, got_mse = retrain_affine(sym, X, y, steps=60)
+        got, got_mse = retrain_affine(sym, X, y)
         with monkeypatch.context() as m:
             # the objective reads its parameters from the vector the
             # optimizer hands it; the reference reads them from the net
             m.setattr(symbolic, "_mse_and_grad",
                       lambda sym, X, y, theta: _ref_mse_and_grad(
-                          _unflattened(sym, theta), X, y))
+                          sym.with_theta(theta), X, y))
             m.setattr(symbolic, "_polish_last_layer", _ref_polish_last_layer)
-            m.setattr(SymbolicKan, "forward",
-                      lambda self, X: _ref_forward(self, X)[-1])
-            want, want_mse = retrain_affine(sym, X, y, steps=60)
+            m.setattr(SymbolicKan, "predict",
+                      lambda self, X: _ref_forward(self, X)[-1][:, 0])
+            want, want_mse = retrain_affine(sym, X, y)
         assert _fit_bytes(got) == _fit_bytes(want), label
         assert np.float64(got_mse).tobytes() == \
             np.float64(want_mse).tobytes(), label

@@ -16,7 +16,8 @@ digest is stored.  The golden set covers every engine path: synthetic
 data, the three DSR policies with constant fits in worker processes and,
 pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
 three seeds with the read-out's edge fits in worker processes, and on
-seed 0 pinned to one CPU, in-process; a pruned KAN run; a KAN run on ABG
+seed 0 pinned to one CPU, in-process; a KAN run with two hidden layers
+(three layers of edges); a pruned KAN run; a KAN run on ABG
 data whose formula is non-finite on test rows (NaN test metrics);
 ``eval`` of a DSR expression, of a KAN expression and of a checkpoint,
 over 10 Monte-Carlo runs and in a single shot; the ingest of a CSV
@@ -55,6 +56,9 @@ for _name, _prefix, _seed in (("kan-0", [], 0), ("kan-0-one-cpu", _PIN, 0),
                    ["train-kan", *_DATA, "--model", "ci", "--seed", str(_seed),
                     "--out", f"runs/{_name}"]))
 GOLDEN += [
+    # three layers of edges, each a (d_in, d_out, 4) block of one vector
+    ("kan-deep", [], ["train-kan", *_DATA, "--model", "ci", "--shape",
+                      "4,3,2,1", "--seed", "5", "--out", "runs/kan-deep"]),
     # pruned edges: zero shapes between the fitted ones
     ("kan-3-prune", [], ["train-kan", *_DATA, "--model", "ci", "--seed", "3",
                          "--prune", "0.1", "--out", "runs/kan-3-prune"]),
