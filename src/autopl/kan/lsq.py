@@ -17,6 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from autopl.kan import scipy_kernels
+
 _EPS = np.finfo(float).eps
 _TOL = 1e-8  # ftol, xtol and gtol
 
@@ -113,9 +115,6 @@ def least_squares(fun: Callable[[np.ndarray], np.ndarray],
     all zero.  Residuals and Jacobians must be finite: like scipy, this
     raises ValueError when the residuals at x0 are not, and
     `numpy.linalg.LinAlgError` when an SVD does not converge."""
-    # loaded here: only train-kan needs scipy
-    from scipy.linalg import get_lapack_funcs
-
     x = np.atleast_1d(x0).astype(float)
     f = fun(x)
     if not np.all(np.isfinite(f)):
@@ -125,8 +124,7 @@ def least_squares(fun: Callable[[np.ndarray], np.ndarray],
     m, n = J.shape
     # scipy.linalg.svd(J, full_matrices=False): LAPACK gesdd with the
     # workspace size its query returns, called directly
-    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (J,),
-                                          ilp64="preferred")
+    gesdd, gesdd_lwork = scipy_kernels.gesdd()
     lwork = int(gesdd_lwork(m, n, compute_uv=True,
                             full_matrices=False)[0].real)
     cost = 0.5 * np.dot(f, f)

@@ -37,6 +37,7 @@ from autopl.expr.tokens import Token
 from autopl.expr.tree import ExpressionTree
 from autopl.kan import lsq
 from autopl.kan.network import KanNetwork
+from autopl.kan.scipy_kernels import minimize_lbfgsb
 
 _LN10 = float(np.log(10.0))
 
@@ -523,13 +524,10 @@ def retrain_affine(sym: SymbolicKan, X: np.ndarray,
 
     best, best_mse = sym, mse_of(sym)
 
-    from scipy import optimize
-
-    res = optimize.minimize(lambda theta: _mse_and_grad(sym, X, y, theta),
-                            sym.theta, jac=True, method="L-BFGS-B",
-                            options={"maxiter": _RETRAIN_STEPS,
-                                     "ftol": 1e-14})
-    work = sym.with_theta(res.x)
+    theta, _ = minimize_lbfgsb(
+        lambda theta: _mse_and_grad(sym, X, y, theta), sym.theta,
+        maxiter=_RETRAIN_STEPS, ftol=1e-14)
+    work = sym.with_theta(theta)
     work_mse = mse_of(work)
     if work_mse < best_mse:
         best, best_mse = work, work_mse

@@ -13,6 +13,7 @@ import numpy as np
 
 from autopl.errors import TrainingError
 from autopl.kan.network import KanNetwork
+from autopl.kan.scipy_kernels import minimize_lbfgsb
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,10 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
         history.append({"step": len(history) + 1, "mse": mse * sigma ** 2,
                         "reg": reg, "loss": mse + reg})
 
-    from scipy import optimize  # loaded here: only train-kan needs scipy
-
-    res = optimize.minimize(objective, net.get_params(), jac=True,
-                            method="L-BFGS-B", callback=record,
-                            options={"maxiter": cfg.steps,
-                                     "maxcor": 20, "ftol": 1e-14,
-                                     "gtol": 1e-12})
-    net.set_params(res.x)
+    theta, fun = minimize_lbfgsb(objective, net.get_params(),
+                                 maxiter=cfg.steps, maxcor=20, ftol=1e-14,
+                                 gtol=1e-12, callback=record)
+    net.set_params(theta)
     # fold mean and scale back so predictions are in original units
     _scale_output(net, sigma)
     _shift_output(net, mu)
@@ -133,8 +130,8 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
     if not np.isfinite(final_mse):
         raise TrainingError("training diverged to a non-finite loss")
     history.append({"step": len(history) + 1, "mse": final_mse,
-                    "reg": float(res.fun) - final_mse / sigma ** 2,
-                    "loss": float(res.fun)})
+                    "reg": float(fun) - final_mse / sigma ** 2,
+                    "loss": float(fun)})
     return TrainResult(net=net, history=history, final_mse=final_mse)
 
 
