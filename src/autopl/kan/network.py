@@ -91,22 +91,14 @@ class KanLayer:
         return {"X": X, "xc": xc, "s": silu(xc), "lower": lower,
                 "b": flat.reshape(n, d_in, self.basis.n_basis)}
 
-    def forward(self, X: np.ndarray, want_cache: bool = False,
-                prepared: dict | None = None):
-        """Node outputs (N, d_out); optionally the cache for backprop.
-
-        `prepared` is `prepare(X)`, passed by callers that run the same
-        input through many parameter settings.
-        """
-        p = self.prepare(X) if prepared is None else prepared
-        s, b = p["s"], p["b"]
+    def forward(self, prepared: dict):
+        """Node outputs (N, d_out) and the cache for backprop, from
+        `prepare(X)` of the layer input X."""
+        s, b = prepared["s"], prepared["b"]
         spl = np.einsum("nim,ijm->nij", b, self.coeffs)
         edge = self.prune_mask * (self.w_base * s[:, :, None]
                                   + self.w_spline * spl)
-        out = edge.sum(axis=1)
-        if not want_cache:
-            return out
-        return out, {**p, "spl": spl, "edge": edge}
+        return edge.sum(axis=1), {**prepared, "spl": spl, "edge": edge}
 
     def backward(self, cache: dict, d_out: np.ndarray,
                  d_edge_extra: np.ndarray | None = None,
@@ -115,8 +107,9 @@ class KanLayer:
 
         d_out is dL/d(node outputs), d_edge_extra an optional direct
         dL/d(edge output) term (used by the edge-sparsity penalty).
-        Returns (grads dict, dL/dX of the layer input); the latter is
-        None when `input_grad` is false.
+        Returns the gradients in w_base, w_spline and coeffs, in that
+        order, and dL/dX of the layer input, which is None when
+        `input_grad` is false.
         """
         xc, s, b, spl = cache["xc"], cache["s"], cache["b"], cache["spl"]
         d_edge = np.broadcast_to(d_out[:, None, :],
@@ -127,7 +120,7 @@ class KanLayer:
         g_wb = np.einsum("nij,ni->ij", d_edge, s)
         g_ws = np.einsum("nij,nij->ij", d_edge, spl)
         g_c = np.einsum("nij,nim->ijm", d_edge * self.w_spline, b)
-        grads = {"w_base": g_wb, "w_spline": g_ws, "coeffs": g_c}
+        grads = (g_wb, g_ws, g_c)
         if not input_grad:
             return grads, None
         # input gradient: through the base path and the spline path;
@@ -141,18 +134,20 @@ class KanLayer:
         d_x = d_xc * inside
         return grads, d_x
 
-    def copy(self) -> "KanLayer":
-        return KanLayer(self.basis, self.w_base.copy(), self.w_spline.copy(),
-                        self.coeffs.copy(), self.prune_mask.copy())
-
 
 class KanNetwork:
     """Spline layers behind a per-input divisor, `input_scale` (all ones
-    unless given)."""
+    unless given).
+
+    The network owns its parameters as one float64 vector `theta`, laid
+    out by layer as w_base, w_spline, coeffs; each layer's three arrays
+    are views of it.  The constructor copies the given layers' arrays
+    and prune masks, so a network never shares storage with the layers
+    it was built from or with its copies.
+    """
 
     def __init__(self, layers: Sequence[KanLayer], config: KanConfig,
                  input_scale: Sequence[float] | None = None):
-        self.layers = list(layers)
         self.config = config
         widths = [layers[0].d_in] + [l.d_out for l in layers]
         if tuple(widths) != config.shape:
@@ -166,19 +161,31 @@ class KanNetwork:
             raise ValueError("input_scale needs one finite positive "
                              "divisor per input")
         self.input_scale = s
+        arrays = [a for l in layers for a in (l.w_base, l.w_spline, l.coeffs)]
+        self._shapes = [a.shape for a in arrays]
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        self.layers = [KanLayer(l.basis, *views, l.prune_mask.copy())
+                       for l, views in zip(layers, self.split(self.theta))]
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.config.shape
+
+    def split(self, theta: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Each layer's (w_base, w_spline, coeffs) views of a vector laid
+        out as `theta`."""
+        ends = np.cumsum([np.prod(shape) for shape in self._shapes])[:-1]
+        parts = [part.reshape(shape)
+                 for part, shape in zip(np.split(theta, ends), self._shapes)]
+        return list(zip(parts[0::3], parts[1::3], parts[2::3]))
 
     def prepare(self, X: np.ndarray) -> dict:
         """`layers[0].prepare` of X divided by the input scale: the only
         place the network scales its input."""
         return self.layers[0].prepare(X / self.input_scale)
 
-    def forward(self, X: np.ndarray, want_caches: bool = False,
-                first: dict | None = None):
-        """Output (N, d_out); optionally every layer's cache.
+    def forward(self, X: np.ndarray, first: dict | None = None):
+        """Output (N, d_out) and every layer's cache.
 
         `first` is `prepare(X)`, for callers that evaluate the same input
         under many parameter settings.
@@ -186,44 +193,32 @@ class KanNetwork:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.shape[0]:
             raise ValueError(f"expected (n, {self.shape[0]}) input")
-        caches = []
-        h = X
         prepared = self.prepare(X) if first is None else first
+        caches = []
         for layer in self.layers:
-            if want_caches:
-                h, cache = layer.forward(h, True, prepared)
-                caches.append(cache)
-            else:
-                h = layer.forward(h, False, prepared)
-            prepared = None
-        return (h, caches) if want_caches else h
+            if caches:
+                prepared = layer.prepare(h)
+            h, cache = layer.forward(prepared)
+            caches.append(cache)
+        return h, caches
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = self.forward(X)
+        out, _ = self.forward(X)
         if out.shape[1] != 1:
             raise ValueError("predict needs a single output node")
         return out[:, 0]
 
     def copy(self) -> "KanNetwork":
-        return KanNetwork([l.copy() for l in self.layers], self.config,
-                          self.input_scale)
+        return KanNetwork(self.layers, self.config, self.input_scale)
 
-    # flat parameter vector helpers for whole-network optimizers
+    # the flat parameter vector, for whole-network optimizers
     def get_params(self) -> np.ndarray:
-        parts = []
-        for l in self.layers:
-            parts += [l.w_base.ravel(), l.w_spline.ravel(), l.coeffs.ravel()]
-        return np.concatenate(parts)
+        return self.theta.copy()
 
     def set_params(self, theta: np.ndarray) -> None:
-        pos = 0
-        for l in self.layers:
-            for arr in (l.w_base, l.w_spline, l.coeffs):
-                n = arr.size
-                arr[...] = theta[pos:pos + n].reshape(arr.shape)
-                pos += n
-        if pos != theta.size:
+        if np.shape(theta) != self.theta.shape:
             raise ValueError("parameter vector length mismatch")
+        self.theta[...] = theta
 
 
 def build_network(config: KanConfig,

@@ -368,7 +368,7 @@ def auto_symbolic(net: KanNetwork, X: np.ndarray) -> SymbolicKan:
     every available CPU; pruned edges become zero shapes.
     """
     X = np.asarray(X, dtype=float)
-    _, caches = net.forward(X, want_caches=True)
+    _, caches = net.forward(X)
     if X.shape[0] > _READOUT_ROWS:
         pick = np.linspace(0, X.shape[0] - 1, _READOUT_ROWS).astype(int)
         # keep every layer input's extreme rows: a shape fitted without

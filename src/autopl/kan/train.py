@@ -25,28 +25,26 @@ class TrainResult:
 
 def _loss_and_grad(net: KanNetwork, X: np.ndarray, y2d: np.ndarray,
                    lamb: float, first: dict | None = None):
-    """Loss, flat gradient, MSE and penalty; `first` is
-    `net.prepare(X)` when the caller has it."""
-    out, caches = net.forward(X, want_caches=True, first=first)
+    """Loss, gradient (laid out as `net.theta`), MSE and penalty;
+    `first` is `net.prepare(X)` when the caller has it."""
+    out, caches = net.forward(X, first)
     n = X.shape[0]
     resid = out - y2d
     mse = float(np.mean(resid ** 2))
     d_y = (2.0 / resid.size) * resid
     reg = 0.0
-    grads = [None] * len(net.layers)
+    grad = np.empty_like(net.theta)
+    views = net.split(grad)
     for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
         edge = caches[li]["edge"]
         extra = None
         if lamb > 0.0:
             reg += lamb * float(np.abs(edge).mean(axis=0).sum())
             extra = (lamb / n) * np.sign(edge)
-        grads[li], d_y = layer.backward(caches[li], d_y, extra, li > 0)
-    flat = np.concatenate([np.concatenate([g["w_base"].ravel(),
-                                           g["w_spline"].ravel(),
-                                           g["coeffs"].ravel()])
-                           for g in grads])
-    return mse + reg, flat, mse, reg
+        grads, d_y = net.layers[li].backward(caches[li], d_y, extra, li > 0)
+        for view, g in zip(views[li], grads):
+            view[...] = g
+    return mse + reg, grad, mse, reg
 
 
 def _shift_output(net: KanNetwork, offset: float) -> None:
@@ -137,7 +135,7 @@ def train(net: KanNetwork, X: np.ndarray, y: np.ndarray) -> TrainResult:
 
 def edge_importance(net: KanNetwork, X: np.ndarray) -> list[np.ndarray]:
     """Mean |edge output| per edge, scaled to [0, 1] within each layer."""
-    _, caches = net.forward(np.asarray(X, dtype=float), want_caches=True)
+    _, caches = net.forward(X)
     scores = []
     for layer, cache in zip(net.layers, caches):
         imp = np.abs(cache["edge"]).mean(axis=0) * layer.prune_mask

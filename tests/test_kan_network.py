@@ -18,7 +18,7 @@ from autopl.kan import (
     save_kan,
     train,
 )
-from autopl.kan.network import silu, silu_prime
+from autopl.kan.network import KanNetwork, silu, silu_prime
 from bspline_reference import full_derivative, full_orders
 from autopl.kan.train import (
     _loss_and_grad,
@@ -35,13 +35,13 @@ def _toy_net(shape=(2, 3, 1), seed=0, steps=60, **kw):
 def test_forward_shapes_and_determinism():
     net = _toy_net()
     X = np.random.default_rng(0).uniform(-1, 1, (13, 2))
-    out = net.forward(X)
+    out = net.forward(X)[0]
     assert out.shape == (13, 1)
-    assert np.array_equal(out, net.forward(X))
+    assert np.array_equal(out, net.forward(X)[0])
     net2 = _toy_net(seed=0)
-    assert np.array_equal(out, net2.forward(X))
+    assert np.array_equal(out, net2.forward(X)[0])
     net3 = _toy_net(seed=1)
-    assert not np.array_equal(out, net3.forward(X))
+    assert not np.array_equal(out, net3.forward(X)[0])
 
 
 def test_forward_rejects_wrong_width():
@@ -53,8 +53,8 @@ def test_forward_rejects_wrong_width():
 def test_inputs_clamped_to_spline_interval():
     net = _toy_net()
     lo, hi = net.layers[0].basis.lo, net.layers[0].basis.hi
-    inside = net.forward(np.array([[hi, lo]]))
-    beyond = net.forward(np.array([[hi + 50.0, lo - 50.0]]))
+    inside = net.predict(np.array([[hi, lo]]))
+    beyond = net.predict(np.array([[hi + 50.0, lo - 50.0]]))
     assert np.allclose(inside, beyond)
 
 
@@ -64,9 +64,49 @@ def test_param_vector_round_trip():
     net2 = _toy_net(seed=7)
     net2.set_params(theta)
     X = np.random.default_rng(1).uniform(-1, 1, (9, 2))
-    assert np.array_equal(net.forward(X), net2.forward(X))
+    assert np.array_equal(net.predict(X), net2.predict(X))
     with pytest.raises(ValueError):
         net.set_params(theta[:-1])
+
+
+def test_params_are_one_vector_the_network_owns():
+    X = np.random.default_rng(1).uniform(-1, 1, (9, 2))
+    given = _toy_net(shape=(2, 3, 2, 1))
+    net = KanNetwork(given.layers, given.config)
+    # the layout: per layer, w_base, then w_spline, then coeffs
+    theta = net.get_params()
+    arrays = [a for l in net.layers for a in (l.w_base, l.w_spline, l.coeffs)]
+    assert theta.tobytes() == np.concatenate([a.ravel()
+                                              for a in arrays]).tobytes()
+    # an in-place write into a layer's array is a write into the vector
+    net.layers[1].coeffs[0, 1, 2] = 5.0
+    assert net.split(net.get_params())[1][2][0, 1, 2] == 5.0
+    # set_params shows in every layer's arrays; get_params is a copy
+    new = np.arange(theta.size, dtype=float)
+    net.set_params(new)
+    for layer, views in zip(net.layers, net.split(new)):
+        for arr, view in zip((layer.w_base, layer.w_spline, layer.coeffs),
+                             views):
+            assert arr.tobytes() == view.tobytes()
+    net.get_params()[:] = -1.0
+    assert net.get_params().tobytes() == new.tobytes()
+    # no storage shared with the layers it was built from, or its copies
+    out = net.predict(X)
+    for other in (given, net.copy()):
+        for layer in other.layers:
+            for arr in (layer.w_base, layer.w_spline, layer.coeffs):
+                arr[...] = 9.0
+            layer.prune_mask[...] = False
+        assert net.get_params().tobytes() == new.tobytes()
+        assert all(layer.prune_mask.all() for layer in net.layers)
+        assert net.predict(X).tobytes() == out.tobytes()
+    for bad in (new[:-1], np.append(new, 0.0)):
+        with pytest.raises(ValueError):
+            net.set_params(bad)
+    # one forward path: every layer's cache, and predict reads its output
+    out2d, caches = net.forward(X)
+    assert len(caches) == len(net.layers)
+    assert net.predict(X).tobytes() == out2d[:, 0].tobytes()
 
 
 def test_gradients_match_finite_differences():
@@ -181,8 +221,8 @@ def test_train_evaluates_loss_once_per_point(monkeypatch):
 
 
 def _reference_layer_forward(layer, X):
-    """KanLayer.forward without a prepared input: every call clamps X and
-    runs the whole recursion."""
+    """KanLayer.forward of KanLayer.prepare(X), with X clamped and the
+    whole recursion run on every call."""
     X = np.asarray(X, dtype=float)
     xc = np.clip(X, layer.basis.lo, layer.basis.hi)
     n, d_in = xc.shape
@@ -353,7 +393,7 @@ def test_prune_masks_weak_edges():
     assert pruned.layers[0].prune_mask.sum() < net.layers[0].prune_mask.sum()
     # original is untouched, pruned edges output exactly zero
     assert net.layers[0].prune_mask.all()
-    _, caches = pruned.forward(X, want_caches=True)
+    _, caches = pruned.forward(X)
     dead = ~pruned.layers[0].prune_mask
     assert np.all(caches[0]["edge"][:, dead] == 0.0)
     # prediction quality survives pruning of irrelevant edges

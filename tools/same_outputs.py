@@ -17,13 +17,15 @@ data, the three DSR policies with constant fits in worker processes and,
 pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
 three seeds with the read-out's edge fits in worker processes, and on
 seed 0 pinned to one CPU, in-process; a KAN run with two hidden layers
-(three layers of edges); a pruned KAN run; a KAN run on ABG
-data whose formula is non-finite on test rows (NaN test metrics);
-``eval`` of a DSR expression, of a KAN expression and of a checkpoint,
-over 10 Monte-Carlo runs and in a single shot; the ingest of a CSV
-(``gen-data --input``); and a ``report`` over a KAN, a DSR and an eval
-run.  At seed 3 each DSR policy improves on its first batch's best
-formula, so the search past the first batch is covered.
+(three layers of edges); a pruned KAN run; a KAN run without the
+symbolic read-out (``--no-symbolic``); a KAN run on ABG data whose
+formula is non-finite on test rows (NaN test metrics); ``eval`` of a DSR
+expression, of a KAN expression and of a checkpoint, over 10
+Monte-Carlo runs and in a single shot, and of the pruned run's
+checkpoint over 3 runs; the ingest of a CSV (``gen-data --input``); and
+a ``report`` over a KAN, a DSR and an eval run.  At seed 3 each DSR
+policy improves on its first batch's best formula, so the search past
+the first batch is covered.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ GOLDEN += [
     # pruned edges: zero shapes between the fitted ones
     ("kan-3-prune", [], ["train-kan", *_DATA, "--model", "ci", "--seed", "3",
                          "--prune", "0.1", "--out", "runs/kan-3-prune"]),
+    # the spline network alone: training, pruning scores, checkpoint
+    ("kan-4-no-symbolic", [], ["train-kan", *_DATA, "--model", "ci",
+                               "--seed", "4", "--no-symbolic",
+                               "--out", "runs/kan-4-no-symbolic"]),
     # NaN test metrics: the non-finite branches of retraining and polish
     ("kan-abg-0", [], ["train-kan", "--data", "data-abg/dataset.csv",
                        "--model", "abg", "--seed", "0",
@@ -78,6 +84,10 @@ GOLDEN += [
     ("eval-checkpoint-once", [], ["eval", *_DATA, "--checkpoint",
                                   "runs/kan-0/kan.npz", "--runs", "1",
                                   "--out", "runs/eval-checkpoint-once"]),
+    # a pruned network's predictions through a loaded checkpoint
+    ("eval-checkpoint-prune", [], ["eval", *_DATA, "--checkpoint",
+                                   "runs/kan-3-prune/kan.npz", "--runs", "3",
+                                   "--out", "runs/eval-checkpoint-prune"]),
     ("ingest", [], ["gen-data", "--input", "data/dataset.csv", "--target",
                     "pl_db", "--out", "runs/ingest"]),
     ("report", [], ["report", "--runs", "runs/kan-0", "runs/dsr-rspg",
