@@ -5,8 +5,7 @@ whose children are all constants, a ban on directly nested inverse
 unaries, a ban on nested trig functions, and per-token repeat rules.
 Minimum repeats are soft (scored by `repeat_penalty`); every other rule
 is enforced as a hard mask over the next-token distribution.  The masks
-are computed by `PrefixBatch` for a whole batch of prefixes at once;
-`PrefixState` is one prefix kept as a one-row batch.
+are computed by `PrefixBatch` for a whole batch of prefixes at once.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ class ConstraintSet:
     def __post_init__(self):
         if not 1 <= self.min_length <= self.max_length:
             raise ValueError("need 1 <= min_length <= max_length")
-
-
-_ROW = np.zeros(1, dtype=np.intp)  # the only row of a one-row batch
 
 
 class PrefixBatch:
@@ -191,87 +187,8 @@ class PrefixBatch:
         return out
 
 
-def _one_row(vocab: Vocabulary, tokens: Sequence[Token]) -> PrefixBatch:
-    row = PrefixBatch(vocab, 1, max(2 * len(tokens), 16))
-    for t in tokens:
-        row.push(_ROW, np.array([vocab.index[t.name]]))
-    return row
-
-
-class PrefixState:
-    """One partially sampled prefix sequence: a one-row `PrefixBatch`.
-
-    Exposes the open operator frame (for parent/sibling conditioning),
-    the pending slot count, trig nesting depth and per-name token
-    counts.  The row is held over the vocabulary of the last `mask`
-    call (or the one given up front, which saves rebuilding the row on
-    the first call), and before that over a vocabulary of its own tokens.
-    """
-
-    def __init__(self, vocab: Vocabulary | None = None):
-        self.tokens: list[Token] = []
-        self._row = _one_row(vocab, ()) if vocab is not None else None
-
-    def _over(self, vocab: Vocabulary | None = None) -> PrefixBatch:
-        row = self._row
-        if row is None or (vocab is not None and vocab is not row.vocab):
-            if vocab is None:
-                vocab = Vocabulary(dict.fromkeys(self.tokens))
-            row = self._row = _one_row(vocab, self.tokens)
-        return row
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def slots(self) -> int:
-        return int(self._over().slots[0])
-
-    @property
-    def trig_depth(self) -> int:
-        row = self._over()
-        return int(row.trig[0, row.depth[0] - 1])
-
-    @property
-    def counts(self) -> Counter[str]:
-        row = self._over()
-        return Counter({row.vocab[j].name: int(row.counts[0, j])
-                        for j in np.flatnonzero(row.counts[0])})
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(self.tokens) and self.slots == 0
-
-    @property
-    def parent(self) -> Token | None:
-        return self._token(0)
-
-    @property
-    def sibling(self) -> Token | None:
-        # root token of the previous completed child under the open frame
-        return self._token(1)
-
-    def _token(self, which: int) -> Token | None:
-        row = self._over()
-        j = int(row.context()[which][0])
-        return row.vocab[j] if j < len(row.vocab) else None
-
-    def push(self, token: Token) -> None:
-        if self.is_complete:
-            raise ValueError("expression already complete")
-        self.tokens.append(token)
-        row = self._row
-        j = row.vocab.index.get(token.name) if row is not None else None
-        if j is None or row.length[0] == row.capacity:
-            self._row = None  # rebuilt from the tokens when next needed
-        else:
-            row.push(_ROW, np.array([j]))
-
-    def mask(self, cs: ConstraintSet, vocab: Vocabulary) -> np.ndarray:
-        """Boolean validity of each vocabulary token at the next position;
-        every token of the prefix must be in vocab."""
-        return self._over(vocab).mask(cs)[0]
+# perfbench's tracer times the grammar masks by this name (ROADMAP item 3)
+PrefixState = PrefixBatch
 
 
 _SOFT_REPEAT_WEIGHT = 0.5  # reward share lost per missing occurrence

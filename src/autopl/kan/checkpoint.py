@@ -19,7 +19,7 @@ from autopl.kan.bspline import BSplineBasis
 from autopl.kan.network import KanConfig, KanLayer, KanNetwork
 
 _FORMAT = "kan-checkpoint"
-_VERSION = 2  # version 1 had no input scale
+_VERSION = 2
 
 
 def save_kan(net: KanNetwork, path, feature_names=None) -> None:
@@ -54,9 +54,6 @@ def load_kan(path, feature_names=None) -> KanNetwork:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise CheckpointError(f"not a network checkpoint: {path}")
-    if doc.get("version") == 1:
-        raise CheckpointError(f"checkpoint {path} predates stored input "
-                              f"scaling (version 1); rerun train-kan")
     if doc.get("version") != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
     saved = doc.get("features")

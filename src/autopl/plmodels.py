@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -393,22 +392,16 @@ def write_csv(ds: Dataset, path) -> None:
             writer.writerow(["%.17g" % v for v in ds.X[i]] + ["%.17g" % ds.y[i]])
 
 
-def read_norm(path) -> dict[str, float]:
-    """The feature divisors a ``.norm.json`` sidecar records."""
-    try:
-        with open(path) as fh:
-            return {k: float(v) for k, v in json.load(fh).items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed norm file {path}: {exc}") from None
-
-
 def read_csv(path) -> Dataset:
     """Read a dataset written by `write_csv`, in original units.
 
     Earlier versions could store max-normalized columns with their
-    divisors in a ``.norm.json`` sidecar; such columns are multiplied
-    back here.
+    divisors in a ``.norm.json`` sidecar; such a dataset is refused.
     """
+    sidecar = str(path) + ".norm.json"
+    if os.path.exists(sidecar):
+        raise DataError(f"{path} has a normalized-units sidecar {sidecar} "
+                        f"from an earlier version; regenerate the dataset")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -426,15 +419,9 @@ def read_csv(path) -> Dataset:
     if not rows:
         raise DataError("dataset CSV has no rows")
     arr = np.asarray(rows, dtype=float)
-    names = tuple(header[:-1])
-    X = arr[:, :-1]
-    sidecar = str(path) + ".norm.json"
-    if os.path.exists(sidecar):
-        norm = read_norm(sidecar)
-        X = X * np.array([norm.get(n, 1.0) for n in names])
     return Dataset(
-        feature_names=names,
-        X=X,
+        feature_names=tuple(header[:-1]),
+        X=arr[:, :-1],
         y=arr[:, -1],
         provenance=f"file:{os.path.basename(str(path))}",
     )

@@ -318,42 +318,29 @@ def test_eval_checkpoint_raw_units(tmp_path):
     r2 = float(_read_metrics(out_raw / "metrics.csv")[0]["r2_mean"])
     assert r2 > 0.5
 
-    # a normalized CSV from an earlier version reads back in original
-    # units: the stored columns times the sidecar's divisors
-    legacy, scaled, div = _legacy_normalized_csv(tmp_path, data)
-    back = read_csv(legacy)
-    assert back.X.tobytes() == (scaled.X * div).tobytes()
-    assert back.y.tobytes() == scaled.y.tobytes()
 
-
-def test_kan_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
-    data = _gen(tmp_path, "ci", count=300)
+@pytest.mark.parametrize("command", [
+    ["train-kan", "--model", "ci", "--steps", "30"],
+    ["train-dsr", "--samples", "200", "--batch", "100", "--seed", "1"],
+    ["eval", "--expr-json", "expr.json"],
+], ids=["train-kan", "train-dsr", "eval"])
+def test_legacy_normalized_csv_is_refused(tmp_path, capsys, command,
+                                          monkeypatch):
+    # read as is, its columns would be in normalized units: no command
+    # takes it, each names the sidecar and leaves no run directory
+    monkeypatch.chdir(tmp_path)
+    data = _gen(tmp_path, "ci", count=60)
     legacy, *_ = _legacy_normalized_csv(tmp_path, data)
-    kan_out = tmp_path / "k"
-    assert main(["train-kan", "--data", str(legacy), "--model", "ci",
-                 "--steps", "30", "--out", str(kan_out)]) == 0
-    r2s = []
-    for csv_path in (legacy, data):
-        out = tmp_path / f"ev-{csv_path.stem}"
-        assert main(["eval", "--data", str(csv_path), "--expr-json",
-                     str(kan_out / "expression.json"), "--out", str(out)]) == 0
-        r2s.append(float(_read_metrics(out / "metrics.csv")[0]["r2_mean"]))
-    assert r2s[0] == pytest.approx(r2s[1], abs=1e-9)
-    assert r2s[1] > 0.5
-
-
-def test_dsr_formula_from_legacy_normalized_csv_is_in_original_units(tmp_path):
-    data = _gen(tmp_path, "ci", count=300)
-    legacy, *_ = _legacy_normalized_csv(tmp_path, data)
-    dsr_out = tmp_path / "d"
-    assert main(["train-dsr", "--data", str(legacy), "--samples", "200",
-                 "--batch", "100", "--seed", "1", "--out", str(dsr_out)]) == 0
-    out = tmp_path / "ev"
-    assert main(["eval", "--data", str(data), "--expr-json",
-                 str(dsr_out / "expression.json"), "--out", str(out)]) == 0
-    row = _read_metrics(out / "metrics.csv")[0]
-    assert all(np.isfinite(float(row[f"{m}_mean"]))
-               for m in ("mae", "mse", "mape", "r2"))
+    (tmp_path / "expr.json").write_text(
+        tree_to_json(ExpressionTree((Token.variable("f_hz", 0),))))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command[0], "--data", str(legacy), *command[1:],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"sidecar {legacy}.norm.json" in err
+    assert "regenerate the dataset" in err
+    assert not out.exists()
 
 
 def test_eval_expression_rejects_reordered_columns(tmp_path, capsys):
@@ -617,7 +604,7 @@ def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
                          ids=["dataset-invalid-json", "dataset-not-an-object",
                               "dataset-not-a-number"])
 def test_malformed_norm_sidecar_is_a_data_error(tmp_path, capsys, text):
-    # a dataset's sidecar from an earlier version, the one .norm.json read
+    # a dataset's sidecar from an earlier version is refused unread
     data = _gen(tmp_path, "ci", count=50)
     sidecar = f"{data}.norm.json"
     (tmp_path / "expr.json").write_text(
@@ -629,7 +616,8 @@ def test_malformed_norm_sidecar_is_a_data_error(tmp_path, capsys, text):
     rc = main(["eval", "--data", str(data), "--expr-json",
                str(tmp_path / "expr.json"), "--out", str(out)])
     assert rc == 2
-    assert f"malformed norm file {sidecar}" in capsys.readouterr().err
+    assert f"sidecar {sidecar} from an earlier version" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -669,9 +657,7 @@ def test_version_1_checkpoint_is_refused(tmp_path, capsys):
     out = tmp_path / "ev"
     assert main(["eval", "--data", str(data), "--checkpoint", str(old),
                  "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"checkpoint {old} predates stored input scaling" in err
-    assert "rerun train-kan" in err
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from autopl.expr.constraints import (
     ConstraintSet,
     PrefixBatch,
-    PrefixState,
     RepeatRule,
 )
 from autopl.expr.tokens import (
@@ -32,6 +31,7 @@ from autopl.dsr.policy import (
     surrogate_loss,
     teacher_forward,
 )
+from prefix_row import PrefixRow
 
 
 def _vocab():
@@ -128,9 +128,9 @@ def test_sampled_sequences_pass_independent_replay():
     cs = ConstraintSet()
     batch = sample_batch(pol, 300, cs, np.random.default_rng(3))
     for seq in batch.sequences:
-        state = PrefixState()
+        state = PrefixRow(vocab)
         for tok in seq.tokens:
-            mask = state.mask(cs, vocab)
+            mask = state.mask(cs)
             assert mask[vocab.index[tok.name]], seq.tokens
             state.push(tok)
         assert state.is_complete
@@ -256,13 +256,13 @@ def test_batched_masks_equal_valid_next_tokens_row_by_row(setup):
         masks = batch.mask(cs)
         parent, sibling = batch.context()
         for i, prefix in enumerate(prefixes):
-            state = PrefixState()
+            state = PrefixRow(vocab)
             for tok in prefix:
                 state.push(tok)
             assert [vocab[j] if j < len(vocab) else None
                     for j in (parent[i], sibling[i])] == \
                 [state.parent, state.sibling]
-            assert np.array_equal(masks[i], state.mask(cs, vocab))
+            assert np.array_equal(masks[i], state.mask(cs))
         rows = np.flatnonzero(masks.any(axis=1))
         if rows.size == 0:
             break
@@ -357,7 +357,7 @@ def _step_input(policy, state):
 def _reference_round(policy, m, cs, rng):
     # the sampling loop with log-prob and entropy summed row by row
     vocab = policy.vocab
-    states = [PrefixState() for _ in range(m)]
+    states = [PrefixRow(vocab) for _ in range(m)]
     h = np.zeros((m, policy.hidden_size))
     logp, ent_sum = np.zeros(m), np.zeros(m)
     done, dead = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
@@ -365,7 +365,7 @@ def _reference_round(policy, m, cs, rng):
         masks = np.zeros((m, policy.n_tokens), dtype=bool)
         x = np.zeros((m, policy.input_size))
         for i in np.flatnonzero(~done & ~dead):
-            mk = states[i].mask(cs, vocab)
+            mk = states[i].mask(cs)
             dead[i] = not mk.any()
             if mk.any():
                 masks[i] = mk
@@ -384,7 +384,7 @@ def _reference_round(policy, m, cs, rng):
             ent_sum[i] += float(_entropy_rows(probs[i]))
             states[i].push(vocab[a])
             done[i] = states[i].is_complete
-    return [(float(logp[i]), float(ent_sum[i] / states[i].length))
+    return [(float(logp[i]), float(ent_sum[i] / len(states[i].tokens)))
             for i in np.flatnonzero(done)]
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from autopl.expr.constraints import (
     ConstraintSet,
-    PrefixState,
     RepeatRule,
     repeat_penalty,
 )
 from autopl.expr.tokens import Token, Vocabulary
+from prefix_row import PrefixRow
 
 VOCAB = Vocabulary.default(["d", "f"])
 CS = ConstraintSet()
@@ -19,10 +19,10 @@ CS = ConstraintSet()
 
 def _valid_next_tokens(prefix, cs=CS, vocab=VOCAB):
     # the mask after a whole prefix, rebuilt from a fresh one-row state
-    state = PrefixState(vocab)
+    state = PrefixRow(vocab)
     for t in prefix:
         state.push(t)
-    return state.mask(cs, vocab)
+    return state.mask(cs)
 
 
 def _allowed(prefix, cs=CS, vocab=VOCAB):
@@ -139,7 +139,7 @@ def test_mask_empty_once_complete():
 
 
 def test_prefix_state_parent_and_sibling():
-    st = PrefixState()
+    st = PrefixRow(VOCAB)
     assert st.parent is None and st.sibling is None
     st.push(_tok("add"))
     assert st.parent.name == "add" and st.sibling is None
@@ -155,7 +155,7 @@ def test_prefix_state_parent_and_sibling():
 
 
 def test_sibling_is_subtree_root_not_last_token():
-    st = PrefixState()
+    st = PrefixRow(VOCAB)
     for name in ("add", "mul", "d", "f"):
         st.push(_tok(name))
     # first child of add is the whole (mul d f) subtree; its root is mul
@@ -166,10 +166,10 @@ def test_sibling_is_subtree_root_not_last_token():
 def test_incremental_state_matches_rebuilt_mask():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        st = PrefixState()
+        st = PrefixRow(VOCAB)
         prefix = []
         while not st.is_complete:
-            mask = st.mask(CS, VOCAB)
+            mask = st.mask(CS)
             choices = np.flatnonzero(mask)
             assert choices.size > 0  # default grammar has no dead ends
             tok = VOCAB[int(rng.choice(choices))]
@@ -254,9 +254,9 @@ def test_mask_matches_rule_by_rule_reference(cs):
                                                   "cos", "square", "sqrt"))
     rng = np.random.default_rng(11)
     for _ in range(60):
-        st = PrefixState()
+        st = PrefixRow(vocab)
         while not st.is_complete:
-            mask = st.mask(cs, vocab)
+            mask = st.mask(cs)
             assert np.array_equal(mask, _reference_mask(st.tokens, cs, vocab))
             slots, counts, trig_depth, stack = _walk(st.tokens)
             assert (st.slots, st.counts, st.trig_depth) == \
@@ -266,7 +266,7 @@ def test_mask_matches_rule_by_rule_reference(cs):
             if choices.size == 0:
                 break
             st.push(vocab[int(rng.choice(choices))])
-        assert np.array_equal(st.mask(cs, vocab),
+        assert np.array_equal(st.mask(cs),
                               _reference_mask(st.tokens, cs, vocab))
 
 
