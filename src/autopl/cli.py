@@ -23,7 +23,7 @@ from autopl import __version__, evalharness as eh, kan
 from autopl.dsr import TrainerConfig, train as dsr_train
 from autopl.errors import CheckpointError, DataError, DomainError, TrainingError
 from autopl.expr.constraints import ConstraintSet, RepeatRule
-from autopl.expr.tree import evaluate, to_infix, tree_from_json, tree_to_json
+from autopl.expr.tree import evaluate, tree_from_json, tree_to_json
 from autopl.plmodels import (
     SyntheticSpec,
     generate_synthetic,
@@ -70,23 +70,11 @@ DSR_PRESETS: dict[tuple[str, str], dict] = {
     ("outdoor", "vpg"): {"samples": 50000, "batch": 200, "lr": 0.0001, "entropy": 0.01},
 }
 
-_DSR_DEFAULTS = {"policy": "rspg", "samples": 10000, "batch": 200,
-                 "lr": 0.002, "entropy": 0.008, "epsilon": 0.05,
-                 "queue_k": 10, "alpha": 0.25, "min_len": 4, "max_len": 40}
-
-_DISTANCE_NAMES = frozenset({"d", "d_m", "d_km", "distance", "distance_m"})
-_FREQUENCY_NAMES = frozenset({"f", "f_hz", "f_ghz", "f_mhz", "frequency",
-                              "frequency_mhz"})
-
-
-def infer_roles(feature_names) -> dict[str, str]:
-    roles = {}
-    for name in feature_names:
-        if name.lower() in _DISTANCE_NAMES:
-            roles[name] = "distance"
-        elif name.lower() in _FREQUENCY_NAMES:
-            roles[name] = "frequency"
-    return roles
+# train-dsr's key for each TrainerConfig field, whose default it takes
+_DSR_FIELDS = {"policy": "policy_kind", "samples": "sample_budget",
+               "batch": "batch_size", "lr": "learning_rate",
+               "entropy": "entropy_weight", "epsilon": "epsilon",
+               "queue_k": "queue_k", "alpha": "ewma_alpha"}
 
 
 # plumbing -------------------------------------------------------------------
@@ -146,7 +134,8 @@ def _flag_value(key: str, value, flag: argparse.Action, default):
 
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """Flag > config file > default, per key."""
+    """Flag > config file > default, per key; a split outside (0, 1) or a
+    negative seed is a usage error."""
     unknown = sorted(set(file_cfg) - set(defaults))
     if unknown:
         raise UsageError(f"unknown config key(s) for {args.command}: "
@@ -161,6 +150,11 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
                                    default)
         else:
             out[key] = default
+    if "split" in out and not 0.0 < out["split"] < 1.0:  # NaN fails too
+        raise UsageError(f"--split must lie strictly between 0 and 1, "
+                         f"not {out['split']}")
+    if out.get("seed", 0) < 0:
+        raise UsageError(f"--seed must be non-negative, not {out['seed']}")
     return out
 
 
@@ -223,19 +217,6 @@ class _RunDir:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _validity_flag(tree, ds) -> str:
-    """Validity verdict over the feature ranges and medians."""
-    roles = infer_roles(ds.feature_names)
-    if not roles:
-        return ""
-    ranges = {}
-    medians = {}
-    for name, col in zip(ds.feature_names, ds.X.T):
-        ranges[name] = (float(col.min()), float(col.max()))
-        medians[name] = float(np.median(col))
-    return eh.check_validity(tree, roles, ranges, medians=medians).verdict
-
-
 # gen-data -------------------------------------------------------------------
 
 
@@ -243,8 +224,8 @@ def cmd_gen_data(args) -> int:
     run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     cfg = _resolve(args, file_cfg, {"model": None, "input": None,
-                                    "target": "pl_db", "count": 1000,
-                                    "seed": 0})
+                                    "target": "pl_db",
+                                    "count": SyntheticSpec.count, "seed": 0})
     if (cfg["model"] is None) == (cfg["input"] is None):
         raise UsageError("gen-data needs exactly one of --model or --input")
     notes = []
@@ -287,28 +268,23 @@ def _write_graph_csv(path, net, importance, sym=None) -> None:
         writer.writerow(["layer", "in_node", "out_node", "active",
                          "importance", "family", "r2"])
         for l, layer in enumerate(net.layers):
-            d_in, d_out = layer.prune_mask.shape
-            for i in range(d_in):
-                for j in range(d_out):
-                    family = ""
-                    fit_r2 = ""
-                    if sym is not None:
-                        fit = sym.fits[l][i][j]
-                        family = fit.name
-                        fit_r2 = f"{fit.r2:.6f}"
-                    writer.writerow([
-                        l, i, j, int(bool(layer.prune_mask[i, j])),
-                        f"{importance[l][i, j]:.6f}", family, fit_r2])
+            for i, j in np.ndindex(layer.prune_mask.shape):
+                family = fit_r2 = ""
+                if sym is not None:
+                    family = sym.families[l][i, j]
+                    fit_r2 = f"{sym.r2[l][i, j]:.6f}"
+                writer.writerow([l, i, j, int(bool(layer.prune_mask[i, j])),
+                                 f"{importance[l][i, j]:.6f}", family, fit_r2])
 
 
 def cmd_train_kan(args) -> int:
     run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     preset = KAN_PRESETS.get(args.model, {}) if args.model else {}
-    defaults = {"shape": preset.get("shape"), "grid": preset.get("grid", 5),
-                "steps": preset.get("steps", 100), "order": 3,
-                "lamb": preset.get("lamb", 0.0), "seed": 0, "split": 0.8,
-                "prune": None, "no_symbolic": False}
+    kc = kan.KanConfig  # its field defaults, under the preset's values
+    defaults = {"shape": None, "grid": kc.grid_size, "steps": kc.steps,
+                "order": kc.order, "lamb": kc.reg_lambda, **preset,
+                "seed": 0, "split": 0.8, "prune": None, "no_symbolic": False}
     cfg = _resolve(args, file_cfg, defaults)
     if cfg["shape"] is None:
         raise UsageError("train-kan needs --model or --shape")
@@ -347,12 +323,10 @@ def cmd_train_kan(args) -> int:
         sym, _ = kan.retrain_affine(sym, train_ds.X, train_ds.y)
         tree = kan.extract_expression(sym, ds.feature_names)
         pred_sym = sym.predict(test_ds.X)
-        infix = to_infix(tree)
-        rows.append(eh.single_row(
-            "kan-symbolic", eh.score(pred_sym, test_ds.y),
-            expression=infix, valid=_validity_flag(tree, ds)))
+        rows.append(eh.single_row("kan-symbolic", eh.score(pred_sym, test_ds.y),
+                                  **eh.formula_columns(tree, ds)))
         scatter.append((test_ds.y, pred_sym))
-        expressions = infix + "\n"
+        expressions = rows[-1]["expression"] + "\n"
         run.text("expression.json", tree_to_json(tree))
 
     eh.write_table_csv(run.path("history.csv"), result.history,
@@ -370,13 +344,16 @@ def cmd_train_kan(args) -> int:
 def cmd_train_dsr(args) -> int:
     run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
-    default = _DSR_DEFAULTS["policy"]
+    default = TrainerConfig.policy_kind
     policy = args.policy or _flag_value("policy",
                                         file_cfg.get("policy", default),
                                         args.flags["policy"], default)
     preset = DSR_PRESETS.get((args.model, policy), {}) if args.model else {}
-    defaults = dict(_DSR_DEFAULTS, **preset)
-    defaults.update({"policy": policy, "seed": 0, "split": 0.8})
+    defaults = {**{key: getattr(TrainerConfig, field)
+                   for key, field in _DSR_FIELDS.items()},
+                "min_len": ConstraintSet.min_length,
+                "max_len": ConstraintSet.max_length, **preset,
+                "policy": policy, "seed": 0, "split": 0.8}
     cfg = _resolve(args, file_cfg, defaults)
 
     run.input(args.data)
@@ -384,30 +361,24 @@ def cmd_train_dsr(args) -> int:
     seeds = _fan_out(cfg["seed"], 2)
     train_ds, test_ds = split(ds, cfg["split"], seeds[0])
 
-    roles = infer_roles(ds.feature_names)
+    roles = eh.infer_roles(ds.feature_names)
     rules = {name: RepeatRule(min_count=1) for name in roles}
     cs = ConstraintSet(min_length=cfg["min_len"], max_length=cfg["max_len"],
                        repeat_rules=rules)
-    tc = TrainerConfig(policy_kind=cfg["policy"], batch_size=cfg["batch"],
-                       learning_rate=cfg["lr"],
-                       entropy_weight=cfg["entropy"], epsilon=cfg["epsilon"],
-                       ewma_alpha=cfg["alpha"], queue_k=cfg["queue_k"],
-                       sample_budget=cfg["samples"], seed=seeds[1])
+    tc = TrainerConfig(**{field: cfg[key] for key, field in _DSR_FIELDS.items()},
+                       seed=seeds[1])
     result = dsr_train(tc, train_ds, cs)
 
-    history_rows = [dict(r, best_expression_infix=r.get("best_expression", ""))
-                    for r in result.history]
-    eh.write_table_csv(run.path("history.csv"), history_rows,
+    eh.write_table_csv(run.path("history.csv"), result.history,
                        ("step", "best_reward", "mean_reward",
                         "best_expression_infix"))
 
     tree = result.best_tree
-    infix = to_infix(tree)
     pred = evaluate(tree, test_ds.X)
     rows = [eh.single_row(f"dsr-{cfg['policy']}", eh.score(pred, test_ds.y),
-                          expression=infix, valid=_validity_flag(tree, ds))]
+                          **eh.formula_columns(tree, ds))]
     eh.write_scatter_csv(run.path("scatter.csv"), [(test_ds.y, pred)])
-    run.text("expressions.txt", infix + "\n")
+    run.text("expressions.txt", rows[0]["expression"] + "\n")
     run.text("expression.json", tree_to_json(tree))
     run.finish(cfg, cfg["seed"], rows,
                notes=[f"best reward {result.best_reward:.4f} after "
@@ -455,22 +426,20 @@ def cmd_eval(args) -> int:
         predictor = kan.load_kan(args.checkpoint, ds.feature_names).predict
         label = "checkpoint"
 
-    expression = to_infix(tree) if tree is not None else ""
-    valid = _validity_flag(tree, ds) if tree is not None else ""
+    formula = eh.formula_columns(tree, ds) if tree is not None else {}
     if runs > 1:
         report = eh.monte_carlo_eval(lambda _train: predictor, ds, runs=runs,
                                      train_fraction=cfg["split"],
                                      base_seed=cfg["seed"])
-        rows = [eh.metrics_row(label, report, expression=expression,
-                               valid=valid)]
+        rows = [eh.metrics_row(label, report, **formula)]
         scatter = list(report.predictions)
     else:
         pred = predictor(ds.X)
-        rows = [eh.single_row(label, eh.score(pred, ds.y),
-                              expression=expression, valid=valid)]
+        rows = [eh.single_row(label, eh.score(pred, ds.y), **formula)]
         scatter = [(ds.y, pred)]
 
     eh.write_scatter_csv(run.path("scatter.csv"), scatter)
+    valid = formula.get("valid")
     run.finish(cfg, cfg["seed"], rows,
                notes=[f"{label}: {valid}"] if valid else ())
     return 0
@@ -489,12 +458,6 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-# the columns the report table reads: the method, then every metric's
-# mean and std
-_REPORT_COLUMNS = ("method",) + tuple(f"{m}_{stat}" for m in eh.METRICS
-                                      for stat in ("mean", "std"))
-
-
 def cmd_report(args) -> int:
     run = _RunDir(args)
     rows = []
@@ -503,20 +466,7 @@ def cmd_report(args) -> int:
         if not os.path.exists(path):
             raise DataError(f"no metrics.csv under {run_dir}")
         run.input(path)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for key in _REPORT_COLUMNS:
-                if key not in (reader.fieldnames or ()):
-                    raise DataError(f"{path} has no {key!r} column")
-            for row in reader:
-                for key in _REPORT_COLUMNS[1:]:
-                    try:
-                        row[key] = float(row[key])
-                    except (TypeError, ValueError):
-                        raise DataError(
-                            f"{path}, line {reader.line_num}: column {key!r} "
-                            f"holds {row[key]!r}, not a number") from None
-                rows.append(row)
+        rows += eh.read_table_csv(path)
     run.finish({"runs": list(args.runs)}, None, rows)
     return 0
 

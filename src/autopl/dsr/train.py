@@ -292,7 +292,7 @@ def train(config: TrainerConfig, train_ds: Dataset,
             row = {"step": step, "samples": samples_used,
                    "best_reward": best_reward,
                    "mean_reward": float(np.mean(batch.rewards)),
-                   "best_expression": to_infix(best_tree)}
+                   "best_expression_infix": to_infix(best_tree)}
             if best_reward >= config.reward_threshold:
                 history.append(row)
                 break

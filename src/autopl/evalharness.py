@@ -1,5 +1,5 @@
-"""Accuracy metrics, Monte-Carlo evaluation, physical-validity checks,
-and analytical baseline tables."""
+"""Accuracy metrics, Monte-Carlo evaluation, feature roles and validity
+verdicts, baseline tables, and the metrics table: rows, CSV and text."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from autopl.errors import DataError, TrainingError
-from autopl.expr.tree import ExpressionTree, evaluate, structural_scan
+from autopl.expr.tree import ExpressionTree, evaluate, structural_scan, to_infix
 from autopl.plmodels import (
     Dataset,
     IndoorParams,
@@ -98,9 +98,6 @@ class MetricsReport:
     failure_reasons: tuple[str, ...] = ()
     predictions: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
-    def stats(self, name: str) -> MetricStats:
-        return getattr(self, name)
-
 
 def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]],
                      ds: Dataset, runs: int = 10, train_fraction: float = 0.8,
@@ -138,8 +135,7 @@ def monte_carlo_eval(fit: Callable[[Dataset], Callable[[np.ndarray], np.ndarray]
             f"run {failures[0]}: {reasons[0]}")
     stats = {m: MetricStats(float(np.mean(vs)), float(np.std(vs)), tuple(vs))
              for m, vs in per.items()}
-    return MetricsReport(stats["mae"], stats["mse"], stats["mape"],
-                         stats["r2"], n_runs=runs, failures=tuple(failures),
+    return MetricsReport(**stats, n_runs=runs, failures=tuple(failures),
                          failure_reasons=tuple(reasons),
                          predictions=tuple(predictions))
 
@@ -263,6 +259,41 @@ def check_validity(e: ExpressionTree, roles: Mapping[str, str],
                           frozenset(oscillatory), verdict, tuple(reasons))
 
 
+_DISTANCE_NAMES = frozenset({"d", "d_m", "d_km", "distance", "distance_m"})
+_FREQUENCY_NAMES = frozenset({"f", "f_hz", "f_ghz", "f_mhz", "frequency",
+                              "frequency_mhz"})
+
+
+def infer_roles(feature_names) -> dict[str, str]:
+    """The physical role, distance or frequency, of each feature whose
+    name declares one."""
+    roles = {}
+    for name in feature_names:
+        if name.lower() in _DISTANCE_NAMES:
+            roles[name] = "distance"
+        elif name.lower() in _FREQUENCY_NAMES:
+            roles[name] = "frequency"
+    return roles
+
+
+def verdict(e: ExpressionTree, ds: Dataset) -> str:
+    """check_validity's verdict with the roles ds's feature names declare,
+    over ds's feature ranges and medians; "" when no feature has a role."""
+    roles = infer_roles(ds.feature_names)
+    if not roles:
+        return ""
+    cols = dict(zip(ds.feature_names, ds.X.T))
+    ranges = {n: (float(c.min()), float(c.max())) for n, c in cols.items()}
+    medians = {n: float(np.median(c)) for n, c in cols.items()}
+    return check_validity(e, roles, ranges, medians=medians).verdict
+
+
+def formula_columns(e: ExpressionTree, ds: Dataset) -> dict[str, str]:
+    """A formula's columns in the metrics table: its infix form and its
+    verdict on ds."""
+    return {"expression": to_infix(e), "valid": verdict(e, ds)}
+
+
 # ---------------------------------------------------------------------------
 # analytical baselines
 
@@ -302,12 +333,13 @@ def baseline_table(ds: Dataset, which: str) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# the metrics table
 
 
-_TABLE_FIELDS = ("method", "mae_mean", "mae_std", "mse_mean", "mse_std",
-                 "mape_mean", "mape_std", "r2_mean", "r2_std",
-                 "expression", "valid")
+# every metric's mean and std, between the method and the formula columns
+_METRIC_FIELDS = tuple(f"{m}_{stat}" for m in METRICS
+                       for stat in ("mean", "std"))
+_TABLE_FIELDS = ("method", *_METRIC_FIELDS, "expression", "valid")
 
 
 def metrics_row(method: str, report: MetricsReport, expression: str = "",
@@ -315,7 +347,7 @@ def metrics_row(method: str, report: MetricsReport, expression: str = "",
     """One output-table row from a Monte-Carlo report."""
     row: dict = {"method": method, "expression": expression, "valid": valid}
     for m in METRICS:
-        st = report.stats(m)
+        st = getattr(report, m)
         row[f"{m}_mean"] = st.mean
         row[f"{m}_std"] = st.std
     return row
@@ -341,13 +373,34 @@ def write_table_csv(path, rows: Sequence[Mapping],
         writer.writerows(rows)
 
 
+def read_table_csv(path) -> list[dict]:
+    """A metrics table's rows, each metric's mean and std a float; DataError
+    for a missing column, or naming the line for a value not a number."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for key in ("method", *_METRIC_FIELDS):
+            if key not in (reader.fieldnames or ()):
+                raise DataError(f"{path} has no {key!r} column")
+        for row in reader:
+            for key in _METRIC_FIELDS:
+                try:
+                    row[key] = float(row[key])
+                except (TypeError, ValueError):
+                    raise DataError(
+                        f"{path}, line {reader.line_num}: column {key!r} "
+                        f"holds {row[key]!r}, not a number") from None
+            rows.append(row)
+    return rows
+
+
 def format_table(rows: Sequence[Mapping]) -> str:
     """Aligned text summary: method, metric mean+-std, expression, flag."""
     lines = [f"{'method':<20} {'MAE':>16} {'MSE':>18} {'MAPE':>16} "
              f"{'R2':>16}  expression"]
     for row in rows:
         cells = []
-        for m in ("mae", "mse", "mape", "r2"):
+        for m in METRICS:
             cells.append(f"{row[f'{m}_mean']:.3f}+-{row[f'{m}_std']:.3f}")
         flag = f" [{row['valid']}]" if row.get("valid") else ""
         expr = row.get("expression", "")

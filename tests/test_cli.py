@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,8 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from autopl.cli import _fan_out, infer_roles, main
+from autopl import cli
+from autopl.cli import _fan_out, main
+from autopl.dsr import TrainerConfig, train as dsr_train
 from autopl.evalharness import r2
+from autopl.expr.constraints import ConstraintSet
 from autopl.expr.tokens import Token
 from autopl.expr.tree import (
     ExpressionTree,
@@ -18,10 +22,11 @@ from autopl.expr.tree import (
     tree_from_json,
     tree_to_json,
 )
-from autopl.kan import auto_symbolic, load_kan
+from autopl.kan import KanConfig, auto_symbolic, load_kan
 from autopl.plmodels import (
     Dataset,
     IndoorParams,
+    SyntheticSpec,
     eval_indoor_empirical,
     max_abs,
     normalize_max,
@@ -481,12 +486,6 @@ def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_infer_roles():
-    roles = infer_roles(("alpha", "f_ghz", "d_m", "chi_db"))
-    assert roles == {"f_ghz": "frequency", "d_m": "distance"}
-    assert infer_roles(("a", "b")) == {}
-
-
 def test_manifest_is_single_and_complete(tmp_path):
     out = tmp_path / "m"
     main(["gen-data", "--model", "ci", "--count", "30", "--out", str(out)])
@@ -804,6 +803,80 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
     assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SPLIT_AND_SEED = [(c, "split", v) for c in ("train-kan", "train-dsr", "eval")
+                   for v in ("1.5", "0", "nan")]
+_SPLIT_AND_SEED += [(c, "seed", "-1")
+                    for c in ("gen-data", "train-kan", "train-dsr", "eval")]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", _SPLIT_AND_SEED)
+def test_out_of_range_split_or_seed_is_a_usage_error(tmp_path, capsys, form,
+                                                      command, key, value):
+    # the inputs do not exist: both values are checked before any file
+    # is read, where a missing file would exit 2
+    missing = str(tmp_path / "missing")
+    argv = [command, *{"gen-data": ["--model", "ci"],
+                       "train-kan": ["--data", missing, "--shape", "4,1"],
+                       "train-dsr": ["--data", missing],
+                       "eval": ["--data", missing, "--expr-json", missing],
+                       }[command]]
+    parsed = float(value) if key == "split" else int(value)
+    if form == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: parsed}))
+        argv += ["--config", str(cfg_path)]
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--{key}" in err and f"not {parsed}" in err
+    assert not out.exists()
+
+
+def test_command_defaults_are_the_engine_config_defaults(tmp_path,
+                                                         monkeypatch):
+    data = _gen(tmp_path, "ci", count=60)
+    seen = {}
+
+    # the run keeps its resolved budget in the manifest, but samples
+    # one batch
+    def short_train(tc, ds, cs):
+        seen.update(tc=tc, cs=cs)
+        return dsr_train(dataclasses.replace(tc, sample_budget=tc.batch_size),
+                         ds, cs)
+
+    monkeypatch.setattr(cli, "dsr_train", short_train)
+    dsr = tmp_path / "dsr"
+    assert main(["train-dsr", "--data", str(data), "--out", str(dsr)]) == 0
+    config = json.loads((dsr / "manifest.json").read_text())["config"]
+    tc_defaults = TrainerConfig()
+    for key, field in cli._DSR_FIELDS.items():
+        assert config[key] == getattr(tc_defaults, field), key
+    assert config["min_len"] == ConstraintSet().min_length
+    assert config["max_len"] == ConstraintSet().max_length
+    assert seen["tc"] == dataclasses.replace(tc_defaults, seed=seen["tc"].seed)
+    assert (seen["cs"].min_length, seen["cs"].max_length) == \
+        (ConstraintSet().min_length, ConstraintSet().max_length)
+
+    kan_dir = tmp_path / "kan"
+    assert main(["train-kan", "--data", str(data), "--shape", "4,1",
+                 "--no-symbolic", "--out", str(kan_dir)]) == 0
+    config = json.loads((kan_dir / "manifest.json").read_text())["config"]
+    kc = KanConfig(shape=(4, 1))
+    assert (config["grid"], config["steps"], config["order"],
+            config["lamb"]) == (kc.grid_size, kc.steps, kc.order,
+                                kc.reg_lambda)
+
+    out = tmp_path / "gen"
+    assert main(["gen-data", "--model", "ci", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["count"] == SyntheticSpec(model_kind="ci").count
+    assert read_csv(out / "dataset.csv").n_rows == config["count"]
 
 
 @pytest.mark.parametrize("shape", [[], [4], ""], ids=["empty-list",

@@ -261,7 +261,7 @@ def test_train_budget_accounting_and_history():
     best = [row["best_reward"] for row in res.history]
     assert best == sorted(best)
     assert all(row["samples"] == 50 * (i + 1) for i, row in enumerate(res.history))
-    assert all("best_expression" in row for row in res.history)
+    assert all("best_expression_infix" in row for row in res.history)
 
 
 def test_train_early_stops_on_threshold():

@@ -1,32 +1,41 @@
+import struct
+
 import numpy as np
 import pytest
 
 from autopl.errors import DataError, TrainingError
 from autopl.evalharness import (
+    METRICS,
     MetricsReport,
     baseline_table,
     check_validity,
     format_table,
+    formula_columns,
+    infer_roles,
     mae,
     mape,
     metrics_row,
     monte_carlo_eval,
     mse,
     r2,
+    read_table_csv,
     single_row,
+    verdict,
     write_scatter_csv,
     write_table_csv,
 )
 from autopl.expr.tokens import Token
-from autopl.expr.tree import ExpressionTree
+from autopl.expr.tree import ExpressionTree, to_infix
 from autopl.plmodels import (
     Dataset,
     IndoorParams,
     OutdoorParams,
+    SyntheticSpec,
     eval_fs,
     eval_indoor_empirical,
     eval_mwf,
     eval_outdoor_empirical,
+    generate_synthetic,
 )
 
 
@@ -286,6 +295,44 @@ def test_validity_missing_range_rejected():
         check_validity(e, _ROLES, {"d": (1.0, 100.0)})
 
 
+def test_infer_roles():
+    roles = infer_roles(("alpha", "f_ghz", "d_m", "chi_db"))
+    assert roles == {"f_ghz": "frequency", "d_m": "distance"}
+    assert infer_roles(("a", "b")) == {}
+
+
+def test_verdict_is_empty_without_role_columns():
+    ds = _toy_dataset()
+    e = _tree(ADD, Token.variable("a", 0), Token.literal(1.0))
+    assert verdict(e, ds) == ""
+    assert formula_columns(e, ds) == {"expression": to_infix(e), "valid": ""}
+
+
+def test_verdict_on_ci_data_is_check_validity_over_its_ranges_and_medians():
+    ds = generate_synthetic(SyntheticSpec("ci", count=200, seed=7))
+    names = ds.feature_names
+    roles = {"f_hz": "frequency", "d_m": "distance"}
+    ranges = {n: (ds.column(n).min(), ds.column(n).max()) for n in names}
+    medians = {n: np.median(ds.column(n)) for n in names}
+    var = {n: Token.variable(n, i) for i, n in enumerate(names)}
+    # (n - c) log10(d_m) + log10(f_hz), with c between n's median and its
+    # range's midpoint: n held at one of the two makes the formula rise
+    # with distance, at the other fall
+    c = 0.5 * (medians["n"] + 0.5 * sum(ranges["n"]))
+    held = _tree(ADD, MUL, SUB, var["n"], Token.literal(c), LOG, var["d_m"],
+                 LOG, var["f_hz"])
+    # 10 log10(d_m) + 20 log10(f_hz) + chi_db
+    log_sum = _tree(ADD, ADD, MUL, Token.literal(10.0), LOG, var["d_m"],
+                    MUL, Token.literal(20.0), LOG, var["f_hz"], var["chi_db"])
+    for e in (held, log_sum):
+        want = check_validity(e, roles, ranges, medians=medians).verdict
+        assert verdict(e, ds) == want
+        assert formula_columns(e, ds) == {"expression": to_infix(e),
+                                          "valid": want}
+    assert verdict(log_sum, ds) == "valid"
+    assert verdict(held, ds) != check_validity(held, roles, ranges).verdict
+
+
 # baselines ------------------------------------------------------------------
 
 
@@ -345,7 +392,7 @@ def test_baseline_table_missing_columns():
         baseline_table(ds, "nowhere")
 
 
-# report emission ------------------------------------------------------------
+# the metrics table -----------------------------------------------------------
 
 
 def test_table_rows_and_files(tmp_path):
@@ -372,3 +419,25 @@ def test_table_rows_and_files(tmp_path):
     assert sc_lines[0] == "run,true_db,predicted_db"
     n_rows = sum(len(p[0]) for p in rep.predictions)
     assert len(sc_lines) == 1 + n_rows
+
+
+def test_read_table_csv_returns_what_write_table_csv_wrote(tmp_path):
+    values = [0.1, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+              2.0 ** 0.5, -12345.678901234567, 1e300]
+    fields = [f"{m}_{stat}" for m in METRICS for stat in ("mean", "std")]
+    rows = [{"method": f"m{i}", "expression": expression, "valid": valid,
+             **{key: values[(i + j) % len(values)]
+                for j, key in enumerate(fields)}}
+            for i, (expression, valid) in enumerate(
+                [("3*a+40", "valid"), ('max(a, "b")', ""), ("", "invalid")]
+                * 3)]
+    out = tmp_path / "metrics.csv"
+    write_table_csv(out, rows)
+    got = read_table_csv(out)
+    assert len(got) == len(rows)
+    for row, want in zip(got, rows):
+        for key in ("method", "expression", "valid"):
+            assert row[key] == want[key]
+        for key in fields:
+            assert struct.pack("<d", row[key]) == struct.pack("<d", want[key])
+
