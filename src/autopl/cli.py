@@ -134,8 +134,9 @@ def _flag_value(key: str, value, flag: argparse.Action, default):
 
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """Flag > config file > default, per key; a split outside (0, 1) or a
-    negative seed is a usage error."""
+    """Flag > config file > default, per key; a split outside (0, 1), a
+    negative seed, a count below 1 or a prune threshold outside [0, 1]
+    is a usage error."""
     unknown = sorted(set(file_cfg) - set(defaults))
     if unknown:
         raise UsageError(f"unknown config key(s) for {args.command}: "
@@ -155,6 +156,10 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
                          f"not {out['split']}")
     if out.get("seed", 0) < 0:
         raise UsageError(f"--seed must be non-negative, not {out['seed']}")
+    if out.get("count", 1) < 1:
+        raise UsageError(f"--count must be at least 1, not {out['count']}")
+    if out.get("prune") is not None and not 0.0 <= out["prune"] <= 1.0:
+        raise UsageError(f"--prune must lie in [0, 1], not {out['prune']}")
     return out
 
 

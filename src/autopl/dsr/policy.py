@@ -3,10 +3,11 @@
 A single gated recurrent cell conditions each generation step on the
 parent and sibling of the position being filled, emits logits over the
 token vocabulary, and samples under the hard constraint mask.  Sampling
-records the per-step masks and inputs so trainers can replay the exact
-distributions when computing gradients, and keeps its own per-step
-activations, which the update made under the same parameters reads in
-place of a replay.
+and the teacher-forced replay that gradients need run one unroll, which
+derives every step's mask and input from the tokens so far; so a replay
+record is a sequence's token indices plus its constraint set.  Sampling
+keeps its own per-step activations, which the update made under the
+same parameters reads in place of a replay.
 """
 
 from __future__ import annotations
@@ -125,12 +126,12 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SequenceData:
-    """Replay record for one sampled sequence: chosen token indices plus
-    the constraint masks and step inputs seen while sampling."""
+    """Replay record for one sampled sequence: its token indices and the
+    constraint set it was sampled under, which together fix every step's
+    mask and input."""
 
     indices: np.ndarray
-    masks: np.ndarray
-    inputs: np.ndarray
+    cs: ConstraintSet
 
     @property
     def length(self) -> int:
@@ -195,64 +196,59 @@ def sample_batch(policy: PolicyNetwork, n: int, cs: ConstraintSet,
                         forward=out["forward"] if dropped == 0 else None)
 
 
-def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
-                  rng: np.random.Generator):
-    vocab = policy.vocab
-    v = policy.n_tokens
-    state = PrefixBatch(vocab, m, cs.max_length)
-    # every open row takes a token per step, so no round runs longer
-    # than max_length steps
-    x_all = np.zeros((cs.max_length, m, policy.input_size))
-    m_all = np.zeros((cs.max_length, m, v), dtype=bool)
+def _unroll(policy: PolicyNetwork, m: int, cs: ConstraintSet, pick):
+    """Run the cell over m empty prefixes under the grammar masks.  At
+    step t, pick(t, probs) names a token for every row; rows that admit
+    one (neither complete nor dead-ended) take it.  Returns the prefixes
+    and `teacher_forward`'s result for them."""
+    state = PrefixBatch(policy.vocab, m, cs.max_length)
     h = np.zeros((m, policy.hidden_size))
     logp = np.zeros(m)
     ent_sum = np.zeros(m)
-    done = np.zeros(m, dtype=bool)
     steps = []
-
     while True:
         # complete rows, and open rows that have dead-ended, admit nothing
         masks = state.mask(cs)
         active = masks.any(axis=1)
-        dead = ~active & ~done
         if not active.any():
             break
-        t = len(steps)
-        m_all[t] = masks
-        x_all[t] = policy.encode_step_inputs(*state.context(), on=active)
-        x = x_all[t]
+        x = policy.encode_step_inputs(*state.context(), on=active)
         h_new, logits, (z, r, rh, c) = policy.step(x, h)
-        h_prev = h
-        h = np.where(active[:, None], h_new, h)
         probs = masked_softmax(logits, masks)
-        cum = np.cumsum(probs, axis=1)
-        u = rng.random(m)
-        scaled = u * cum[:, -1]
-        choice = (scaled[:, None] >= cum).sum(axis=1)
+        choice = pick(len(steps), probs)
         rows = np.flatnonzero(active)
         a = choice[rows]
         logp[rows] += np.log(probs[rows, a])
         ent_sum[rows] += _entropy_rows(probs[rows])
         state.push(rows, a)
-        done = state.slots == 0
-        steps.append({"x": x, "h_prev": h_prev, "z": z, "r": r, "rh": rh,
+        steps.append({"x": x, "h_prev": h, "z": z, "r": r, "rh": rh,
                       "c": c, "p": probs, "valid": active,
                       "a": np.where(active, choice, 0)})
-
+        h = np.where(active[:, None], h_new, h)
     # a row that dead-ends at its root has no tokens
     ents = ent_sum / np.maximum(state.length, 1)
+    return state, (logp, ents, {"steps": steps, "lengths": state.length})
+
+
+def _sample_round(policy: PolicyNetwork, m: int, cs: ConstraintSet,
+                  rng: np.random.Generator):
+    def draw(t, probs):
+        cum = np.cumsum(probs, axis=1)
+        return ((rng.random(m) * cum[:, -1])[:, None] >= cum).sum(axis=1)
+
+    state, forward = _unroll(policy, m, cs, draw)
+    logp, ents, _ = forward
+    done = state.slots == 0
     finished = []
     tokens, lengths = state.tok.tolist(), state.length.tolist()
     logp_list, ents_list = logp.tolist(), ents.tolist()
     for i in np.flatnonzero(done).tolist():
         t = lengths[i]
-        rec = SequenceData(state.tok[i, :t].copy(), m_all[:t, i].copy(),
-                           x_all[:t, i].copy())
-        tree = ExpressionTree(tuple(map(vocab.tokens.__getitem__,
+        tree = ExpressionTree(tuple(map(policy.vocab.tokens.__getitem__,
                                         tokens[i][:t])))
-        finished.append((tree, logp_list[i], ents_list[i], rec))
-    forward = (logp, ents, {"steps": steps, "lengths": state.length})
-    return {"finished": finished, "dropped": int(dead.sum()),
+        finished.append((tree, logp_list[i], ents_list[i],
+                         SequenceData(state.tok[i, :t], cs)))
+    return {"finished": finished, "dropped": int((~done).sum()),
             "forward": forward}
 
 
@@ -269,39 +265,13 @@ def teacher_forward(policy: PolicyNetwork, data: list[SequenceData]):
     n = len(data)
     if n == 0:
         raise ValueError("empty sequence batch")
-    t_max = max(d.length for d in data)
-    v = policy.n_tokens
-    x_all = np.zeros((n, t_max, policy.input_size))
-    m_all = np.zeros((n, t_max, v), dtype=bool)
-    a_all = np.zeros((n, t_max), dtype=int)
-    valid = np.zeros((n, t_max), dtype=bool)
+    cs = data[0].cs
+    if any(d.cs != cs for d in data):
+        raise ValueError("sequences sampled under different constraint sets")
+    tok = np.zeros((n, max(d.length for d in data)), dtype=np.intp)
     for i, d in enumerate(data):
-        t = d.length
-        x_all[i, :t] = d.inputs
-        m_all[i, :t] = d.masks
-        a_all[i, :t] = d.indices
-        valid[i, :t] = True
-
-    h = np.zeros((n, policy.hidden_size))
-    steps = []
-    logp = np.zeros(n)
-    ent_sum = np.zeros(n)
-    rows = np.arange(n)
-    for t in range(t_max):
-        vt = valid[:, t]
-        h_new, logits, (z, r, rh, c) = policy.step(x_all[:, t], h)
-        probs = masked_softmax(logits, m_all[:, t])
-        h_next = np.where(vt[:, None], h_new, h)
-        steps.append({"x": x_all[:, t], "h_prev": h, "z": z, "r": r,
-                      "rh": rh, "c": c, "p": probs, "valid": vt,
-                      "a": a_all[:, t]})
-        chosen = probs[rows, a_all[:, t]]
-        with np.errstate(divide="ignore"):
-            logp += np.where(vt, np.log(np.where(chosen > 0, chosen, 1.0)), 0.0)
-        ent_sum += np.where(vt, _entropy_rows(probs), 0.0)
-        h = h_next
-    lengths = valid.sum(axis=1)
-    return logp, ent_sum / lengths, {"steps": steps, "lengths": lengths}
+        tok[i, :d.length] = d.indices
+    return _unroll(policy, n, cs, lambda t, probs: tok[:, t])[1]
 
 
 def policy_backward(policy: PolicyNetwork, cache: dict,
@@ -346,7 +316,7 @@ def surrogate_loss(policy: PolicyNetwork, data: list[SequenceData],
                    weights: np.ndarray, entropy_weight: float,
                    forward: tuple | None = None):
     """Loss -sum_i w_i log p(tau_i) - beta * mean_i entropy_i and its
-    parameter gradients under the recorded masks.
+    parameter gradients under the grammar masks.
 
     `forward` is `teacher_forward(policy, data)` when the caller already
     has it (a batch's `forward`, under the parameters it was sampled

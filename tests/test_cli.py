@@ -805,14 +805,16 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
-_SPLIT_AND_SEED = [(c, "split", v) for c in ("train-kan", "train-dsr", "eval")
+_OUT_OF_RANGE = [(c, "split", v) for c in ("train-kan", "train-dsr", "eval")
                    for v in ("1.5", "0", "nan")]
-_SPLIT_AND_SEED += [(c, "seed", "-1")
+_OUT_OF_RANGE += [(c, "seed", "-1")
                     for c in ("gen-data", "train-kan", "train-dsr", "eval")]
+_OUT_OF_RANGE += [("gen-data", "count", v) for v in ("0", "-2")]
+_OUT_OF_RANGE += [("train-kan", "prune", v) for v in ("2", "-0.5", "nan")]
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])
-@pytest.mark.parametrize("command, key, value", _SPLIT_AND_SEED)
+@pytest.mark.parametrize("command, key, value", _OUT_OF_RANGE)
 def test_out_of_range_split_or_seed_is_a_usage_error(tmp_path, capsys, form,
                                                       command, key, value):
     # the inputs do not exist: both values are checked before any file
@@ -823,7 +825,7 @@ def test_out_of_range_split_or_seed_is_a_usage_error(tmp_path, capsys, form,
                        "train-dsr": ["--data", missing],
                        "eval": ["--data", missing, "--expr-json", missing],
                        }[command]]
-    parsed = float(value) if key == "split" else int(value)
+    parsed = float(value) if key in ("split", "prune") else int(value)
     if form == "flag":
         argv += [f"--{key}", value]
     else:

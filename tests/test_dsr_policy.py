@@ -397,6 +397,77 @@ def test_sample_round_accumulates_like_row_by_row_reference():
         assert [(lp, ent) for _, lp, ent, _ in got["finished"]] == want
 
 
+def _reference_replay(policy, sequences, cs):
+    # the replay with every row's masks and step inputs rebuilt token by
+    # token, padded to the longest row, then one cell step per position
+    vocab = policy.vocab
+    n, t_max = len(sequences), max(len(s.tokens) for s in sequences)
+    x_all = np.zeros((n, t_max, policy.input_size))
+    m_all = np.zeros((n, t_max, policy.n_tokens), dtype=bool)
+    a_all = np.zeros((n, t_max), dtype=int)
+    valid = np.zeros((n, t_max), dtype=bool)
+    for i, seq in enumerate(sequences):
+        state = PrefixRow(vocab)
+        for t, tok in enumerate(seq.tokens):
+            m_all[i, t] = state.mask(cs)
+            x_all[i, t] = _step_input(policy, state)
+            a_all[i, t] = vocab.index[tok.name]
+            valid[i, t] = True
+            state.push(tok)
+    h = np.zeros((n, policy.hidden_size))
+    steps = []
+    logp, ent_sum = np.zeros(n), np.zeros(n)
+    for t in range(t_max):
+        vt = valid[:, t]
+        h_new, logits, (z, r, rh, c) = policy.step(x_all[:, t], h)
+        probs = masked_softmax(logits, m_all[:, t])
+        steps.append({"x": x_all[:, t], "h_prev": h, "z": z, "r": r,
+                      "rh": rh, "c": c, "p": probs, "valid": vt,
+                      "a": a_all[:, t]})
+        chosen = probs[np.arange(n), a_all[:, t]]
+        with np.errstate(divide="ignore"):
+            logp += np.where(vt, np.log(np.where(chosen > 0, chosen, 1.0)),
+                             0.0)
+        ent_sum += np.where(vt, _entropy_rows(probs), 0.0)
+        h = np.where(vt[:, None], h_new, h)
+    lengths = valid.sum(axis=1)
+    return logp, ent_sum / lengths, {"steps": steps, "lengths": lengths}
+
+
+@pytest.mark.parametrize("case", ["one round", "dropped rows"])
+@pytest.mark.parametrize("params", ["sampling", "other"])
+def test_replay_matches_step_by_step_reference_bytes(case, params):
+    if case == "one round":
+        pol, cs, rng = PolicyNetwork(_vocab(), seed=16), ConstraintSet(), \
+            np.random.default_rng(17)
+    else:
+        pol, cs, rng = _dead_end_setup()
+    batch = sample_batch(pol, 60, cs, rng)
+    if params == "other":
+        pol.set_params(PolicyNetwork(pol.vocab, seed=99).get_params())
+    want = _reference_replay(pol, batch.sequences, cs)
+    logp, ents, _ = teacher_forward(pol, batch.data)
+    assert logp.tobytes() == want[0].tobytes()
+    assert ents.tobytes() == want[1].tobytes()
+    w = np.random.default_rng(18).normal(size=60)
+    for beta in (0.0, 0.3):
+        got = surrogate_loss(pol, batch.data, w, beta)
+        ref = surrogate_loss(pol, batch.data, w, beta, want)
+        assert _loss_bytes(*got) == _loss_bytes(*ref)
+
+
+def test_replay_refuses_records_from_two_constraint_sets():
+    pol = PolicyNetwork(_vocab(), seed=3)
+    a = sample_batch(pol, 5, ConstraintSet(), np.random.default_rng(0))
+    b = sample_batch(pol, 5, ConstraintSet(max_length=30),
+                     np.random.default_rng(1))
+    teacher_forward(pol, a.data + a.data)
+    with pytest.raises(ValueError, match="constraint sets"):
+        teacher_forward(pol, a.data + b.data)
+    with pytest.raises(ValueError, match="constraint sets"):
+        surrogate_loss(pol, b.data + a.data, np.ones(10), 0.0)
+
+
 def test_surrogate_gradients_match_finite_differences():
     pol = _tiny_policy()
     batch = sample_batch(pol, 12, ConstraintSet(min_length=1),

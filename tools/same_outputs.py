@@ -14,18 +14,19 @@ The bits depend on the CPU as well as the seed (numpy's SIMD dispatch,
 the BLAS kernel), so both sides run here, on the same machine, and no
 digest is stored.  The golden set covers every engine path: synthetic
 data, the three DSR policies with constant fits in worker processes and,
-pinned to one CPU with ``taskset -c 0``, in-process; the KAN engine on
-three seeds with the read-out's edge fits in worker processes, and on
-seed 0 pinned to one CPU, in-process; a KAN run with two hidden layers
-(three layers of edges); a pruned KAN run; a KAN run without the
-symbolic read-out (``--no-symbolic``); a KAN run on ABG data whose
-formula is non-finite on test rows (NaN test metrics); ``eval`` of a DSR
-expression, of a KAN expression and of a checkpoint, over 10
-Monte-Carlo runs and in a single shot, and of the pruned run's
-checkpoint over 3 runs; the ingest of a CSV (``gen-data --input``); and
-a ``report`` over a KAN, a DSR and an eval run.  At seed 3 each DSR
-policy improves on its first batch's best formula, so the search past
-the first batch is covered.
+pinned to one CPU with ``taskset -c 0``, in-process; a longer ``pqt``
+run with a three-entry queue, which evicts entries and replays records
+sampled several updates earlier; the KAN engine on three seeds with the
+read-out's edge fits in worker processes, and on seed 0 pinned to one
+CPU, in-process; a KAN run with two hidden layers (three layers of
+edges); a pruned KAN run; a KAN run without the symbolic read-out
+(``--no-symbolic``); a KAN run on ABG data whose formula is non-finite
+on test rows (NaN test metrics); ``eval`` of a DSR expression, of a KAN
+expression and of a checkpoint, over 10 Monte-Carlo runs and in a single
+shot, and of the pruned run's checkpoint over 3 runs; the ingest of a
+CSV (``gen-data --input``); and a ``report`` over a KAN, a DSR and an
+eval run.  At seed 3 each DSR policy improves on its first batch's best
+formula, so the search past the first batch is covered.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ for _name, _prefix, _seed in (("kan-0", [], 0), ("kan-0-one-cpu", _PIN, 0),
     GOLDEN.append((_name, _prefix,
                    ["train-kan", *_DATA, "--model", "ci", "--seed", str(_seed),
                     "--out", f"runs/{_name}"]))
+# the queue evicts entries and replays records sampled several updates
+# earlier
+GOLDEN.append(("dsr-pqt-long", [],
+               ["train-dsr", *_DATA, "--policy", "pqt", "--samples", "1000",
+                "--queue-k", "3", "--seed", "3",
+                "--out", "runs/dsr-pqt-long"]))
 GOLDEN += [
     # three layers of edges, each a (d_in, d_out, 4) block of one vector
     ("kan-deep", [], ["train-kan", *_DATA, "--model", "ci", "--shape",
