@@ -21,10 +21,12 @@ import numpy as np
 
 from autopl import __version__, evalharness as eh, kan
 from autopl.dsr import TrainerConfig, train as dsr_train
+from autopl.dsr.train import POLICY_KINDS
 from autopl.errors import CheckpointError, DataError, DomainError, TrainingError
 from autopl.expr.constraints import ConstraintSet, RepeatRule
 from autopl.expr.tree import evaluate, tree_from_json, tree_to_json
 from autopl.plmodels import (
+    SYNTHETIC_RANGES,
     SyntheticSpec,
     generate_synthetic,
     load_empirical_csv,
@@ -75,6 +77,11 @@ _DSR_FIELDS = {"policy": "policy_kind", "samples": "sample_budget",
                "batch": "batch_size", "lr": "learning_rate",
                "entropy": "entropy_weight", "epsilon": "epsilon",
                "queue_k": "queue_k", "alpha": "ewma_alpha"}
+# ... and for each ConstraintSet field
+_LENGTH_FIELDS = {"min_len": "min_length", "max_len": "max_length"}
+# train-kan's key for each KanConfig field
+_KAN_FIELDS = {"shape": "shape", "grid": "grid_size", "steps": "steps",
+               "order": "order", "lamb": "reg_lambda"}
 
 
 # plumbing -------------------------------------------------------------------
@@ -161,6 +168,22 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
     if out.get("prune") is not None and not 0.0 <= out["prune"] <= 1.0:
         raise UsageError(f"--prune must lie in [0, 1], not {out['prune']}")
     return out
+
+
+def _from_flags(make, args, cfg: dict, fields: dict[str, str], **fixed):
+    """make(**fixed) with each of `fields` set from its key in `cfg`.  A
+    ValueError that names some of those fields is a UsageError naming
+    their flags and the values given."""
+    try:
+        return make(**{field: cfg[key] for key, field in fields.items()},
+                    **fixed)
+    except ValueError as exc:
+        words = str(exc).split()
+        given = [f"{args.flags[key].option_strings[0]} {cfg[key]}"
+                 for key, field in fields.items() if field in words]
+        if not given:
+            raise
+        raise UsageError(f"{', '.join(given)}: {exc}") from None
 
 
 class _RunDir:
@@ -286,14 +309,16 @@ def cmd_train_kan(args) -> int:
     run = _RunDir(args)
     file_cfg = _load_config_file(args.config)
     preset = KAN_PRESETS.get(args.model, {}) if args.model else {}
-    kc = kan.KanConfig  # its field defaults, under the preset's values
-    defaults = {"shape": None, "grid": kc.grid_size, "steps": kc.steps,
-                "order": kc.order, "lamb": kc.reg_lambda, **preset,
+    # KanConfig's field defaults (it has none for the shape), under the
+    # preset's values
+    defaults = {**{key: getattr(kan.KanConfig, field, None)
+                   for key, field in _KAN_FIELDS.items()}, **preset,
                 "seed": 0, "split": 0.8, "prune": None, "no_symbolic": False}
     cfg = _resolve(args, file_cfg, defaults)
     if cfg["shape"] is None:
         raise UsageError("train-kan needs --model or --shape")
     shape = _parse_shape(cfg["shape"])
+    cfg["shape"] = list(shape)
 
     run.input(args.data)
     ds = read_csv(args.data)
@@ -306,10 +331,10 @@ def cmd_train_kan(args) -> int:
     seeds = _fan_out(cfg["seed"], 2)
     train_ds, test_ds = split(ds, cfg["split"], seeds[0])
 
-    net = kan.build_network(kan.KanConfig(
-        shape=shape, grid_size=cfg["grid"], order=cfg["order"],
-        steps=cfg["steps"], reg_lambda=cfg["lamb"], seed=seeds[1]),
-        input_scale)
+    # the spline basis checks its grid and order as the network is built
+    net = _from_flags(lambda **kw: kan.build_network(kan.KanConfig(**kw),
+                                                     input_scale),
+                      args, cfg, _KAN_FIELDS, seed=seeds[1])
     result = kan.train(net, train_ds.X, train_ds.y)
     if cfg["prune"] is not None:
         net = kan.prune(net, train_ds.X, cfg["prune"])
@@ -339,7 +364,7 @@ def cmd_train_kan(args) -> int:
     _write_graph_csv(run.path("graph.csv"), net, importance, sym)
     eh.write_scatter_csv(run.path("scatter.csv"), scatter)
     run.text("expressions.txt", expressions)
-    run.finish(dict(cfg, shape=list(shape)), cfg["seed"], rows)
+    run.finish(cfg, cfg["seed"], rows)
     return 0
 
 
@@ -356,8 +381,8 @@ def cmd_train_dsr(args) -> int:
     preset = DSR_PRESETS.get((args.model, policy), {}) if args.model else {}
     defaults = {**{key: getattr(TrainerConfig, field)
                    for key, field in _DSR_FIELDS.items()},
-                "min_len": ConstraintSet.min_length,
-                "max_len": ConstraintSet.max_length, **preset,
+                **{key: getattr(ConstraintSet, field)
+                   for key, field in _LENGTH_FIELDS.items()}, **preset,
                 "policy": policy, "seed": 0, "split": 0.8}
     cfg = _resolve(args, file_cfg, defaults)
 
@@ -368,10 +393,9 @@ def cmd_train_dsr(args) -> int:
 
     roles = eh.infer_roles(ds.feature_names)
     rules = {name: RepeatRule(min_count=1) for name in roles}
-    cs = ConstraintSet(min_length=cfg["min_len"], max_length=cfg["max_len"],
-                       repeat_rules=rules)
-    tc = TrainerConfig(**{field: cfg[key] for key, field in _DSR_FIELDS.items()},
-                       seed=seeds[1])
+    cs = _from_flags(ConstraintSet, args, cfg, _LENGTH_FIELDS,
+                     repeat_rules=rules)
+    tc = _from_flags(TrainerConfig, args, cfg, _DSR_FIELDS, seed=seeds[1])
     result = dsr_train(tc, train_ds, cs)
 
     eh.write_table_csv(run.path("history.csv"), result.history,
@@ -497,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen-data", help="generate or ingest a dataset")
-    p.add_argument("--model", choices=("abg", "ci"))
+    p.add_argument("--model", choices=tuple(SYNTHETIC_RANGES))
     p.add_argument("--input", help="empirical CSV to ingest")
     p.add_argument("--target", help="target column for --input")
     p.add_argument("--count", type=int)
@@ -522,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train-dsr", help="policy-gradient expression search")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=("abg", "ci", "indoor", "outdoor"))
-    p.add_argument("--policy", choices=("rspg", "vpg", "pqt"))
+    p.add_argument("--model", choices=tuple(dict.fromkeys(
+        model for model, _ in DSR_PRESETS)))
+    p.add_argument("--policy", choices=POLICY_KINDS)
     p.add_argument("--samples", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)
@@ -548,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("baseline", help="analytical baseline table")
     p.add_argument("--data", required=True)
-    p.add_argument("--which", required=True, choices=("indoor", "outdoor"))
+    p.add_argument("--which", required=True,
+                   choices=tuple(eh.BASELINE_COLUMNS))
     p.add_argument("--out", required=True)
     _command(p, cmd_baseline)
 

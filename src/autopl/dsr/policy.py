@@ -72,9 +72,6 @@ class PolicyNetwork:
         if pos != theta.size:
             raise ValueError("parameter vector has wrong length")
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {n: np.zeros_like(p) for n, p in self.params.items()}
-
     # -- recurrent step -----------------------------------------------------
 
     def step(self, x: np.ndarray, h: np.ndarray):
@@ -118,10 +115,13 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
+def _plogp(p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p > 0, p * np.log(p), 0.0)
-    return -t.sum(axis=-1)
+        return np.where(p > 0, p * np.log(p), 0.0)
+
+
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    return -_plogp(p).sum(axis=-1)
 
 
 @dataclass
@@ -260,7 +260,7 @@ def teacher_forward(policy: PolicyNetwork, data: list[SequenceData]):
     """Replay recorded sequences under current parameters.
 
     Returns per-sequence log probs, mean step entropies, and the cache
-    needed by policy_backward.
+    of per-step activations that `surrogate_loss` runs back through.
     """
     n = len(data)
     if n == 0:
@@ -274,19 +274,44 @@ def teacher_forward(policy: PolicyNetwork, data: list[SequenceData]):
     return _unroll(policy, n, cs, lambda t, probs: tok[:, t])[1]
 
 
-def policy_backward(policy: PolicyNetwork, cache: dict,
-                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate per-step logit gradients through the recurrent cell."""
+def surrogate_loss(policy: PolicyNetwork, data: list[SequenceData],
+                   weights: np.ndarray, entropy_weight: float,
+                   forward: tuple | None = None):
+    """Loss -sum_i w_i log p(tau_i) - beta * mean_i entropy_i and its
+    parameter gradients under the grammar masks.
+
+    `forward` is `teacher_forward(policy, data)` when the caller already
+    has it (a batch's `forward`, under the parameters it was sampled
+    with); otherwise the sequences are replayed.  The gradient is one
+    reverse pass over the recorded steps, each step's logit gradient run
+    back through the cell as it is formed."""
+    weights = np.asarray(weights, dtype=float)
+    n = len(data)
+    if forward is None:
+        forward = teacher_forward(policy, data)
+    logp, ents, cache = forward
+    if logp.size != n:
+        raise ValueError("forward pass does not match the sequences")
+    loss = -float(weights @ logp) - entropy_weight * float(ents.mean())
     p = policy.params
     wo_t, uc_t, uz_t, ur_t = p["wo"].T, p["uc"].T, p["uz"].T, p["ur"].T
-    steps = cache["steps"]
-    n = steps[0]["p"].shape[0]
-    grads = policy.zero_grads()
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    rows = np.arange(n)
+    w = weights[:, None]
+    beta = (entropy_weight / (n * cache["lengths"]))[:, None]
     dh_next = np.zeros((n, policy.hidden_size))
-    for t in range(len(steps) - 1, -1, -1):
-        st = steps[t]
+    for st in reversed(cache["steps"]):
+        # the step's logit gradient, zero on rows that had finished
+        probs = st["p"]
+        onehot = np.zeros_like(probs)
+        onehot[rows, st["a"]] = 1.0
+        dl = w * (probs - onehot)
+        if entropy_weight != 0.0:
+            plogp = _plogp(probs)
+            h_t = -plogp.sum(axis=1, keepdims=True)
+            dl = dl + beta * (plogp + probs * h_t)
         vt = st["valid"][:, None].astype(float)
-        dl = dlogits[:, t, :] * vt
+        dl = dl * vt
         z, r, rh, c, h_prev, x = (st["z"], st["r"], st["rh"], st["c"],
                                   st["h_prev"], st["x"])
         keep = 1.0 - z
@@ -309,45 +334,4 @@ def policy_backward(policy: PolicyNetwork, cache: dict,
         grads["uc"] += rh.T @ dc_pre
         # finished rows carry their gradient through the frozen state
         dh_next = np.where(st["valid"][:, None], dh_prev, dh)
-    return grads
-
-
-def surrogate_loss(policy: PolicyNetwork, data: list[SequenceData],
-                   weights: np.ndarray, entropy_weight: float,
-                   forward: tuple | None = None):
-    """Loss -sum_i w_i log p(tau_i) - beta * mean_i entropy_i and its
-    parameter gradients under the grammar masks.
-
-    `forward` is `teacher_forward(policy, data)` when the caller already
-    has it (a batch's `forward`, under the parameters it was sampled
-    with); otherwise the sequences are replayed."""
-    weights = np.asarray(weights, dtype=float)
-    n = len(data)
-    if forward is None:
-        forward = teacher_forward(policy, data)
-    logp, ents, cache = forward
-    if logp.size != n:
-        raise ValueError("forward pass does not match the sequences")
-    loss = -float(weights @ logp) - entropy_weight * float(ents.mean())
-    steps = cache["steps"]
-    lengths = cache["lengths"]
-    t_max = len(steps)
-    v = policy.n_tokens
-    dlogits = np.zeros((n, t_max, v))
-    rows = np.arange(n)
-    w = weights[:, None]
-    beta = (entropy_weight / (n * lengths))[:, None]
-    for t, st in enumerate(steps):
-        probs = st["p"]
-        onehot = np.zeros_like(probs)
-        onehot[rows, st["a"]] = 1.0
-        term = w * (probs - onehot)
-        if entropy_weight != 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
-            h_t = -plogp.sum(axis=1, keepdims=True)
-            dent = plogp + probs * h_t
-            term = term + beta * dent
-        np.multiply(term, st["valid"][:, None], out=dlogits[:, t, :])
-    grads = policy_backward(policy, cache, dlogits)
     return loss, grads

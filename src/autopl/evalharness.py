@@ -298,15 +298,18 @@ def formula_columns(e: ExpressionTree, ds: Dataset) -> dict[str, str]:
 # analytical baselines
 
 
-_INDOOR_COLUMNS = {"distance_m": "d_m", "walls": "n_w", "floors": "n_f"}
-_OUTDOOR_COLUMNS = {"distance_m": "d_m", "height_m": "h_m",
-                    "frequency_mhz": "f_mhz"}
+# each baseline family's dataset column for each model input
+BASELINE_COLUMNS = {
+    "indoor": {"distance_m": "d_m", "walls": "n_w", "floors": "n_f"},
+    "outdoor": {"distance_m": "d_m", "height_m": "h_m",
+                "frequency_mhz": "f_mhz"},
+}
 
 
 def baseline_table(ds: Dataset, which: str) -> list[dict]:
     """Deterministic metric rows for the closed-form reference models,
     with shadow terms at zero, scored on the full dataset."""
-    cols = {"indoor": _INDOOR_COLUMNS, "outdoor": _OUTDOOR_COLUMNS}.get(which)
+    cols = BASELINE_COLUMNS.get(which)
     if cols is None:
         raise DataError(f"unknown baseline family {which!r}")
     missing = [c for c in cols.values() if c not in ds.feature_names]

@@ -257,6 +257,9 @@ CI_RANGES: dict[str, tuple[float, float]] = {
     "sigma_db": (4.0, 12.0),
 }
 
+# the synthetic families, each with its sampling ranges
+SYNTHETIC_RANGES = {"abg": ABG_RANGES, "ci": CI_RANGES}
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -277,7 +280,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """
     if spec.count < 1:
         raise DomainError("count must be at least 1")
-    ranges = {"abg": ABG_RANGES, "ci": CI_RANGES}.get(spec.model_kind)
+    ranges = SYNTHETIC_RANGES.get(spec.model_kind)
     if ranges is None:
         raise DomainError(f"unknown synthetic model kind {spec.model_kind!r}")
     rng = np.random.default_rng(spec.seed)

@@ -13,7 +13,8 @@ import pytest
 from autopl import cli
 from autopl.cli import _fan_out, main
 from autopl.dsr import TrainerConfig, train as dsr_train
-from autopl.evalharness import r2
+from autopl.dsr.train import POLICY_KINDS
+from autopl.evalharness import BASELINE_COLUMNS, r2
 from autopl.expr.constraints import ConstraintSet
 from autopl.expr.tokens import Token
 from autopl.expr.tree import (
@@ -24,6 +25,7 @@ from autopl.expr.tree import (
 )
 from autopl.kan import KanConfig, auto_symbolic, load_kan
 from autopl.plmodels import (
+    SYNTHETIC_RANGES,
     Dataset,
     IndoorParams,
     SyntheticSpec,
@@ -811,23 +813,33 @@ _OUT_OF_RANGE += [(c, "seed", "-1")
                     for c in ("gen-data", "train-kan", "train-dsr", "eval")]
 _OUT_OF_RANGE += [("gen-data", "count", v) for v in ("0", "-2")]
 _OUT_OF_RANGE += [("train-kan", "prune", v) for v in ("2", "-0.5", "nan")]
+# refused by TrainerConfig, ConstraintSet, KanConfig and the spline basis
+_ENGINE_REFUSED = [("train-dsr", "samples", "10"),
+                   ("train-dsr", "epsilon", "2"), ("train-dsr", "max_len", "2"),
+                   ("train-kan", "grid", "0"), ("train-kan", "lamb", "-1")]
+_OUT_OF_RANGE += _ENGINE_REFUSED
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])
 @pytest.mark.parametrize("command, key, value", _OUT_OF_RANGE)
 def test_out_of_range_split_or_seed_is_a_usage_error(tmp_path, capsys, form,
                                                       command, key, value):
-    # the inputs do not exist: both values are checked before any file
-    # is read, where a missing file would exit 2
+    # the inputs do not exist: the CLI's own checks run before any file
+    # is read, where a missing file would exit 2; the engine configs are
+    # built once the data is read, so their cases get real data
+    engine = (command, key, value) in _ENGINE_REFUSED
     missing = str(tmp_path / "missing")
+    data = str(_gen(tmp_path, "data", count=60)) if engine else missing
     argv = [command, *{"gen-data": ["--model", "ci"],
-                       "train-kan": ["--data", missing, "--shape", "4,1"],
-                       "train-dsr": ["--data", missing],
+                       "train-kan": ["--data", data, "--shape", "4,1"],
+                       "train-dsr": ["--data", data],
                        "eval": ["--data", missing, "--expr-json", missing],
                        }[command]]
-    parsed = float(value) if key in ("split", "prune") else int(value)
+    flag = "--" + key.replace("_", "-")
+    parsed = (float(value) if key in ("split", "prune", "epsilon", "lamb")
+              else int(value))
     if form == "flag":
-        argv += [f"--{key}", value]
+        argv += [flag, value]
     else:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: parsed}))
@@ -836,8 +848,26 @@ def test_out_of_range_split_or_seed_is_a_usage_error(tmp_path, capsys, form,
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"--{key}" in err and f"not {parsed}" in err
+    assert flag in err
+    assert (f"{flag} {parsed}: " if engine else f"not {parsed}") in err
     assert not out.exists()
+
+
+def test_flag_choices_are_their_owners_keys():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+
+    def choices(command, dest):
+        return next(a.choices for a in commands[command]._actions
+                    if a.dest == dest)
+
+    assert choices("gen-data", "model") == tuple(SYNTHETIC_RANGES)
+    assert choices("train-kan", "model") == tuple(cli.KAN_PRESETS)
+    dsr_models = choices("train-dsr", "model")
+    assert len(set(dsr_models)) == len(dsr_models)
+    assert set(dsr_models) == {model for model, _ in cli.DSR_PRESETS}
+    assert choices("train-dsr", "policy") == POLICY_KINDS
+    assert choices("baseline", "which") == tuple(BASELINE_COLUMNS)
 
 
 def test_command_defaults_are_the_engine_config_defaults(tmp_path,

@@ -456,6 +456,90 @@ def test_replay_matches_step_by_step_reference_bytes(case, params):
         assert _loss_bytes(*got) == _loss_bytes(*ref)
 
 
+def _two_pass_loss(policy, data, weights, entropy_weight, forward=None):
+    # the gradient in two passes: every step's logit gradient filled
+    # forward into an (n, T, V) buffer, then read back in reverse and
+    # masked again while it is run back through the cell
+    weights = np.asarray(weights, dtype=float)
+    n = len(data)
+    if forward is None:
+        forward = teacher_forward(policy, data)
+    logp, ents, cache = forward
+    loss = -float(weights @ logp) - entropy_weight * float(ents.mean())
+    steps, lengths = cache["steps"], cache["lengths"]
+    dlogits = np.zeros((n, len(steps), policy.n_tokens))
+    rows = np.arange(n)
+    w = weights[:, None]
+    beta = (entropy_weight / (n * lengths))[:, None]
+    for t, st in enumerate(steps):
+        probs = st["p"]
+        onehot = np.zeros_like(probs)
+        onehot[rows, st["a"]] = 1.0
+        term = w * (probs - onehot)
+        if entropy_weight != 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+            h_t = -plogp.sum(axis=1, keepdims=True)
+            term = term + beta * (plogp + probs * h_t)
+        np.multiply(term, st["valid"][:, None], out=dlogits[:, t, :])
+    p = policy.params
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    dh_next = np.zeros((n, policy.hidden_size))
+    for t in range(len(steps) - 1, -1, -1):
+        st = steps[t]
+        vt = st["valid"][:, None].astype(float)
+        dl = dlogits[:, t, :] * vt
+        z, r, rh, c, h_prev, x = (st["z"], st["r"], st["rh"], st["c"],
+                                  st["h_prev"], st["x"])
+        keep = 1.0 - z
+        h_new = keep * h_prev + z * c
+        grads["wo"] += h_new.T @ dl
+        grads["bo"] += dl.sum(axis=0)
+        dh = dh_next + dl @ p["wo"].T
+        dz_pre = dh * (c - h_prev) * z * keep * vt
+        dc_pre = dh * z * (1.0 - c * c) * vt
+        drh = dc_pre @ p["uc"].T
+        dr_pre = drh * h_prev * r * (1.0 - r)
+        dh_prev = (dh * keep + drh * r + dz_pre @ p["uz"].T
+                   + dr_pre @ p["ur"].T)
+        for nm, dpre in (("z", dz_pre), ("r", dr_pre), ("c", dc_pre)):
+            grads["w" + nm] += x.T @ dpre
+            grads["b" + nm] += dpre.sum(axis=0)
+        grads["uz"] += h_prev.T @ dz_pre
+        grads["ur"] += h_prev.T @ dr_pre
+        grads["uc"] += rh.T @ dc_pre
+        dh_next = np.where(st["valid"][:, None], dh_prev, dh)
+    return loss, grads
+
+
+@pytest.mark.parametrize("case", ["one round", "dropped rows"])
+@pytest.mark.parametrize("params", ["sampling", "other"])
+def test_one_reverse_pass_matches_two_pass_reference_bytes(case, params):
+    if case == "one round":
+        pol, cs, rng = PolicyNetwork(_vocab(), seed=19), ConstraintSet(), \
+            np.random.default_rng(20)
+    else:
+        pol, cs, rng = _dead_end_setup()
+    batch = sample_batch(pol, 60, cs, rng)
+    # a batch with dropped rows keeps no sampling pass; its rows have
+    # different lengths
+    assert (batch.forward is None) == (case == "dropped rows")
+    lengths = [d.length for d in batch.data]
+    assert min(lengths) < max(lengths)
+    forwards = [None]
+    if params == "other":
+        pol.set_params(PolicyNetwork(pol.vocab, seed=98).get_params())
+    elif batch.forward is not None:
+        forwards.append(batch.forward)
+    for w in (np.random.default_rng(21).normal(size=60), np.zeros(60)):
+        for beta in (0.0, 0.3):
+            for forward in forwards:
+                got = surrogate_loss(pol, batch.data, w, beta, forward)
+                want = _two_pass_loss(pol, batch.data, w, beta, forward)
+                assert sorted(got[1]) == sorted(want[1])
+                assert _loss_bytes(*got) == _loss_bytes(*want)
+
+
 def test_replay_refuses_records_from_two_constraint_sets():
     pol = PolicyNetwork(_vocab(), seed=3)
     a = sample_batch(pol, 5, ConstraintSet(), np.random.default_rng(0))
