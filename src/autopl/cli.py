@@ -10,7 +10,7 @@ files it wrote.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -291,18 +291,16 @@ def _parse_shape(text) -> tuple[int, ...]:
 
 
 def _write_graph_csv(path, net, importance, sym=None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "in_node", "out_node", "active",
-                         "importance", "family", "r2"])
-        for l, layer in enumerate(net.layers):
-            for i, j in np.ndindex(layer.prune_mask.shape):
-                family = fit_r2 = ""
-                if sym is not None:
-                    family = sym.families[l][i, j]
-                    fit_r2 = f"{sym.r2[l][i, j]:.6f}"
-                writer.writerow([l, i, j, int(bool(layer.prune_mask[i, j])),
-                                 f"{importance[l][i, j]:.6f}", family, fit_r2])
+    """One row per edge; `family` and `r2` are empty without `sym`."""
+    rows = [{"layer": l, "in_node": i, "out_node": j,
+             "active": int(bool(layer.prune_mask[i, j])),
+             "importance": f"{importance[l][i, j]:.6f}",
+             **({} if sym is None else {"family": sym.families[l][i, j],
+                                        "r2": f"{sym.r2[l][i, j]:.6f}"})}
+            for l, layer in enumerate(net.layers)
+            for i, j in np.ndindex(layer.prune_mask.shape)]
+    eh.write_table_csv(path, rows, ("layer", "in_node", "out_node", "active",
+                                    "importance", "family", "r2"))
 
 
 def cmd_train_kan(args) -> int:
@@ -319,22 +317,19 @@ def cmd_train_kan(args) -> int:
         raise UsageError("train-kan needs --model or --shape")
     shape = _parse_shape(cfg["shape"])
     cfg["shape"] = list(shape)
+    seeds = _fan_out(cfg["seed"], 2)
+    config = _from_flags(kan.KanConfig, args, cfg, _KAN_FIELDS, seed=seeds[1])
 
     run.input(args.data)
     ds = read_csv(args.data)
     if shape[0] != len(ds.feature_names):
         raise DataError(f"shape expects {shape[0]} features, dataset has "
                         f"{len(ds.feature_names)}")
-    # spline edges live on a fixed input interval: the net divides each
-    # feature by its largest magnitude
-    input_scale = max_abs(ds)
-    seeds = _fan_out(cfg["seed"], 2)
     train_ds, test_ds = split(ds, cfg["split"], seeds[0])
 
-    # the spline basis checks its grid and order as the network is built
-    net = _from_flags(lambda **kw: kan.build_network(kan.KanConfig(**kw),
-                                                     input_scale),
-                      args, cfg, _KAN_FIELDS, seed=seeds[1])
+    # spline edges live on a fixed input interval: the net divides each
+    # feature by its largest magnitude
+    net = kan.build_network(config, max_abs(ds))
     result = kan.train(net, train_ds.X, train_ds.y)
     if cfg["prune"] is not None:
         net = kan.prune(net, train_ds.X, cfg["prune"])
@@ -385,17 +380,17 @@ def cmd_train_dsr(args) -> int:
                    for key, field in _LENGTH_FIELDS.items()}, **preset,
                 "policy": policy, "seed": 0, "split": 0.8}
     cfg = _resolve(args, file_cfg, defaults)
+    seeds = _fan_out(cfg["seed"], 2)
+    lengths = _from_flags(ConstraintSet, args, cfg, _LENGTH_FIELDS)
+    tc = _from_flags(TrainerConfig, args, cfg, _DSR_FIELDS, seed=seeds[1])
 
     run.input(args.data)
     ds = read_csv(args.data)
-    seeds = _fan_out(cfg["seed"], 2)
     train_ds, test_ds = split(ds, cfg["split"], seeds[0])
 
     roles = eh.infer_roles(ds.feature_names)
-    rules = {name: RepeatRule(min_count=1) for name in roles}
-    cs = _from_flags(ConstraintSet, args, cfg, _LENGTH_FIELDS,
-                     repeat_rules=rules)
-    tc = _from_flags(TrainerConfig, args, cfg, _DSR_FIELDS, seed=seeds[1])
+    cs = dataclasses.replace(lengths, repeat_rules={
+        name: RepeatRule(min_count=1) for name in roles})
     result = dsr_train(tc, train_ds, cs)
 
     eh.write_table_csv(run.path("history.csv"), result.history,

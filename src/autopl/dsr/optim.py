@@ -17,8 +17,8 @@ class Adam:
     """
 
     def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be positive and finite")
         self.learning_rate = float(learning_rate)
         self.t = 0
         self._m: dict[str, np.ndarray] = {}

@@ -47,12 +47,10 @@ class PolicyNetwork:
         self.input_size = 2 * (self.n_tokens + 1)
         rng = np.random.default_rng(seed)
         d, h, v = self.input_size, self.hidden_size, self.n_tokens
-        self.params: dict[str, np.ndarray] = {}
-        for name, shape in (("wz", (d, h)), ("wr", (d, h)), ("wc", (d, h)),
-                            ("uz", (h, h)), ("ur", (h, h)), ("uc", (h, h)),
-                            ("bz", (h,)), ("br", (h,)), ("bc", (h,)),
-                            ("wo", (h, v)), ("bo", (v,))):
-            self.params[name] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, shape)
+        shapes = [(d, h)] * 3 + [(h, h)] * 3 + [(h,)] * 3 + [(h, v), (v,)]
+        self.params: dict[str, np.ndarray] = {
+            name: rng.uniform(-_INIT_SCALE, _INIT_SCALE, shape)
+            for name, shape in zip(self.PARAM_NAMES, shapes)}
 
     # -- parameter vector ---------------------------------------------------
 

@@ -60,8 +60,11 @@ class TrainerConfig:
             raise ValueError("batch_size must be at least 1")
         if self.sample_budget < self.batch_size:
             raise ValueError("sample_budget must cover one batch")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # NaN fails these too
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not abs(self.entropy_weight) < np.inf:
+            raise ValueError("entropy_weight must be finite")
 
 
 @dataclass
@@ -79,8 +82,7 @@ class MaxRewardPriorityQueue:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
-        self._entries: list[_QueueEntry] = []
-        self._keys: set[tuple] = set()
+        self._entries: dict[tuple, _QueueEntry] = {}
         self._counter = 0
 
     def __len__(self) -> int:
@@ -88,24 +90,22 @@ class MaxRewardPriorityQueue:
 
     @property
     def min_reward(self) -> float:
-        return min(e.reward for e in self._entries) if self._entries else float("-inf")
+        return min((e.reward for e in self._entries.values()), default=-np.inf)
 
     @property
     def max_reward(self) -> float:
-        return max(e.reward for e in self._entries) if self._entries else float("-inf")
+        return max((e.reward for e in self._entries.values()), default=-np.inf)
 
     def add(self, r: float, key: tuple, data: SequenceData) -> bool:
         """Insert unless a duplicate or below the full queue's minimum."""
-        if key in self._keys:
+        if key in self._entries:
             return False
         if len(self._entries) >= self.capacity:
-            worst = min(self._entries, key=lambda e: (e.reward, -e.order))
+            worst = min(self._entries.values(), key=lambda e: (e.reward, -e.order))
             if r <= worst.reward:
                 return False
-            self._entries.remove(worst)
-            self._keys.discard(worst.key)
-        self._entries.append(_QueueEntry(float(r), self._counter, key, data))
-        self._keys.add(key)
+            del self._entries[worst.key]
+        self._entries[key] = _QueueEntry(float(r), self._counter, key, data)
         self._counter += 1
         return True
 
@@ -119,7 +119,7 @@ class MaxRewardPriorityQueue:
         return n_in
 
     def items(self) -> list[_QueueEntry]:
-        return sorted(self._entries, key=lambda e: (-e.reward, e.order))
+        return sorted(self._entries.values(), key=lambda e: (-e.reward, e.order))
 
 
 def rspg_step(policy: PolicyNetwork, batch: SampledBatch, epsilon: float,

@@ -169,14 +169,6 @@ _SWEEP_POINTS = 200  # values per variable's monotonicity sweep
 _MONOTONE_TOL = 1e-6  # largest step down a monotone sweep may take
 
 
-def _variable_indices(e: ExpressionTree) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for t in e.tokens:
-        if t.var_index is not None:
-            out[t.name] = t.var_index
-    return out
-
-
 def check_validity(e: ExpressionTree, roles: Mapping[str, str],
                    ranges: Mapping[str, tuple[float, float]],
                    medians: Mapping[str, float] | None = None) -> ValidityReport:
@@ -188,8 +180,7 @@ def check_validity(e: ExpressionTree, roles: Mapping[str, str],
     a feature without a median is held at its range's midpoint.
     """
     scan = structural_scan(e)
-    var_idx = _variable_indices(e)
-    for name in var_idx:
+    for name in scan.columns:
         if name not in ranges:
             raise DataError(f"no range given for variable {name!r}")
 
@@ -204,9 +195,9 @@ def check_validity(e: ExpressionTree, roles: Mapping[str, str],
     monotone: dict[str, bool | None] = {}
     oscillatory: set[str] = set()
 
-    width = max(var_idx.values(), default=-1) + 1
+    width = max(scan.columns.values(), default=-1) + 1
     base = np.zeros(width)
-    for name, idx in var_idx.items():
+    for name, idx in scan.columns.items():
         base[idx] = median_of(name)
 
     for role in ("distance", "frequency"):
@@ -231,7 +222,7 @@ def check_validity(e: ExpressionTree, roles: Mapping[str, str],
             lo, hi = (float(x) for x in ranges[v])
             grid = np.linspace(lo, hi, _SWEEP_POINTS)
             X = np.tile(base, (_SWEEP_POINTS, 1))
-            X[:, var_idx[v]] = grid
+            X[:, scan.columns[v]] = grid
             with np.errstate(all="ignore"):
                 pred = evaluate(e, X)
             finite = np.isfinite(pred)
@@ -348,11 +339,9 @@ _TABLE_FIELDS = ("method", *_METRIC_FIELDS, "expression", "valid")
 def metrics_row(method: str, report: MetricsReport, expression: str = "",
                 valid: str = "") -> dict:
     """One output-table row from a Monte-Carlo report."""
-    row: dict = {"method": method, "expression": expression, "valid": valid}
-    for m in METRICS:
-        st = getattr(report, m)
-        row[f"{m}_mean"] = st.mean
-        row[f"{m}_std"] = st.std
+    row = single_row(method, {m: getattr(report, m).mean for m in METRICS},
+                     expression, valid)
+    row.update({f"{m}_std": getattr(report, m).std for m in METRICS})
     return row
 
 

@@ -90,9 +90,8 @@ class Vocabulary:
         if len(set(names)) != len(names):
             raise ValueError("vocabulary token names must be unique")
         self.index: dict[str, int] = {t.name: i for i, t in enumerate(self.tokens)}
-        self.arities: tuple[int, ...] = tuple(t.arity for t in self.tokens)
         # per-token tables for vectorized constraint masks
-        self.arity_array = np.array(self.arities, dtype=int)
+        self.arity_array = np.array([t.arity for t in self.tokens], dtype=int)
         self.is_constant_leaf = np.array(
             [t.is_constant_leaf for t in self.tokens], dtype=bool)
         self.is_trig = np.array([t.name in TRIG_NAMES for t in self.tokens],

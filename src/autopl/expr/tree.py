@@ -263,24 +263,29 @@ def to_infix(tree: ExpressionTree) -> str:
 
 @dataclass(frozen=True)
 class ScanResult:
-    variables: frozenset[str]
+    columns: dict[str, int]  # each variable's feature column
     trig_variables: frozenset[str]
+
+    @property
+    def variables(self) -> frozenset[str]:
+        return frozenset(self.columns)
 
 
 def structural_scan(tree: ExpressionTree) -> ScanResult:
-    """Which variables the tree reads, and which sit under sin/cos."""
-    variables: set[str] = set()
+    """Which variables the tree reads, in order of first appearance, with
+    their feature columns, and which sit under sin/cos."""
+    columns: dict[str, int] = {}
     trig_variables: set[str] = set()
     # whether each open position sits under sin/cos; the next one last
     under_trig = [False]
     for t in tree.tokens:
         in_trig = under_trig.pop()
         if t.kind is TokenKind.VARIABLE:
-            variables.add(t.name)
+            columns[t.name] = t.var_index
             if in_trig:
                 trig_variables.add(t.name)
         under_trig += [in_trig or t.name in TRIG_NAMES] * t.arity
-    return ScanResult(frozenset(variables), frozenset(trig_variables))
+    return ScanResult(columns, frozenset(trig_variables))
 
 
 def tree_to_json(tree: ExpressionTree) -> str:

@@ -36,8 +36,10 @@ class KanConfig:
             raise ValueError("shape needs at least two positive widths")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be non-negative")
+        if not 0.0 <= self.reg_lambda < np.inf:  # NaN fails too
+            raise ValueError("reg_lambda must be non-negative and finite")
+        # the spline basis checks the grid and order
+        BSplineBasis(self.grid_size, self.order, self.lo, self.hi)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -44,28 +44,40 @@ _LN10 = float(np.log(10.0))
 
 @dataclass(frozen=True)
 class SymbolicEdge:
-    """One candidate shape for an edge function."""
+    """One candidate shape for an edge function: f, its derivative, and
+    `tokens`, which writes f(u) in prefix form around u's tokens (the zero
+    shape has none)."""
 
     name: str
     complexity: int
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray]
+    tokens: Callable[[tuple[Token, ...]], tuple[Token, ...]] | None = None
 
 
 EDGE_FAMILIES: dict[str, SymbolicEdge] = {
     "zero": SymbolicEdge("zero", 0, lambda u: np.zeros_like(u),
                          lambda u: np.zeros_like(u)),
     "identity": SymbolicEdge("identity", 1, lambda u: u,
-                             lambda u: np.ones_like(u)),
-    "square": SymbolicEdge("square", 2, lambda u: u * u, lambda u: 2.0 * u),
-    "cube": SymbolicEdge("cube", 3, lambda u: u ** 3, lambda u: 3.0 * u * u),
-    "sqrt": SymbolicEdge("sqrt", 2, np.sqrt, lambda u: 0.5 / np.sqrt(u)),
-    "reciprocal": SymbolicEdge("reciprocal", 2, lambda u: 1.0 / u,
-                               lambda u: -1.0 / (u * u)),
-    "log10": SymbolicEdge("log10", 2, np.log10, lambda u: 1.0 / (u * _LN10)),
-    "exp": SymbolicEdge("exp", 2, np.exp, np.exp),
-    "sin": SymbolicEdge("sin", 3, np.sin, np.cos),
-    "cos": SymbolicEdge("cos", 3, np.cos, lambda u: -np.sin(u)),
+                             lambda u: np.ones_like(u), lambda t: t),
+    "square": SymbolicEdge("square", 2, lambda u: u * u, lambda u: 2.0 * u,
+                           lambda t: (Token.unary("square"),) + t),
+    "cube": SymbolicEdge("cube", 3, lambda u: u ** 3, lambda u: 3.0 * u * u,
+                         lambda t: (Token.binary("mul"), Token.unary("square"))
+                         + t + t),
+    "sqrt": SymbolicEdge("sqrt", 2, np.sqrt, lambda u: 0.5 / np.sqrt(u),
+                         lambda t: (Token.unary("sqrt"),) + t),
+    "reciprocal": SymbolicEdge(
+        "reciprocal", 2, lambda u: 1.0 / u, lambda u: -1.0 / (u * u),
+        lambda t: (Token.binary("div"), Token.literal(1.0)) + t),
+    "log10": SymbolicEdge("log10", 2, np.log10, lambda u: 1.0 / (u * _LN10),
+                          lambda t: (Token.unary("log10"),) + t),
+    "exp": SymbolicEdge("exp", 2, np.exp, np.exp,
+                        lambda t: (Token.unary("exp"),) + t),
+    "sin": SymbolicEdge("sin", 3, np.sin, np.cos,
+                        lambda t: (Token.unary("sin"),) + t),
+    "cos": SymbolicEdge("cos", 3, np.cos, lambda u: -np.sin(u),
+                        lambda t: (Token.unary("cos"),) + t),
 }
 
 # how much R2 a more complex shape must gain to beat a simpler one
@@ -252,12 +264,10 @@ def fit_edge(x: np.ndarray, y: np.ndarray,
             start = _start(fam, x, y)
             if start is None:
                 continue
-            best = start
             refined = _refine(fam, x, y, start)
-            if refined is not None and refined[4] > best[4]:
-                best = refined
-            candidates.append(EdgeFit(name, best[0], best[1], best[2],
-                                      best[3], best[4]))
+            best = (refined if refined is not None and refined[4] > start[4]
+                    else start)
+            candidates.append(EdgeFit(name, *best))
         if len(candidates) > simpler:
             # with every simpler shape out of the tie, the top is this level's
             top = max(c.r2 for c in candidates)
@@ -280,7 +290,7 @@ class SymbolicKan:
     give each edge's family name and read-out R2, `(d_in, d_out)`, and
     `params[l]` is the `(d_in, d_out, 4)` view of each edge's (a, b, c, d)
     in `theta`, one read-only vector laid out by layer, then i, then j.
-    `fits` reads the same edges back as nested tuples of `EdgeFit`s.
+    `fits` builds the same edges as nested tuples of `EdgeFit`s when read.
     """
 
     def __init__(self, shape: tuple[int, ...],
@@ -318,11 +328,6 @@ class SymbolicKan:
     def _set_theta(self, theta) -> None:
         self.theta = _read_only(np.array(theta, dtype=float).reshape(-1))
         self.params = tuple(self.split(self.theta))
-        self._fits = tuple(
-            tuple(tuple(EdgeFit(str(n), *map(float, q), float(r))
-                        for n, q, r in zip(*row))
-                  for row in zip(names, p, r2))
-            for names, p, r2 in zip(self.families, self.params, self.r2))
 
     def split(self, theta: np.ndarray) -> list[np.ndarray]:
         """Each layer's (d_in, d_out, 4) view of a vector laid out as
@@ -340,8 +345,13 @@ class SymbolicKan:
 
     @property
     def fits(self) -> tuple[tuple[tuple[EdgeFit, ...], ...], ...]:
-        """Every edge as an `EdgeFit`, indexed [layer][i][j]."""
-        return self._fits
+        """Every edge as an `EdgeFit`, indexed [layer][i][j], built from
+        `families`, `params` and `r2`."""
+        return tuple(
+            tuple(tuple(EdgeFit(str(n), *map(float, q), float(r))
+                        for n, q, r in zip(*row))
+                  for row in zip(names, p, r2))
+            for names, p, r2 in zip(self.families, self.params, self.r2))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _forward(self, X)[0][-1][:, 0]
@@ -522,65 +532,40 @@ def retrain_affine(sym: SymbolicKan, X: np.ndarray,
             return float("inf")
         return float(np.mean((pred - y) ** 2))
 
-    best, best_mse = sym, mse_of(sym)
-
     theta, _ = minimize_lbfgsb(
         lambda theta: _mse_and_grad(sym, X, y, theta), sym.theta,
         maxiter=_RETRAIN_STEPS, ftol=1e-14)
-    work = sym.with_theta(theta)
-    work_mse = mse_of(work)
-    if work_mse < best_mse:
-        best, best_mse = work, work_mse
-
-    polished = _polish_last_layer(best, X, y)
-    polished_mse = mse_of(polished)
-    if polished_mse < best_mse:
-        best, best_mse = polished, polished_mse
-    return best, best_mse
+    # min keeps the first of equal candidates: a tie keeps the input
+    best = min(sym, sym.with_theta(theta), key=mse_of)
+    best = min(best, _polish_last_layer(best, X, y), key=mse_of)
+    return best, mse_of(best)
 
 
 # ---------------------------------------------------------------------------
 # expression extraction
 
 
-def _lit(v: float) -> Token:
-    return Token.literal(v)
-
-
 def _affine_tokens(a: float, b: float, child: tuple[Token, ...]) -> tuple[Token, ...]:
     out = child
     if a != 1.0:
-        out = (Token.binary("mul"), _lit(a)) + out
+        out = (Token.binary("mul"), Token.literal(a)) + out
     if b != 0.0:
-        out = (Token.binary("add"),) + out + (_lit(b),)
+        out = (Token.binary("add"),) + out + (Token.literal(b),)
     return out
-
-
-_BODY_BUILDERS: dict[str, Callable[[tuple[Token, ...]], tuple[Token, ...]]] = {
-    "identity": lambda u: u,
-    "square": lambda u: (Token.unary("square"),) + u,
-    "cube": lambda u: (Token.binary("mul"), Token.unary("square")) + u + u,
-    "sqrt": lambda u: (Token.unary("sqrt"),) + u,
-    "reciprocal": lambda u: (Token.binary("div"), _lit(1.0)) + u,
-    "log10": lambda u: (Token.unary("log10"),) + u,
-    "exp": lambda u: (Token.unary("exp"),) + u,
-    "sin": lambda u: (Token.unary("sin"),) + u,
-    "cos": lambda u: (Token.unary("cos"),) + u,
-}
 
 
 def _edge_tokens(fit: EdgeFit, child: tuple[Token, ...],
                  input_divisor: float) -> tuple[Token, ...] | None:
     """Token sequence of c*f(a*x+b)+d, or None when it is exactly zero."""
     if fit.name == "zero" or fit.c == 0.0:
-        return (_lit(fit.d),) if fit.d != 0.0 else None
+        return (Token.literal(fit.d),) if fit.d != 0.0 else None
     a = fit.a / input_divisor
     u = _affine_tokens(a, fit.b, child)
-    body = _BODY_BUILDERS[fit.name](u)
+    body = EDGE_FAMILIES[fit.name].tokens(u)
     if fit.c != 1.0:
-        body = (Token.binary("mul"), _lit(fit.c)) + body
+        body = (Token.binary("mul"), Token.literal(fit.c)) + body
     if fit.d != 0.0:
-        body = (Token.binary("add"),) + body + (_lit(fit.d),)
+        body = (Token.binary("add"),) + body + (Token.literal(fit.d),)
     return body
 
 
@@ -609,7 +594,7 @@ def extract_expression(sym: SymbolicKan,
                 if tk is not None:
                     terms.append(tk)
             if not terms:
-                next_nodes.append((_lit(0.0),))
+                next_nodes.append((Token.literal(0.0),))
                 continue
             acc = terms[0]
             for term in terms[1:]:

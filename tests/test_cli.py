@@ -189,6 +189,11 @@ def test_train_kan_no_symbolic(tmp_path):
     rows = _read_metrics(out / "metrics.csv")
     assert [r["method"] for r in rows] == ["kan-spline"]
     assert not (out / "expression.json").exists()
+    # one row per edge, with no read-out family or R2
+    with open(out / "graph.csv", newline="") as fh:
+        edges = list(csv.DictReader(fh))
+    assert len(edges) == 4 * 2 + 2 * 1
+    assert all(e["family"] == "" and e["r2"] == "" for e in edges)
 
 
 def test_train_kan_shape_mismatch(tmp_path, capsys):
@@ -817,6 +822,9 @@ _OUT_OF_RANGE += [("train-kan", "prune", v) for v in ("2", "-0.5", "nan")]
 _ENGINE_REFUSED = [("train-dsr", "samples", "10"),
                    ("train-dsr", "epsilon", "2"), ("train-dsr", "max_len", "2"),
                    ("train-kan", "grid", "0"), ("train-kan", "lamb", "-1")]
+_ENGINE_REFUSED += [("train-dsr", key, v) for key in ("lr", "entropy")
+                    for v in ("nan", "inf")]
+_ENGINE_REFUSED += [("train-kan", "lamb", v) for v in ("nan", "inf")]
 _OUT_OF_RANGE += _ENGINE_REFUSED
 
 
@@ -824,19 +832,19 @@ _OUT_OF_RANGE += _ENGINE_REFUSED
 @pytest.mark.parametrize("command, key, value", _OUT_OF_RANGE)
 def test_out_of_range_split_or_seed_is_a_usage_error(tmp_path, capsys, form,
                                                       command, key, value):
-    # the inputs do not exist: the CLI's own checks run before any file
-    # is read, where a missing file would exit 2; the engine configs are
-    # built once the data is read, so their cases get real data
+    # the inputs do not exist: the CLI's own checks and the engine
+    # configs run before any file is read, where a missing file would
+    # exit 2
     engine = (command, key, value) in _ENGINE_REFUSED
     missing = str(tmp_path / "missing")
-    data = str(_gen(tmp_path, "data", count=60)) if engine else missing
     argv = [command, *{"gen-data": ["--model", "ci"],
-                       "train-kan": ["--data", data, "--shape", "4,1"],
-                       "train-dsr": ["--data", data],
+                       "train-kan": ["--data", missing, "--shape", "4,1"],
+                       "train-dsr": ["--data", missing],
                        "eval": ["--data", missing, "--expr-json", missing],
                        }[command]]
     flag = "--" + key.replace("_", "-")
-    parsed = (float(value) if key in ("split", "prune", "epsilon", "lamb")
+    parsed = (float(value) if key in ("split", "prune", "epsilon", "lamb",
+                                      "lr", "entropy")
               else int(value))
     if form == "flag":
         argv += [flag, value]

@@ -113,6 +113,19 @@ def test_queue_keeps_topk_unique():
     assert q.max_reward == 0.9
 
 
+def test_queue_evicts_the_newest_of_equal_lowest_rewards():
+    q = MaxRewardPriorityQueue(3)
+    for i, r in enumerate([0.5, 0.2, 0.2]):
+        assert q.add(r, ("k", i), None)
+    # a reward equal to the worst is refused
+    assert not q.add(0.2, ("k", 3), None)
+    assert q.add(0.3, ("k", 4), None)
+    assert [e.key for e in q.items()] == [("k", 0), ("k", 4), ("k", 1)]
+    # an evicted key may come back
+    assert q.add(0.25, ("k", 2), None)
+    assert [e.key for e in q.items()] == [("k", 0), ("k", 4), ("k", 2)]
+
+
 def test_queue_min_reward_never_decreases():
     rng = np.random.default_rng(1)
     q = MaxRewardPriorityQueue(5)

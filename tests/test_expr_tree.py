@@ -253,13 +253,18 @@ def test_infix_round_trips_through_sympy(tree):
 def test_structural_scan():
     scan = structural_scan(ExpressionTree((ADD, X0, X1)))
     assert scan.variables == {"d", "f"}
+    assert scan.columns == {"d": 0, "f": 1}
     assert scan.trig_variables == frozenset()
     scan = structural_scan(ExpressionTree((ADD, SIN, LOG, X0, X1)))
     assert scan.trig_variables == {"d"}
+    # each variable's feature column, in order of first appearance
+    scan = structural_scan(ExpressionTree((ADD, X1, MUL, X0, X1)))
+    assert list(scan.columns.items()) == [("f", 1), ("d", 0)]
     scan = structural_scan(ExpressionTree((COS, ADD, X0, MUL, C, X1)))
     assert scan.trig_variables == {"d", "f"}
     scan = structural_scan(ExpressionTree((MUL, C, LOG, X0)))
     assert scan.variables == {"d"} and scan.trig_variables == frozenset()
+    assert scan.columns == {"d": 0}
 
 
 def test_json_round_trip():

@@ -397,6 +397,20 @@ def test_retrain_affine_never_worse_and_repairs_perturbation():
     assert repaired_mse <= 2.0 * tuned_mse + 1e-12
 
 
+def test_retrain_affine_keeps_its_input_on_a_tie(monkeypatch):
+    net = _library_net()
+    X = np.random.default_rng(5).uniform(-1.0, 1.05, size=(100, 2))
+    y = net.predict(X)
+    sym = auto_symbolic(net, X)
+    # neither candidate has a strictly lower training MSE than the input
+    monkeypatch.setattr(symbolic, "minimize_lbfgsb",
+                        lambda fun, theta, **kw: (theta, None))
+    monkeypatch.setattr(symbolic, "_polish_last_layer", lambda s, X, y: s)
+    got, got_mse = retrain_affine(sym, X, y)
+    assert got is sym
+    assert got_mse == float(np.mean((sym.predict(X) - y) ** 2))
+
+
 def test_extracted_tree_matches_symbolic_forward():
     net = _library_net()
     X = np.random.default_rng(6).uniform(-1.0, 1.05, size=(250, 2))

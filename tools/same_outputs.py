@@ -24,9 +24,10 @@ edges); a pruned KAN run; a KAN run without the symbolic read-out
 on test rows (NaN test metrics); ``eval`` of a DSR expression, of a KAN
 expression and of a checkpoint, over 10 Monte-Carlo runs and in a single
 shot, and of the pruned run's checkpoint over 3 runs; the ingest of a
-CSV (``gen-data --input``); and a ``report`` over a KAN, a DSR and an
-eval run.  At seed 3 each DSR policy improves on its first batch's best
-formula, so the search past the first batch is covered.
+CSV (``gen-data --input``); a ``report`` over a KAN, a DSR and an
+eval run; and the help text of ``autopl`` and of each command.  At
+seed 3 each DSR policy improves on its first batch's best formula, so
+the search past the first batch is covered.
 """
 
 from __future__ import annotations
@@ -99,7 +100,12 @@ GOLDEN += [
                     "pl_db", "--out", "runs/ingest"]),
     ("report", [], ["report", "--runs", "runs/kan-0", "runs/dsr-rspg",
                     "runs/eval-expr", "--out", "runs/report"]),
+    # the help text, on stdout with exit 0
+    ("help", [], ["--help"]),
 ]
+for _command in ("gen-data", "train-kan", "train-dsr", "eval", "baseline",
+                 "report"):
+    GOLDEN.append((f"help-{_command}", [], [_command, "--help"]))
 
 _TIMES = ("started_utc", "finished_utc")
 
