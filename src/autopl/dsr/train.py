@@ -67,59 +67,10 @@ class TrainerConfig:
             raise ValueError("entropy_weight must be finite")
 
 
-@dataclass
-class _QueueEntry:
-    reward: float
-    order: int
-    key: tuple
-    data: SequenceData
-
-
-class MaxRewardPriorityQueue:
-    """Top-k sequences by reward, deduplicated by token structure."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = int(capacity)
-        self._entries: dict[tuple, _QueueEntry] = {}
-        self._counter = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def min_reward(self) -> float:
-        return min((e.reward for e in self._entries.values()), default=-np.inf)
-
-    @property
-    def max_reward(self) -> float:
-        return max((e.reward for e in self._entries.values()), default=-np.inf)
-
-    def add(self, r: float, key: tuple, data: SequenceData) -> bool:
-        """Insert unless a duplicate or below the full queue's minimum."""
-        if key in self._entries:
-            return False
-        if len(self._entries) >= self.capacity:
-            worst = min(self._entries.values(), key=lambda e: (e.reward, -e.order))
-            if r <= worst.reward:
-                return False
-            del self._entries[worst.key]
-        self._entries[key] = _QueueEntry(float(r), self._counter, key, data)
-        self._counter += 1
-        return True
-
-    def absorb(self, batch: SampledBatch) -> int:
-        """Feed a rewarded batch through the queue; returns insert count."""
-        if batch.rewards is None:
-            raise ValueError("batch rewards are unset")
-        n_in = 0
-        for seq, r, data in zip(batch.sequences, batch.rewards, batch.data):
-            n_in += self.add(float(r), seq.key(), data)
-        return n_in
-
-    def items(self) -> list[_QueueEntry]:
-        return sorted(self._entries.values(), key=lambda e: (-e.reward, e.order))
+def top_k(entries: list[tuple], k: int) -> list[tuple]:
+    """The k entries of highest reward (each entry's first item), earlier
+    entries first among equal rewards."""
+    return sorted(entries, key=lambda e: -e[0])[:k]
 
 
 def rspg_step(policy: PolicyNetwork, batch: SampledBatch, epsilon: float,
@@ -164,17 +115,16 @@ def vpg_step(policy: PolicyNetwork, batch: SampledBatch, baseline: float | None,
 
 
 def pqt_step(policy: PolicyNetwork, batch: SampledBatch,
-             queue: MaxRewardPriorityQueue, entropy_weight: float,
-             opt: Adam, forward: tuple | None = None) -> dict:
-    """Priority-queue update: maximize likelihood of the stored top-k,
-    with the entropy bonus taken over the freshly sampled batch.  The
-    queue, sampled under older parameters, is always replayed; `forward`
-    (as for `rspg_step`) serves the entropy term."""
-    queue.absorb(batch)
-    items = queue.items()
-    qdata = [e.data for e in items]
-    w = np.full(len(qdata), 1.0 / queue.capacity)
-    loss_q, grads = surrogate_loss(policy, qdata, w, 0.0)
+             records: list[SequenceData], capacity: int,
+             entropy_weight: float, opt: Adam,
+             forward: tuple | None = None) -> dict:
+    """Priority-queue update: maximize the likelihood of the queued
+    records, each weighted 1 / capacity, with the entropy bonus taken
+    over the freshly sampled batch.  The records, sampled under older
+    parameters, are always replayed; `forward` (as for `rspg_step`)
+    serves the entropy term."""
+    w = np.full(len(records), 1.0 / capacity)
+    loss_q, grads = surrogate_loss(policy, records, w, 0.0)
     if entropy_weight != 0.0:
         loss_e, grads_e = surrogate_loss(policy, batch.data,
                                          np.zeros(batch.n), entropy_weight,
@@ -183,8 +133,7 @@ def pqt_step(policy: PolicyNetwork, batch: SampledBatch,
             grads[name] += grads_e[name]
         loss_q += loss_e
     opt.step(policy.params, grads)
-    return {"loss": loss_q, "queue_min": queue.min_reward,
-            "queue_max": queue.max_reward}
+    return {"loss": loss_q}
 
 
 @dataclass
@@ -206,38 +155,38 @@ FitMap = Callable[[Iterable[ExpressionTree]],
                   Iterator[tuple[float, tuple[float, ...]]]]
 
 
+Scored = tuple[float, ExpressionTree, SequenceData]
+
+
 def _score_batch(batch: SampledBatch, ds: Dataset, cs: ConstraintSet,
-                 cache: dict, fit_all: FitMap) -> list[ExpressionTree]:
+                 cache: dict[tuple, float], fit_all: FitMap) -> list[Scored]:
     """Fill batch.rewards, fitting constants once per unique structure
-    through `fit_all`.  A fitted structure's reward comes from its fit's
-    MSE (infinite when unfittable), which `reward` would compute again
-    from the data."""
+    through `fit_all`, and return (reward, fitted tree, first sampled
+    record) for each structure the cache did not hold, in the order the
+    batch first sampled them.  A fitted structure's reward comes from its
+    fit's MSE (infinite when unfittable), which `reward` would compute
+    again from the data."""
     sigma = ds.y_std
-    fitted: list[ExpressionTree | None] = [None] * batch.n
-    todo: dict[tuple, list[int]] = {}
-    rewards = np.zeros(batch.n)
-    for i, seq in enumerate(batch.sequences):
-        key = seq.key()
-        if key in cache:
-            rewards[i], fitted[i] = cache[key]
-        else:
-            todo.setdefault(key, []).append(i)
-    trees = [batch.sequences[idxs[0]] for idxs in todo.values()]
+    keys = [seq.key() for seq in batch.sequences]
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        if key not in cache:
+            first.setdefault(key, i)
+    trees = [batch.sequences[i] for i in first.values()]
     fits = fit_all([tree for tree in trees if tree.n_constants])
     # the constant-free structures are scored while the workers fit
     plain = [None if tree.n_constants else reward(tree, ds, cs)
              for tree in trees]
-    for (key, idxs), tree, r in zip(todo.items(), trees, plain):
+    scored = []
+    for (key, i), tree, r in zip(first.items(), trees, plain):
         if r is None:
             mse, constants = next(fits)
             tree = tree.with_constants(constants)
             r = reward_from_mse(mse, sigma, tree.tokens, cs)
-        cache[key] = (r, tree)
-        for i in idxs:
-            rewards[i] = r
-            fitted[i] = tree
-    batch.rewards = rewards
-    return fitted  # same order as batch.sequences
+        cache[key] = r
+        scored.append((r, tree, batch.data[i]))
+    batch.rewards = np.array([cache[key] for key in keys], dtype=float)
+    return scored
 
 
 def _grammar(feature_names) -> Vocabulary:
@@ -265,9 +214,9 @@ def train(config: TrainerConfig, train_ds: Dataset,
     policy = PolicyNetwork(vocab, seed=seeds[0])
     rng = np.random.default_rng(seeds[1])
     opt = Adam(config.learning_rate)
-    queue = MaxRewardPriorityQueue(config.queue_k)
+    queue: list[Scored] = []
     baseline: float | None = None
-    cache: dict[tuple, tuple[float, ExpressionTree]] = {}
+    cache: dict[tuple, float] = {}
 
     best_tree: ExpressionTree | None = None
     best_reward = float("-inf")
@@ -282,13 +231,13 @@ def train(config: TrainerConfig, train_ds: Dataset,
             # the sampling pass serves this batch's update alone, which
             # changes the parameters it was made with
             forward, batch.forward = batch.forward, None
-            fitted = _score_batch(batch, train_ds, cs, cache, fit_all)
+            first = _score_batch(batch, train_ds, cs, cache, fit_all)
             samples_used += batch.n
             step += 1
-            i_best = int(np.argmax(batch.rewards))
-            if float(batch.rewards[i_best]) > best_reward:
-                best_reward = float(batch.rewards[i_best])
-                best_tree = fitted[i_best]
+            # a structure scored in an earlier batch cannot beat the best
+            for r, tree, _ in first:
+                if r > best_reward:
+                    best_reward, best_tree = r, tree
             row = {"step": step, "samples": samples_used,
                    "best_reward": best_reward,
                    "mean_reward": float(np.mean(batch.rewards)),
@@ -305,8 +254,10 @@ def train(config: TrainerConfig, train_ds: Dataset,
                                            config.entropy_weight, opt,
                                            forward=forward)
             else:
-                stats = pqt_step(policy, batch, queue, config.entropy_weight,
-                                 opt, forward=forward)
+                queue = top_k(queue + first, config.queue_k)
+                stats = pqt_step(policy, batch, [e[2] for e in queue],
+                                 config.queue_k, config.entropy_weight, opt,
+                                 forward=forward)
             # released before the next batch is sampled
             forward = None
             row.update(stats)

@@ -237,14 +237,11 @@ def check_validity(e: ExpressionTree, roles: Mapping[str, str],
                 reasons.append(f"not monotone in {v}")
         monotone[role] = ok
 
+    # every failed check gives a reason
     if uses["distance"] is None and uses["frequency"] is None:
         verdict = "not-applicable"
     else:
-        applicable_ok = all(
-            flag is not False
-            for flag in (uses["distance"], uses["frequency"],
-                         monotone["distance"], monotone["frequency"]))
-        verdict = "valid" if applicable_ok and not oscillatory else "invalid"
+        verdict = "invalid" if reasons else "valid"
     return ValidityReport(uses["distance"], uses["frequency"],
                           monotone["distance"], monotone["frequency"],
                           frozenset(oscillatory), verdict, tuple(reasons))

@@ -302,6 +302,13 @@ def tree_to_json(tree: ExpressionTree) -> str:
     return json.dumps({"tokens": items, "constants": list(tree.constants)})
 
 
+def _json_number(value, what: str):
+    """A JSON number as it was read; ValueError for anything else."""
+    if type(value) not in (int, float):  # bool is an int subclass
+        raise ValueError(f"{what} {value!r} is not a number")
+    return value
+
+
 def tree_from_json(text: str) -> ExpressionTree:
     obj = json.loads(text)
     tokens: list[Token] = []
@@ -314,11 +321,14 @@ def tree_from_json(text: str) -> ExpressionTree:
                 raise ValueError(f"variable index {i!r} is not an integer")
             tokens.append(Token.variable(item["var"], i))
         elif "lit" in item:
-            tokens.append(Token.literal(item["lit"]))
+            tokens.append(Token.literal(_json_number(item["lit"], "literal")))
         elif "const" in item:
+            if item["const"] is not True:
+                raise ValueError(f"const marker {item['const']!r} is not true")
             tokens.append(Token.const())
         elif item.get("kind") == TokenKind.BINARY.value:
             tokens.append(Token.binary(item["op"]))
         else:
             tokens.append(Token.unary(item["op"]))
-    return ExpressionTree(tuple(tokens), tuple(obj.get("constants", ())))
+    constants = [_json_number(c, "constant") for c in obj.get("constants", ())]
+    return ExpressionTree(tuple(tokens), tuple(constants))

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-
-import numpy as np
+import math
 
 from autopl.errors import CheckpointError, DataError
 from autopl.kan.bspline import BSplineBasis
@@ -44,6 +43,29 @@ def save_kan(net: KanNetwork, path, feature_names=None) -> None:
         json.dump(doc, fh)
 
 
+# what each kind of field holds; bool is an int subclass
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "0 or 1": lambda v: type(v) is int and v in (0, 1),
+}
+
+
+def _field(obj: dict, key: str, kind: str):
+    """obj[key] when it, or each scalar in it as a nested list, is `kind`;
+    ValueError naming the field otherwise."""
+    def check(value):
+        if isinstance(value, list):
+            for v in value:
+                check(v)
+        elif not _KINDS[kind](value):
+            raise ValueError(f"{key} holds {value!r}, not {kind}")
+
+    check(obj[key])
+    return obj[key]
+
+
 def load_kan(path, feature_names=None) -> KanNetwork:
     """Read a checkpoint; DataError if it records feature names other
     than ``feature_names``, the columns it will be fed."""
@@ -62,20 +84,21 @@ def load_kan(path, feature_names=None) -> KanNetwork:
                         f"not {list(feature_names)}")
     try:
         c = doc["config"]
-        cfg = KanConfig(shape=tuple(c["shape"]), grid_size=int(c["grid_size"]),
-                        order=int(c["order"]), steps=int(c["steps"]),
-                        reg_lambda=float(c["reg_lambda"]), seed=int(c["seed"]),
-                        lo=float(c["lo"]), hi=float(c["hi"]))
+        if not isinstance(c["shape"], list):
+            raise ValueError(f"shape {c['shape']!r} is not a list")
+        cfg = KanConfig(
+            **{k: _field(c, k, "an integer")
+               for k in ("shape", "grid_size", "order", "steps", "seed")},
+            **{k: float(_field(c, k, "a number"))
+               for k in ("reg_lambda", "lo", "hi")})
         basis = BSplineBasis(cfg.grid_size, cfg.order, cfg.lo, cfg.hi)
         layers = [
-            KanLayer(basis,
-                     np.asarray(entry["w_base"], dtype=float),
-                     np.asarray(entry["w_spline"], dtype=float),
-                     np.asarray(entry["coeffs"], dtype=float),
-                     np.asarray(entry["prune_mask"], dtype=bool))
+            KanLayer(basis, *(_field(entry, k, "a finite number")
+                              for k in ("w_base", "w_spline", "coeffs")),
+                     _field(entry, "prune_mask", "0 or 1"))
             for entry in doc["layers"]
         ]
         return KanNetwork(layers, cfg,
-                          np.asarray(doc["input_scale"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+                          _field(doc, "input_scale", "a finite number"))
+    except (LookupError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc

@@ -559,14 +559,8 @@ def _edge_tokens(fit: EdgeFit, child: tuple[Token, ...],
     """Token sequence of c*f(a*x+b)+d, or None when it is exactly zero."""
     if fit.name == "zero" or fit.c == 0.0:
         return (Token.literal(fit.d),) if fit.d != 0.0 else None
-    a = fit.a / input_divisor
-    u = _affine_tokens(a, fit.b, child)
-    body = EDGE_FAMILIES[fit.name].tokens(u)
-    if fit.c != 1.0:
-        body = (Token.binary("mul"), Token.literal(fit.c)) + body
-    if fit.d != 0.0:
-        body = (Token.binary("add"),) + body + (Token.literal(fit.d),)
-    return body
+    u = _affine_tokens(fit.a / input_divisor, fit.b, child)
+    return _affine_tokens(fit.c, fit.d, EDGE_FAMILIES[fit.name].tokens(u))
 
 
 def extract_expression(sym: SymbolicKan,

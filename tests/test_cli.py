@@ -23,7 +23,13 @@ from autopl.expr.tree import (
     tree_from_json,
     tree_to_json,
 )
-from autopl.kan import KanConfig, auto_symbolic, load_kan
+from autopl.kan import (
+    KanConfig,
+    auto_symbolic,
+    build_network,
+    load_kan,
+    save_kan,
+)
 from autopl.plmodels import (
     SYNTHETIC_RANGES,
     Dataset,
@@ -590,9 +596,16 @@ def test_malformed_dataset_csv_is_a_data_error(tmp_path, capsys, bad_row,
     '{"tokens": ["x"]}',
     '{"tokens": [{"var": "f_hz", "i": 0.7}]}',
     '{"tokens": [{"var": "f_hz", "i": true}]}',
+    '{"tokens": [{"lit": true}]}',
+    '{"tokens": [{"lit": "3"}]}',
+    '{"tokens": [{"const": false}], "constants": [1.0]}',
+    '{"tokens": [{"const": true}], "constants": [true]}',
+    '{"tokens": [{"const": true}], "constants": ["2.5"]}',
 ], ids=["invalid-json", "var-without-index", "unknown-operator",
         "infinite-literal", "overflowing-literal", "token-not-an-object",
-        "fractional-index", "boolean-index"])
+        "fractional-index", "boolean-index", "boolean-literal",
+        "string-literal", "false-const-marker", "boolean-constant",
+        "string-constant"])
 def test_malformed_expression_file_is_a_data_error(tmp_path, capsys, text):
     data = _gen(tmp_path, "ci", count=40)
     expr = tmp_path / "expr.json"
@@ -646,6 +659,37 @@ def test_copied_checkpoint_scores_as_in_place(tmp_path):
     assert metrics[0] == metrics[1]
     row = _read_metrics(tmp_path / "ev-elsewhere" / "metrics.csv")[0]
     assert float(row["r2_mean"]) > 0.9
+
+
+@pytest.mark.parametrize("where, value", [
+    (("config", "grid_size"), "5"),
+    (("config", "steps"), 2.7),
+    (("config", "shape"), "41"),
+    (("layers", 0, "prune_mask", 0, 0), "x"),
+    (("layers", 0, "prune_mask", 0, 0), 0.5),
+    (("layers", 0, "w_base", 0, 0), float("nan")),
+    (("layers", 0, "coeffs", 0, 0, 0), float("inf")),
+], ids=["string-grid", "fractional-steps", "string-shape", "string-mask",
+        "fractional-mask", "nan-weight", "infinite-weight"])
+def test_malformed_checkpoint_is_a_data_error(tmp_path, capsys, where, value):
+    data = _gen(tmp_path, "ci", count=40)
+    ckpt = tmp_path / "kan.npz"
+    n_features = len(read_csv(data).feature_names)
+    save_kan(build_network(KanConfig(shape=(n_features, 1))), ckpt)
+    doc = json.loads(ckpt.read_text())
+    *outer, last = where
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    field = [k for k in where if isinstance(k, str)][-1]
+    assert f"malformed checkpoint {ckpt}: {field}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_1_checkpoint_is_refused(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Reward, priority queue, the three policy updates, and the train loop."""
+"""Reward, batch scoring, the priority queue, the three policy updates,
+and the train loop."""
 
 import copy
 import dataclasses
@@ -15,13 +16,19 @@ from autopl.expr.tokens import Token, Vocabulary
 from autopl.expr.tree import ExpressionTree, evaluate
 from autopl.plmodels import Dataset
 from autopl.dsr.optim import Adam
-from autopl.dsr.policy import PolicyNetwork, SampledBatch, sample_batch
+from autopl.dsr.policy import (
+    PolicyNetwork,
+    SampledBatch,
+    sample_batch,
+    surrogate_loss,
+)
 from autopl.dsr.reward import reward, reward_from_mse
 from autopl.dsr.train import (
-    MaxRewardPriorityQueue,
     TrainerConfig,
+    _score_batch,
     pqt_step,
     rspg_step,
+    top_k,
     train,
     vpg_step,
 )
@@ -100,41 +107,129 @@ def test_reward_from_fit_is_reward_of_fitted_tree_bit_for_bit(kind):
     assert (got > 0.0) == fit.fittable
 
 
-def test_queue_keeps_topk_unique():
-    q = MaxRewardPriorityQueue(3)
-    data = None
-    for i, r in enumerate([0.2, 0.9, 0.5, 0.7, 0.9]):
-        q.add(r, ("k", i), data)
-    assert len(q) == 3
-    rewards = [e.reward for e in q.items()]
-    assert rewards == [0.9, 0.9, 0.7]
-    # duplicate key is ignored even with a better reward
-    assert not q.add(0.95, ("k", 1), data)
-    assert q.max_reward == 0.9
+class _Structure:
+    """A constant-free stand-in for a sampled tree, known by its key."""
+
+    n_constants = 0
+
+    def __init__(self, key):
+        self._key = key
+
+    def key(self):
+        return self._key
+
+
+def _stub_batch(keys, records=None):
+    n = len(keys)
+    return SampledBatch([_Structure(k) for k in keys], np.zeros(n),
+                        np.zeros(n), list(records or range(n)))
+
+
+@pytest.fixture
+def scored_by_table(monkeypatch):
+    """Score batches of `_Structure`s through `_score_batch`, each key's
+    reward looked up in a table; returns the scoring function."""
+    train_module = importlib.import_module("autopl.dsr.train")
+    ds, cs = _dataset(), ConstraintSet()
+
+    def score(batch, cache, table):
+        monkeypatch.setattr(train_module, "reward",
+                            lambda tree, ds, cs: table[tree.key()])
+        return _score_batch(batch, ds, cs, cache, lambda trees: iter(()))
+
+    return score
+
+
+class _InsertQueue:
+    """The priority queue as it was once kept, one insert at a time: the
+    best rewards by structure key, a duplicate key refused; a full queue
+    refuses a reward equal to its worst and evicts the newest of its equal
+    lowest rewards."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}  # key -> (reward, insert order, record)
+        self.inserted = 0
+
+    def add(self, r, key, record):
+        if key in self.entries:
+            return
+        if len(self.entries) >= self.capacity:
+            worst = min(self.entries, key=lambda k: (self.entries[k][0],
+                                                     -self.entries[k][1]))
+            if r <= self.entries[worst][0]:
+                return
+            del self.entries[worst]
+        self.entries[key] = (r, self.inserted, record)
+        self.inserted += 1
+
+    def items(self):
+        ranked = sorted(self.entries.values(), key=lambda e: (-e[0], e[1]))
+        return [(r, record) for r, _, record in ranked]
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 10])
+def test_top_k_merge_matches_the_insert_queue(capacity, scored_by_table):
+    # structures repeat within and across batches; rewards come from few
+    # values, so equal rewards meet at the queue's boundary
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        table = {k: float(rng.integers(1, 6)) / 10.0 for k in range(25)}
+        ref, queue, cache = _InsertQueue(capacity), [], {}
+        for step in range(8):
+            keys = [int(k) for k in rng.integers(0, 25, 7)]
+            records = [(step, i) for i in range(7)]
+            batch = _stub_batch(keys, records)
+            first = scored_by_table(batch, cache, table)
+            queue = top_k(queue + first, capacity)
+            for key, r, record in zip(keys, batch.rewards, records):
+                ref.add(float(r), key, record)
+            assert [(r, record) for r, _, record in queue] == ref.items()
+
+
+def test_score_batch_returns_each_new_structure_once(scored_by_table):
+    table = {"a": 0.4, "b": 0.6, "c": 0.3}
+    cache = {"c": 0.3}
+    batch = _stub_batch(["a", "b", "a", "c", "b"])
+    first = scored_by_table(batch, cache, table)
+    # first sampled order, each with its first occurrence's record
+    assert [(r, tree.key(), record) for r, tree, record in first] == \
+        [(0.4, "a", 0), (0.6, "b", 1)]
+    assert batch.rewards.tolist() == [0.4, 0.6, 0.4, 0.3, 0.6]
+    assert cache == table
+    again = _stub_batch(["b", "c", "a"])
+    assert scored_by_table(again, cache, table) == []
+    assert again.rewards.tolist() == [0.6, 0.3, 0.4]
+
+
+def test_queue_keeps_topk_unique(scored_by_table):
+    # a structure enters the merge the first time it is scored only, so
+    # the queue never holds it twice
+    table = {"a": 0.2, "b": 0.9, "c": 0.5, "d": 0.7, "e": 0.9}
+    queue, cache = [], {}
+    for keys in (["a", "b", "c", "b"], ["d", "e", "b"]):
+        queue = top_k(queue + scored_by_table(_stub_batch(keys), cache,
+                                              table), 3)
+    assert [(r, tree.key()) for r, tree, _ in queue] == \
+        [(0.9, "b"), (0.9, "e"), (0.7, "d")]
 
 
 def test_queue_evicts_the_newest_of_equal_lowest_rewards():
-    q = MaxRewardPriorityQueue(3)
-    for i, r in enumerate([0.5, 0.2, 0.2]):
-        assert q.add(r, ("k", i), None)
+    queue = top_k([(0.5, "k0"), (0.2, "k1"), (0.2, "k2")], 3)
     # a reward equal to the worst is refused
-    assert not q.add(0.2, ("k", 3), None)
-    assert q.add(0.3, ("k", 4), None)
-    assert [e.key for e in q.items()] == [("k", 0), ("k", 4), ("k", 1)]
-    # an evicted key may come back
-    assert q.add(0.25, ("k", 2), None)
-    assert [e.key for e in q.items()] == [("k", 0), ("k", 4), ("k", 2)]
+    assert top_k(queue + [(0.2, "k3")], 3) == queue
+    queue = top_k(queue + [(0.3, "k4")], 3)
+    assert [key for _, key in queue] == ["k0", "k4", "k1"]
 
 
 def test_queue_min_reward_never_decreases():
     rng = np.random.default_rng(1)
-    q = MaxRewardPriorityQueue(5)
-    prev = float("-inf")
-    for i in range(200):
-        q.add(float(rng.random()), ("k", i), None)
-        if len(q) == 5:
-            assert q.min_reward >= prev
-            prev = q.min_reward
+    queue, prev = [], float("-inf")
+    for step in range(40):
+        queue = top_k(queue + [(float(r), (step, i)) for i, r
+                               in enumerate(rng.random(5))], 5)
+        assert len(queue) == 5 and queue[-1][0] >= prev
+        prev = queue[-1][0]
 
 
 def test_rspg_below_quantile_sequences_contribute_nothing():
@@ -249,18 +344,46 @@ def test_updates_replay_unless_handed_the_sampling_pass(update):
 
 
 def test_pqt_step_absorbs_and_trains_on_queue():
+    # the queue is the batch's top 10, and the update is one Adam step on
+    # its records' likelihood, each weighted 1 / capacity
     vocab = Vocabulary.default(["x0", "x1"])
     pol = PolicyNetwork(vocab, seed=4)
     batch = sample_batch(pol, 50, ConstraintSet(), np.random.default_rng(5))
     batch.rewards = np.random.default_rng(6).random(50)
-    q = MaxRewardPriorityQueue(10)
+    queue = top_k(list(zip(batch.rewards, batch.sequences, batch.data)), 10)
+    assert [e[0] for e in queue] == sorted(batch.rewards, reverse=True)[:10]
+    records = [e[2] for e in queue]
+    want = copy.deepcopy(pol)
+    stats = pqt_step(pol, batch, records, 10, 0.0, Adam(0.01))
+    loss, grads = surrogate_loss(want, records, np.full(10, 0.1), 0.0)
+    Adam(0.01).step(want.params, grads)
+    assert stats == {"loss": loss}
+    assert _params_bytes(pol) == _params_bytes(want)
     before = pol.get_params()
-    stats = pqt_step(pol, batch, q, 0.005, Adam(0.01))
-    assert len(q) == 10
-    top10 = sorted(batch.rewards, reverse=True)[:10]
-    assert stats["queue_max"] == pytest.approx(max(top10))
-    assert stats["queue_min"] == pytest.approx(min(top10))
+    pqt_step(pol, batch, records, 10, 0.005, Adam(0.01))
     assert not np.array_equal(pol.get_params(), before)
+
+
+def test_first_of_equal_top_rewards_is_the_best(monkeypatch):
+    # two new structures share the batch's top reward: the first sampled
+    # one is the run's best formula
+    train_module = importlib.import_module("autopl.dsr.train")
+    x0, x1, add = Token.variable("x0", 0), Token.variable("x1", 1), \
+        Token.binary("add")
+    trees = [ExpressionTree(t) for t in
+             ((x0,), (add, x1, x0), (x1,), (add, x0, x1), (add, x1, x0))]
+    table = {trees[0].key(): 0.5, trees[1].key(): 0.9, trees[2].key(): 0.2,
+             trees[3].key(): 0.9}
+    n = len(trees)
+    batch = SampledBatch(trees, np.zeros(n), np.zeros(n), [None] * n)
+    monkeypatch.setattr(train_module, "sample_batch",
+                        lambda policy, want, cs, rng: batch)
+    monkeypatch.setattr(train_module, "reward",
+                        lambda tree, ds, cs: table[tree.key()])
+    cfg = TrainerConfig(batch_size=n, sample_budget=n, reward_threshold=0.8)
+    res = train(cfg, _dataset(), ConstraintSet())
+    assert res.best_reward == 0.9
+    assert res.best_tree.tokens == (add, x1, x0)
 
 
 def test_train_budget_accounting_and_history():

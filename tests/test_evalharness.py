@@ -2,7 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autopl.dsr.policy import PolicyNetwork, sample_batch
 from autopl.errors import DataError, TrainingError
 from autopl.evalharness import (
     METRICS,
@@ -24,7 +27,8 @@ from autopl.evalharness import (
     write_scatter_csv,
     write_table_csv,
 )
-from autopl.expr.tokens import Token
+from autopl.expr.constraints import ConstraintSet
+from autopl.expr.tokens import Token, Vocabulary
 from autopl.expr.tree import ExpressionTree, to_infix
 from autopl.plmodels import (
     Dataset,
@@ -287,6 +291,25 @@ def test_validity_no_roles_not_applicable():
     rep = check_validity(e, {"x": "other"}, {"x": (0.0, 1.0)})
     assert rep.verdict == "not-applicable"
     assert rep.uses_distance is None and rep.uses_frequency is None
+
+
+_ROLE_SETS = [{"d": "distance", "f": "frequency"}, {"d": "distance"},
+              {"f": "frequency"}, {"d": "distance", "h": "distance"}]
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.integers(0, 2 ** 16))
+def test_validity_verdict_is_invalid_exactly_when_a_check_gives_a_reason(seed):
+    # formulas as the DSR engine samples them, with literals for constants
+    vocab = Vocabulary.default(("d", "f", "h"), include_const=False)
+    batch = sample_batch(PolicyNetwork(vocab, seed=seed), 30,
+                         ConstraintSet(min_length=3),
+                         np.random.default_rng(seed))
+    ranges = {"d": (1.0, 1000.0), "f": (100.0, 6000.0), "h": (1.0, 30.0)}
+    for e in batch.sequences:
+        for roles in _ROLE_SETS:
+            rep = check_validity(e, roles, ranges)
+            assert (rep.verdict == "invalid") == bool(rep.reasons)
 
 
 def test_validity_missing_range_rejected():

@@ -275,6 +275,9 @@ def test_json_round_trip():
     assert back.constants == tree.constants
     X = np.random.default_rng(1).uniform(1.0, 5.0, (20, 2))
     assert np.array_equal(evaluate(back, X), evaluate(tree, X))
+    # a non-finite fitted constant reads back as it was written
+    odd = ExpressionTree((MUL, C, X0), constants=(float("inf"),))
+    assert tree_from_json(tree_to_json(odd)).constants == (float("inf"),)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -2,6 +2,7 @@
 checkpointing."""
 
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -452,6 +453,24 @@ def test_input_scale_divides_the_input_exactly():
             build_network(cfg, bad)
 
 
+# (where in the checkpoint, a value save_kan never writes there)
+_MALFORMED_FIELDS = [
+    (("config", "grid_size"), "5"),
+    (("config", "steps"), 2.7),
+    (("config", "seed"), True),
+    (("config", "shape"), [2, 3.0, 1]),
+    (("config", "reg_lambda"), True),
+    (("config", "lo"), "-1"),
+    (("layers", 0, "prune_mask", 0, 0), "x"),
+    (("layers", 0, "prune_mask", 0, 0), 0.5),
+    (("layers", 0, "prune_mask", 0, 0), True),
+    (("layers", 0, "w_base", 0, 0), float("nan")),
+    (("layers", 1, "coeffs", 0, 0, 2), float("inf")),
+    (("layers", 0, "w_spline", 1, 0), "0.5"),
+    (("input_scale", 0), True),
+]
+
+
 def test_checkpoint_errors(tmp_path):
     with pytest.raises(CheckpointError):
         load_kan(tmp_path / "nope.json")
@@ -467,3 +486,35 @@ def test_checkpoint_errors(tmp_path):
     truncated.write_text('{"format": "kan-checkpoint", "version": 1, "config": {}}')
     with pytest.raises(CheckpointError):
         load_kan(truncated)
+    # each field holds only what save_kan writes there: no value is
+    # coerced, and every weight is finite
+    path = tmp_path / "net.json"
+    save_kan(_toy_net(), path)
+    saved = path.read_text()
+    for where, value in _MALFORMED_FIELDS:
+        doc = json.loads(saved)
+        *outer, last = where
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps(doc))
+        field = [k for k in where if isinstance(k, str)][-1]
+        with pytest.raises(CheckpointError, match=f"{path}: {field} holds"):
+            load_kan(path)
+    doc = json.loads(saved)
+    doc["config"]["shape"] = "21"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"{path}: shape '21' is not"):
+        load_kan(path)
+    # no layers at all
+    path.write_text(json.dumps(dict(json.loads(saved), layers=[])))
+    with pytest.raises(CheckpointError, match=f"malformed checkpoint {path}"):
+        load_kan(path)
+
+
+def test_checkpoint_takes_an_integer_reg_lambda(tmp_path):
+    path = tmp_path / "net.json"
+    save_kan(_toy_net(reg_lambda=0), path)
+    assert json.loads(path.read_text())["config"]["reg_lambda"] == 0
+    assert load_kan(path).config.reg_lambda == 0.0

@@ -24,15 +24,18 @@ edges); a pruned KAN run; a KAN run without the symbolic read-out
 on test rows (NaN test metrics); ``eval`` of a DSR expression, of a KAN
 expression and of a checkpoint, over 10 Monte-Carlo runs and in a single
 shot, and of the pruned run's checkpoint over 3 runs; the ingest of a
-CSV (``gen-data --input``); a ``report`` over a KAN, a DSR and an
-eval run; and the help text of ``autopl`` and of each command.  At
-seed 3 each DSR policy improves on its first batch's best formula, so
-the search past the first batch is covered.
+CSV (``gen-data --input``); the indoor and outdoor analytical
+baselines, over two small CSVs this tool writes before the runs; a
+``report`` over a KAN, a DSR, an eval and a baseline run; and the help
+text of ``autopl`` and of each command.  At seed 3 each DSR policy
+improves on its first batch's best formula, so the search past the
+first batch is covered.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,8 +101,15 @@ GOLDEN += [
                                    "--out", "runs/eval-checkpoint-prune"]),
     ("ingest", [], ["gen-data", "--input", "data/dataset.csv", "--target",
                     "pl_db", "--out", "runs/ingest"]),
+    ("baseline-indoor", [], ["baseline", "--data", "data-indoor.csv",
+                             "--which", "indoor",
+                             "--out", "runs/baseline-indoor"]),
+    ("baseline-outdoor", [], ["baseline", "--data", "data-outdoor.csv",
+                              "--which", "outdoor",
+                              "--out", "runs/baseline-outdoor"]),
     ("report", [], ["report", "--runs", "runs/kan-0", "runs/dsr-rspg",
-                    "runs/eval-expr", "--out", "runs/report"]),
+                    "runs/eval-expr", "runs/baseline-indoor",
+                    "--out", "runs/report"]),
     # the help text, on stdout with exit 0
     ("help", [], ["--help"]),
 ]
@@ -110,12 +120,35 @@ for _command in ("gen-data", "train-kan", "train-dsr", "eval", "baseline",
 _TIMES = ("started_utc", "finished_utc")
 
 
+def _write_baseline_data(work: str) -> None:
+    """The baselines' datasets, 12 rows each in a fixed 6-decimal format,
+    written by this tool so both sides read the same bytes."""
+    tables = {
+        "data-indoor.csv": ("d_m,n_w,n_f,pl_db", [
+            (d, w, f, 120.0 + 28.0 * math.log10(d) + 1.5 * w + 10.0 * f
+             + 0.5 * (i * 7 % 5 - 2))
+            for i, d, w, f in ((i, 2.0 + 3.0 * i, i % 4, i % 3)
+                               for i in range(12))]),
+        "data-outdoor.csv": ("d_m,h_m,f_mhz,pl_db", [
+            (d, h, f, 140.0 + 31.0 * math.log10(d) - 5.0 * math.log10(h)
+             + 0.5 * (i * 7 % 5 - 2))
+            for i, d, h, f in ((i, 50.0 + 75.0 * i, 1.5 + 0.5 * (i % 4),
+                                800.0 + 200.0 * (i % 5)) for i in range(12))]),
+    }
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(work, name), "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
+
+
 def run_golden(checkout: str, work: str) -> None:
     """Run the golden set with checkout's sources, in directory work;
     each command's exit code and stdout go to stdout/<name>.txt."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
     os.makedirs(os.path.join(work, "stdout"))
+    _write_baseline_data(work)
     for name, prefix, args in GOLDEN:
         done = subprocess.run(
             [*prefix, sys.executable, "-m", "autopl.cli", *args], cwd=work,
